@@ -7,15 +7,7 @@ effectiveness scores over a finite universe.
 """
 
 from .distribution import FutureValueDist, QuadratureNodes
-from .effectiveness import (
-    EffectivenessReport,
-    Universe,
-    build_report,
-    effectiveness_scores,
-    outranking_degree,
-    strict_effectiveness_scores,
-    strict_outranking_degree,
-)
+from .effectiveness import EffectivenessReport, Universe, build_report
 from .membership import (
     MembershipFn,
     dominance,
@@ -38,7 +30,6 @@ from .returns import (
     from_return_cdf,
     profile,
     return_variance,
-    state_membership,
     variance_span,
 )
 
@@ -58,18 +49,13 @@ __all__ = [
     "build_report",
     "convention",
     "dominance",
-    "effectiveness_scores",
     "energy_measure",
     "entropy_measure",
     "expected_return",
     "expected_return_distribution",
     "from_return_cdf",
-    "outranking_degree",
     "profile",
     "return_variance",
-    "state_membership",
-    "strict_effectiveness_scores",
-    "strict_outranking_degree",
     "trapezoid",
     "triangle",
     "variance_span",

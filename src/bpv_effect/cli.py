@@ -76,8 +76,8 @@ def _build_membership(entry, path, errors) -> MembershipFn | None:
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None
-    kind = entry.get("type")
-    if kind == "trapezoid":
+    shape = entry.get("type")
+    if shape == "trapezoid":
         corners = [_number(entry, key, path, errors) for key in ("a", "b", "c", "d")]
         if any(v is None for v in corners):
             return None
@@ -93,7 +93,7 @@ def _build_membership(entry, path, errors) -> MembershipFn | None:
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
             return None
-    if kind == "grid":
+    if shape == "grid":
         points = _number_list(entry, "points", path, errors)
         values = _number_list(entry, "values", path, errors)
         if points is None or values is None:

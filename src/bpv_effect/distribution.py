@@ -10,11 +10,18 @@ families carry their atoms exactly and admit no truncation.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 _FAMILIES = ("normal", "lognormal", "discrete")
+
+# Standard-normal quantile (Wichura's AS241) and distribution function,
+# elementwise.  The CDF goes through erfc rather than NormalDist.cdf, whose
+# erf form loses relative accuracy in the lower tail.
+_STANDARD_NORMAL = NormalDist()
+_ndtri = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
+_ndtr = np.vectorize(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), otypes=[float])
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,14 +68,17 @@ class FutureValueDist:
                 raise ValueError("truncation levels must satisfy 0 <= lo < hi <= 1")
             object.__setattr__(self, "truncation", (float(lo), float(hi)))
         if self.family == "normal":
-            if self.sd is None or self.sd <= 0.0:
+            self._require_finite("mean", "sd")
+            if self.sd <= 0.0:
                 raise ValueError("normal family needs sd > 0")
             if self.truncation is None:
                 raise ValueError("normal future values must be truncated to keep the support positive")
-            if self._base().ppf(self.truncation[0]) <= 0.0:
+            lo = self.truncation[0]
+            if lo == 0.0 or self.mean + self.sd * _STANDARD_NORMAL.inv_cdf(lo) <= 0.0:
                 raise ValueError("normal truncation must give a positive lower support bound")
         elif self.family == "lognormal":
-            if self.log_sd is None or self.log_sd <= 0.0:
+            self._require_finite("log_mean", "log_sd")
+            if self.log_sd <= 0.0:
                 raise ValueError("lognormal family needs log_sd > 0")
         else:
             if self.truncation is not None:
@@ -77,6 +87,8 @@ class FutureValueDist:
             probs = np.array(self.probs, dtype=float, copy=True)
             if points.ndim != 1 or points.size == 0 or points.shape != probs.shape:
                 raise ValueError("points and probs must be matching nonempty vectors")
+            if not (np.all(np.isfinite(points)) and np.all(np.isfinite(probs))):
+                raise ValueError("points and probs must be finite")
             if points[0] <= 0.0 or not np.all(np.diff(points) > 0.0):
                 raise ValueError("points must be strictly increasing and positive")
             if probs.min() < 0.0:
@@ -102,10 +114,11 @@ class FutureValueDist:
     def discrete(cls, points, probs) -> "FutureValueDist":
         return cls(family="discrete", points=points, probs=probs)
 
-    def _base(self):
-        if self.family == "normal":
-            return stats.norm(loc=self.mean, scale=self.sd)
-        return stats.lognorm(s=self.log_sd, scale=math.exp(self.log_mean))
+    def _require_finite(self, *names):
+        for name in names:
+            value = getattr(self, name)
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{self.family} family needs a finite {name} (got {value!r})")
 
     def _levels(self) -> tuple[float, float]:
         return self.truncation if self.truncation is not None else (0.0, 1.0)
@@ -120,8 +133,15 @@ class FutureValueDist:
             cum = np.concatenate(([0.0], np.cumsum(self.probs)))
             out = cum[idx] / cum[-1]
             return float(out) if np.isscalar(x) else out
+        x_arr = np.asarray(x, dtype=float)
+        if self.family == "normal":
+            base = _ndtr((x_arr - self.mean) / self.sd)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = (np.log(x_arr) - self.log_mean) / self.log_sd
+            base = np.where(x_arr > 0.0, _ndtr(z), 0.0)
         lo, hi = self._levels()
-        out = np.clip((self._base().cdf(x) - lo) / (hi - lo), 0.0, 1.0)
+        out = np.clip((base - lo) / (hi - lo), 0.0, 1.0)
         return float(out) if np.isscalar(x) else out
 
     def quantile(self, p):
@@ -142,7 +162,11 @@ class FutureValueDist:
         if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         lo, hi = self._levels()
-        out = self._base().ppf(lo + p_arr * (hi - lo))
+        z = _ndtri(lo + p_arr * (hi - lo))
+        if self.family == "normal":
+            out = self.mean + self.sd * z
+        else:
+            out = np.exp(self.log_mean + self.log_sd * z)
         return float(out) if np.isscalar(p) else out
 
     def make_nodes(self, n: int) -> QuadratureNodes:

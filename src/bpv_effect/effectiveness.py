@@ -76,43 +76,8 @@ class EffectivenessReport:
             raise ValueError("strict outranking cannot exceed plain outranking")
 
 
-def outranking_degree(y: SecurityProfile, z: SecurityProfile) -> float:
-    """Degree to which y is at least as effective as z: return dominance
-    gated on y's variance not exceeding z's."""
-    if y.variance > z.variance:
-        return 0.0
-    return dominance(y.rho, z.rho)
-
-
-def strict_outranking_degree(y: SecurityProfile, z: SecurityProfile) -> float:
-    """Same dominance degree behind the stricter gate: variance, energy,
-    and entropy must all be no worse."""
-    if y.variance > z.variance or y.energy > z.energy or y.entropy > z.entropy:
-        return 0.0
-    return dominance(y.rho, z.rho)
-
-
 def _pareto_scores(matrix: np.ndarray) -> np.ndarray:
     return np.maximum(matrix, 1.0 - matrix.T).min(axis=1)
-
-
-def effectiveness_scores(universe: Universe) -> np.ndarray:
-    """Pareto membership of each security under the variance-gated comparison."""
-    return _pareto_scores(_matrix(universe, outranking_degree))
-
-
-def strict_effectiveness_scores(universe: Universe) -> np.ndarray:
-    """Pareto membership under the variance/energy/entropy-gated comparison."""
-    return _pareto_scores(_matrix(universe, strict_outranking_degree))
-
-
-def _matrix(universe: Universe, degree) -> np.ndarray:
-    n = universe.size
-    out = np.empty((n, n))
-    for i, y in enumerate(universe.profiles):
-        for j, z in enumerate(universe.profiles):
-            out[i, j] = degree(y, z)
-    return out
 
 
 def build_report(universe: Universe) -> EffectivenessReport:

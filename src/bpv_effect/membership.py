@@ -55,10 +55,6 @@ class MembershipFn:
     def peak(self) -> float:
         return float(self.values.max())
 
-    @property
-    def peak_location(self) -> float:
-        return float(self.grid[int(np.argmax(self.values))])
-
     def shift(self, offset: float) -> "MembershipFn":
         """Translate all abscissae by ``offset``."""
         return MembershipFn(self.grid + offset, self.values)
@@ -173,10 +169,12 @@ def dominance(k: MembershipFn, l: MembershipFn) -> float:
     m2 = x0 + 2.0 * (x1 - x0) / 3.0
     g1, g2 = _sup_from_right(k, m1), _sup_from_right(k, m2)
     l1, l2 = l(m1), l(m2)
+    # Intervals a few ulp wide can round to width 0; their nonfinite
+    # slopes give a nonfinite crossing, which the mask below drops.
     width = m2 - m1
-    slope_g = (g2 - g1) / width
-    slope_l = (l2 - l1) / width
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope_g = (g2 - g1) / width
+        slope_l = (l2 - l1) / width
         t = (l1 - g1) / (slope_g - slope_l)
     at = m1 + t
     inside = np.isfinite(at) & (at > x0) & (at < x1)

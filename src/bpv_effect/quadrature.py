@@ -5,24 +5,7 @@ integrands (anything that is not piecewise linear) go through
 ``integrate`` applied to their samples, which is the plain trapezoid rule.
 """
 
-from typing import NamedTuple
-
 import numpy as np
-
-
-class Segment(NamedTuple):
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-
-def segments(x, y):
-    """Iterate the linear pieces of the polyline through (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for i in range(x.size - 1):
-        yield Segment(float(x[i]), float(y[i]), float(x[i + 1]), float(y[i + 1]))
 
 
 def integrate(x, y) -> float:

@@ -15,10 +15,10 @@ produces r, and rates outside a convention's domain carry membership 0.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import quadrature
 from .distribution import FutureValueDist, QuadratureNodes
@@ -29,38 +29,39 @@ class DegenerateMembershipError(ArithmeticError):
     """Raised when an identically-zero fuzzy return leaves a statistic undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnConvention:
-    """A return map r(V0, Vt), increasing in Vt, decreasing in V0."""
+    """A return map r(V0, Vt), increasing in Vt, decreasing in V0.
 
-    kind: str  # "simple" | "logarithmic"
+    ``limit`` is the infimum of the convention's rates.  The three maps
+    work elementwise and check nothing: a rate at or below ``limit`` gives
+    a nonpositive or infinite present value.  ``rate``,
+    ``present_value_for`` and ``future_value_for`` check their arguments,
+    then apply the maps.
+    """
 
-    def rate(self, present: float, future: float) -> float:
-        if present <= 0.0 or future <= 0.0:
-            raise ValueError("present and future values must be positive")
-        if self.kind == "simple":
-            return future / present - 1.0
-        return math.log(future / present)
+    kind: str
+    limit: float
+    rate_map: Callable  # (present, future) -> rate
+    present_map: Callable  # (rate, future) -> present value
+    future_map: Callable  # (rate, present) -> future value
 
-    def present_value_for(self, rate: float, future: float) -> float:
+    def rate(self, present, future):
+        _require_positive(present, "present value")
+        _require_positive(future, "future value")
+        return self.rate_map(present, future)
+
+    def present_value_for(self, rate, future):
         """The unique present value producing ``rate`` from ``future``."""
-        if future <= 0.0:
-            raise ValueError("future value must be positive")
-        if self.kind == "simple":
-            if rate <= -1.0:
-                raise ValueError("simple return rate is undefined at or below -1")
-            return future / (1.0 + rate)
-        return future * math.exp(-rate)
+        _require_positive(future, "future value")
+        self._require_rate(rate)
+        return self.present_map(rate, future)
 
-    def future_value_for(self, rate: float, present: float) -> float:
+    def future_value_for(self, rate, present):
         """The unique future value producing ``rate`` from ``present``."""
-        if present <= 0.0:
-            raise ValueError("present value must be positive")
-        if self.kind == "simple":
-            if rate <= -1.0:
-                raise ValueError("simple return rate is undefined at or below -1")
-            return present * (1.0 + rate)
-        return present * math.exp(rate)
+        _require_positive(present, "present value")
+        self._require_rate(rate)
+        return self.future_map(rate, present)
 
     def rate_bounds(self, pv_support: tuple[float, float], node_range: tuple[float, float]) -> tuple[float, float]:
         """Smallest rate interval outside which every state membership is 0."""
@@ -68,43 +69,52 @@ class ReturnConvention:
         y_lo, y_hi = node_range
         if s_lo <= 0.0:
             raise ValueError("present-value membership support must be positive")
-        if self.kind == "simple":
-            return y_lo / s_hi - 1.0, y_hi / s_lo - 1.0
-        return math.log(y_lo / s_hi), math.log(y_hi / s_lo)
+        return float(self.rate_map(s_hi, y_lo)), float(self.rate_map(s_lo, y_hi))
+
+    def _require_rate(self, rate):
+        if np.any(np.asarray(rate) <= self.limit):
+            raise ValueError(f"{self.kind} return rate is undefined at or below {self.limit}")
 
 
-SIMPLE = ReturnConvention("simple")
-LOGARITHMIC = ReturnConvention("logarithmic")
+def _require_positive(value, name: str) -> None:
+    if np.any(np.asarray(value) <= 0.0):
+        raise ValueError(f"{name} must be positive")
+
+
+SIMPLE = ReturnConvention(
+    "simple",
+    -1.0,
+    rate_map=lambda present, future: future / present - 1.0,
+    present_map=lambda rate, future: future / (1.0 + rate),
+    future_map=lambda rate, present: present * (1.0 + rate),
+)
+LOGARITHMIC = ReturnConvention(
+    "logarithmic",
+    -math.inf,
+    rate_map=lambda present, future: np.log(future / present),
+    present_map=lambda rate, future: future * np.exp(-rate),
+    future_map=lambda rate, present: present * np.exp(rate),
+)
+_CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
 
 def convention(name: str) -> ReturnConvention:
-    if name == "simple":
-        return SIMPLE
-    if name == "logarithmic":
-        return LOGARITHMIC
-    raise ValueError(f"unknown return convention {name!r}")
-
-
-def state_membership(mu: MembershipFn, conv: ReturnConvention, rate: float, future: float) -> float:
-    """Membership of ``rate`` in one market state with future value ``future``."""
-    return float(mu(conv.present_value_for(rate, future)))
+    if name not in _CONVENTIONS:
+        raise ValueError(f"unknown return convention {name!r}")
+    return _CONVENTIONS[name]
 
 
 def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> np.ndarray:
     """Matrix of state memberships, rates down the rows, future values across.
 
-    Rates outside the convention's domain give membership 0: for the
-    simple convention a rate at or below -1 maps to a nonpositive or
-    infinite present value, which lies outside any membership support.
+    Rates at or below the convention's limit map to a nonpositive or
+    infinite present value, which lies outside any membership support, so
+    they get membership 0.
     """
     r = np.asarray(rates, dtype=float).reshape(-1, 1)
     y = np.asarray(futures, dtype=float).reshape(1, -1)
-    if conv.kind == "simple":
-        with np.errstate(divide="ignore"):
-            pv = y / (1.0 + r)
-    else:
-        pv = y * np.exp(-r)
-    return mu(pv)
+    with np.errstate(divide="ignore"):
+        return mu(conv.present_map(r, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +145,12 @@ class ReturnGrid:
         The raw bounds make the fuzzy expected return vanish outside
         the closed interval; one extra grid step of padding makes it
         vanish strictly inside the endpoints, so all knot-based integrals
-        are exact over the grid.  For the simple convention the padded
-        lower end is kept above -1.
+        are exact over the grid.  The padded lower end is kept above the
+        convention's rate limit.
         """
         r_lo, r_hi = conv.rate_bounds(mu.support, (float(nodes.nodes[0]), float(nodes.nodes[-1])))
         pad = (r_hi - r_lo) / (count - 1)
-        lower = r_lo - pad
-        if conv.kind == "simple":
-            lower = max(lower, (r_lo - 1.0) / 2.0)
+        lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
         return cls(np.linspace(lower, r_hi + pad, count))
 
 
@@ -287,12 +295,12 @@ def from_return_cdf(
         raise ValueError("n must be positive")
     midpoints = (np.arange(n) + 0.5) / n
     if rate_bounds is None:
-        lo = -0.5 if conv.kind == "simple" else -1.0
+        lo = max(-1.0, conv.limit / 2.0)
         hi = 1.0
         for _ in range(200):
             if return_cdf(lo) <= midpoints[0]:
                 break
-            lo = (lo - 1.0) / 2.0 if conv.kind == "simple" else lo * 2.0
+            lo = max(2.0 * lo, (lo + conv.limit) / 2.0)
         for _ in range(200):
             if return_cdf(hi) >= midpoints[-1]:
                 break
@@ -301,11 +309,24 @@ def from_return_cdf(
     lo, hi = rate_bounds
     if return_cdf(lo) > midpoints[0] or return_cdf(hi) < midpoints[-1]:
         raise ValueError("rate_bounds do not bracket the required quantiles")
-    rates = np.array(
-        [optimize.brentq(lambda r, t=t: return_cdf(r) - t, lo, hi, xtol=1e-13) for t in midpoints]
-    )
-    values = np.array([conv.future_value_for(r, price) for r in rates])
+    rates = np.array([_bisect(return_cdf, t, lo, hi) for t in midpoints])
+    values = conv.future_value_for(rates, price)
     atoms, inverse = np.unique(values, return_inverse=True)
     probs = np.zeros(atoms.size)
     np.add.at(probs, inverse, 1.0 / n)
     return FutureValueDist.discrete(atoms, probs)
+
+
+def _bisect(cdf, target: float, lo: float, hi: float, xtol: float = 1e-13) -> float:
+    """A rate r in [lo, hi] with cdf(r) = target, to within ``xtol``.
+
+    Requires cdf(lo) <= target <= cdf(hi) and a nondecreasing ``cdf``.
+    """
+    while True:
+        mid = (lo + hi) / 2.0
+        if hi - lo <= xtol or not lo < mid < hi:
+            return mid
+        if cdf(mid) < target:
+            lo = mid
+        else:
+            hi = mid

@@ -118,6 +118,17 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "truncation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law, field", [
+        ({"family": "normal", "mean": float("nan"), "sd": 10}, "mean"),
+        ({"family": "lognormal", "log_mean": 4.6, "log_sd": float("inf")}, "log_sd"),
+    ])
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys, law, field):
+        path = write_portfolio(tmp_path, [simple_security("odd", future_value=law)])
+        for command in ("validate", "analyze"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert field in err and "'odd'" in err and "finite" in err
+
     def test_multiple_errors_reported_together(self, tmp_path, capsys):
         first = simple_security("a", convention="weekly")
         second = simple_security("b", future_value={"family": "discrete", "points": [95], "probs": [0.9]})

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+import bpv_effect
 from bpv_effect.distribution import FutureValueDist, QuadratureNodes
 
 
@@ -73,6 +79,23 @@ class TestCdfQuantile:
             assert values[0] == pytest.approx(0.0, abs=1e-12)
             assert values[-1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_continuous_laws_match_scipy_reference(self):
+        levels = np.concatenate(([1e-10, 1e-6], np.linspace(0.001, 0.999, 37), [1 - 1e-6, 1 - 1e-10]))
+        cases = [
+            (FutureValueDist.normal(100.0, 10.0, (1e-12, 1.0)), stats.norm(100.0, 10.0), (1e-12, 1.0)),
+            (FutureValueDist.lognormal(np.log(100.0), 0.3), stats.lognorm(0.3, scale=100.0), (0.0, 1.0)),
+            (FutureValueDist.lognormal(-0.5, 1.2), stats.lognorm(1.2, scale=np.exp(-0.5)), (0.0, 1.0)),
+        ]
+        for law, reference, (lo, hi) in cases:
+            expected = reference.ppf(lo + levels * (hi - lo))
+            assert np.max(np.abs(law.quantile(levels) / expected - 1.0)) <= 1e-13
+            cdf = (reference.cdf(expected) - lo) / (hi - lo)
+            assert np.max(np.abs(law.cdf(expected) / cdf - 1.0)) <= 1e-13
+
+    def test_lognormal_cdf_vanishes_at_and_below_zero(self, standard_lognormal):
+        assert standard_lognormal.cdf(0.0) == 0.0
+        assert np.array_equal(standard_lognormal.cdf(np.array([-3.0, -1e-300, 0.0])), [0.0, 0.0, 0.0])
+
     def test_quantile_domain_errors(self, standard_lognormal, two_atoms):
         with pytest.raises(ValueError):
             standard_lognormal.quantile(0.0)
@@ -90,6 +113,26 @@ class TestValidation:
     def test_normal_requires_positive_lower_bound(self):
         with pytest.raises(ValueError):
             FutureValueDist.normal(5.0, 10.0, (0.005, 0.995))
+
+    def test_normal_truncated_at_level_zero_has_no_positive_lower_bound(self):
+        with pytest.raises(ValueError, match="positive lower support bound"):
+            FutureValueDist.normal(5.0, 10.0, (0.0, 0.99))
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("normal", {"mean": float("nan"), "sd": 10.0}, "mean"),
+        ("normal", {"mean": 100.0, "sd": float("inf")}, "sd"),
+        ("lognormal", {"log_mean": float("-inf"), "log_sd": 0.2}, "log_mean"),
+        ("lognormal", {"log_mean": 4.6, "log_sd": float("inf")}, "log_sd"),
+    ])
+    def test_non_finite_parameters_rejected(self, family, params, name):
+        with pytest.raises(ValueError, match=f"finite {name} "):
+            FutureValueDist(family=family, truncation=(0.005, 0.995), **params)
+
+    def test_non_finite_discrete_atoms_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            FutureValueDist.discrete([2.0, float("inf")], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            FutureValueDist.discrete([2.0, 5.0], [float("nan"), 1.0])
 
     def test_discrete_probability_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -175,3 +218,13 @@ class TestScaling:
         scaled = two_atoms.scaled(3.0)
         assert np.array_equal(scaled.points, [6.0, 15.0])
         assert np.array_equal(scaled.probs, [0.3, 0.7])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(bpv_effect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, bpv_effect; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert completed.stdout.strip() == "[]"

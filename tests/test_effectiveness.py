@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from bpv_effect.membership import MembershipFn, trapezoid, triangle
+from bpv_effect.membership import MembershipFn, dominance, trapezoid, triangle
 from bpv_effect.returns import SecurityProfile
-from bpv_effect.effectiveness import (
-    Universe,
-    build_report,
-    effectiveness_scores,
-    outranking_degree,
-    strict_effectiveness_scores,
-    strict_outranking_degree,
-)
+from bpv_effect.effectiveness import Universe, build_report
 
 from support import direct_pareto
 
@@ -30,6 +23,12 @@ def normal_profile():
     return make_profile(triangle(0.0, 0.05, 0.10), variance=0.01)
 
 
+def degrees(y, z):
+    """Plain and strict outranking of y over z, read off a two-security report."""
+    report = build_report(Universe(("y", "z"), (y, z)))
+    return report.outranking[0, 1], report.strict_outranking[0, 1]
+
+
 def random_profile(rng):
     start = float(rng.uniform(-0.2, 0.2))
     widths = rng.uniform(0.01, 0.1, 3)
@@ -44,43 +43,39 @@ def random_profile(rng):
 
 class TestPairwiseDegrees:
     def test_self_comparison_is_one_for_normal_membership(self, normal_profile):
-        assert outranking_degree(normal_profile, normal_profile) == 1.0
-        assert strict_outranking_degree(normal_profile, normal_profile) == 1.0
+        assert degrees(normal_profile, normal_profile) == (1.0, 1.0)
 
     def test_variance_gate_wins_over_membership(self, normal_profile):
         worse = make_profile(normal_profile.rho, variance=normal_profile.variance * 2)
-        assert outranking_degree(worse, normal_profile) == 0.0
-        assert strict_outranking_degree(worse, normal_profile) == 0.0
+        assert degrees(worse, normal_profile) == (0.0, 0.0)
 
     def test_energy_gate_only_affects_strict_degree(self, normal_profile):
         smeared = make_profile(normal_profile.rho, normal_profile.variance, energy=0.9)
-        assert outranking_degree(smeared, normal_profile) == 1.0
-        assert strict_outranking_degree(smeared, normal_profile) == 0.0
+        assert degrees(smeared, normal_profile) == (1.0, 0.0)
 
     def test_entropy_gate_only_affects_strict_degree(self, normal_profile):
         blurred = make_profile(normal_profile.rho, normal_profile.variance, entropy=0.3)
-        assert outranking_degree(blurred, normal_profile) == 1.0
-        assert strict_outranking_degree(blurred, normal_profile) == 0.0
+        assert degrees(blurred, normal_profile) == (1.0, 0.0)
 
     def test_strict_never_exceeds_plain(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            y, z = random_profile(rng), random_profile(rng)
-            assert strict_outranking_degree(y, z) <= outranking_degree(y, z)
+            plain, strict = degrees(random_profile(rng), random_profile(rng))
+            assert strict <= plain
 
     def test_degree_composes_dominance_and_gate(self):
         low = make_profile(triangle(0.0, 0.01, 0.02), variance=0.01)
         high = make_profile(triangle(0.01, 0.02, 0.03), variance=0.02)
         # overlapping triangles cross at membership 1/2
-        assert outranking_degree(low, high) == pytest.approx(0.5, abs=1e-12)
-        assert outranking_degree(high, low) == 0.0  # variance gate
+        assert degrees(low, high)[0] == pytest.approx(0.5, abs=1e-12)
+        assert degrees(high, low)[0] == 0.0  # variance gate
 
 
 class TestParetoScores:
     def test_singleton_scores_one(self, normal_profile):
-        universe = Universe(("only",), (normal_profile,))
-        assert effectiveness_scores(universe)[0] == 1.0
-        assert strict_effectiveness_scores(universe)[0] == 1.0
+        report = build_report(Universe(("only",), (normal_profile,)))
+        assert report.effectiveness[0] == 1.0
+        assert report.strict_effectiveness[0] == 1.0
 
     def test_crisp_dominance_pair(self):
         winner = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01)
@@ -107,7 +102,7 @@ class TestParetoScores:
         strong = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01, energy=0.2, entropy=0.01)
         weak = make_profile(triangle(0.00, 0.05, 0.10), variance=0.02, energy=0.4, entropy=0.05)
         universe = Universe(("strong", "weak"), (strong, weak))
-        assert strict_effectiveness_scores(universe)[1] == 0.0
+        assert build_report(universe).strict_effectiveness[1] == 0.0
 
     def test_duplicate_security_leaves_other_scores_unchanged(self):
         rng = np.random.default_rng(19)
@@ -139,8 +134,11 @@ class TestParetoScores:
         report = build_report(universe)
         for i, y in enumerate(profiles):
             for j, z in enumerate(profiles):
-                assert report.outranking[i, j] == outranking_degree(y, z)
-                assert report.strict_outranking[i, j] == strict_outranking_degree(y, z)
+                degree = dominance(y.rho, z.rho)
+                gate = y.variance <= z.variance
+                strict_gate = gate and y.energy <= z.energy and y.entropy <= z.entropy
+                assert report.outranking[i, j] == (degree if gate else 0.0)
+                assert report.strict_outranking[i, j] == (degree if strict_gate else 0.0)
 
     def test_scores_match_direct_evaluation(self):
         rng = np.random.default_rng(59)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,16 @@ class TestDominance:
         l = MembershipFn([0.0, 1.0, 2.0], [0.0, 0.8, 0.0])
         assert dominance(k, l) == pytest.approx(0.6, abs=1e-12)
         assert dominance(k, k) == pytest.approx(0.6, abs=1e-12)
+
+    def test_knots_two_ulp_apart_raise_no_warning(self):
+        # the refinement interval between 1 and its second successor rounds to width 0
+        close = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        k = MembershipFn([0.0, 1.0, close, 3.0], [0.0, 0.5, 0.5, 0.0])
+        l = MembershipFn([0.0, 1.0, close, 3.0], [0.0, 0.2, 0.2, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dominance(k, l) == pytest.approx(0.2, abs=1e-12)
+            assert dominance(l, k) == pytest.approx(0.2, abs=1e-12)
 
     def test_jump_edges(self):
         # left-edge jump on k changes nothing to the right of its plateau

@@ -83,11 +83,3 @@ def test_agreement_with_fine_riemann_sums():
             riemann(np.minimum(ys, 1.0 - ys), xs), abs=1e-9
         )
 
-
-def test_segments_iteration():
-    m = triangle(0, 1, 3)
-    pieces = list(quadrature.segments(m.grid, m.values))
-    assert pieces == [
-        quadrature.Segment(0.0, 0.0, 1.0, 1.0),
-        quadrature.Segment(1.0, 1.0, 3.0, 0.0),
-    ]

@@ -16,7 +16,6 @@ from bpv_effect.returns import (
     from_return_cdf,
     profile,
     return_variance,
-    state_membership,
     variance_span,
 )
 
@@ -56,17 +55,17 @@ class TestStateMembership:
     MU = trapezoid(90, 95, 105, 110)
 
     def test_simple_on_plateau(self):
-        assert state_membership(self.MU, SIMPLE, 0.0, 100.0) == 1.0
+        assert self.MU(SIMPLE.present_value_for(0.0, 100.0)) == 1.0
 
     def test_logarithmic_on_plateau(self):
-        assert state_membership(self.MU, LOGARITHMIC, 0.0, 100.0) == 1.0
+        assert self.MU(LOGARITHMIC.present_value_for(0.0, 100.0)) == 1.0
 
     def test_simple_outside_support(self):
-        assert state_membership(self.MU, SIMPLE, 1.0, 100.0) == 0.0
+        assert self.MU(SIMPLE.present_value_for(1.0, 100.0)) == 0.0
 
     def test_simple_rejects_rate_at_minus_one(self):
         with pytest.raises(ValueError):
-            state_membership(self.MU, SIMPLE, -1.0, 100.0)
+            self.MU(SIMPLE.present_value_for(-1.0, 100.0))
 
 
 class TestReturnGrid:
