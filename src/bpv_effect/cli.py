@@ -4,8 +4,8 @@ Input is a JSON portfolio (schema_version 1) listing securities with a
 fuzzy present value (trapezoid corners or a sampled grid), a future-value
 distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` only
-checks the file.  Exit codes: 0 ok, 1 validation failure, 2 computation
-degeneracy.
+checks the file.  Exit codes: 0 ok, 1 validation failure, 2 a security
+whose profile cannot be computed.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 from .distribution import FutureValueDist
 from .effectiveness import Universe, build_report
 from .membership import MembershipFn, trapezoid
-from .returns import DegenerateMembershipError, EngineSettings, convention, profile
+from .returns import EngineSettings, convention, profile
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
@@ -277,9 +277,10 @@ def cmd_analyze(args) -> int:
     securities = sorted(securities, key=lambda item: item[0])
     profiles = []
     for sec_id, kind, mu, dist in securities:
-        try:
-            profiles.append(profile(mu, dist, convention(kind), settings))
-        except DegenerateMembershipError as exc:
+        try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                profiles.append(profile(mu, dist, convention(kind), settings))
+        except (ValueError, ArithmeticError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return 2
     ids = [sec_id for sec_id, _, _, _ in securities]

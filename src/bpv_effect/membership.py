@@ -4,7 +4,8 @@ A membership function is stored as knot arrays ``(grid, values)``: values
 interpolate linearly between knots and are identically zero outside the
 knot span.  Trapezoid and triangle shapes embed exactly, and the
 integral-based imprecision measures and the sup-min dominance degree all
-have closed forms on this representation.
+have closed forms on this representation; dominance is solved exactly on
+α-cuts, for many pairs in one batched pass.
 
 Memberships are not required to be normal (peak value 1).  Every operation
 below is well defined without normality; in particular ``dominance(m, m)``
@@ -115,73 +116,93 @@ def entropy_measure(m: MembershipFn) -> float:
     return area / (1.0 + area)
 
 
-def _suffix_max(values: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(values[::-1])[::-1]
+def _right_cuts(grid: np.ndarray, values: np.ndarray):
+    """Right α-cut ends R(α) = max{u : m(u) >= α} of one membership.
 
-
-def _sup_from_right(m: MembershipFn, points) -> np.ndarray:
-    """sup of m over [p, +inf) for each p: the nonincreasing right envelope."""
-    points = np.asarray(points, dtype=float)
-    tail_max = _suffix_max(m.values)
-    idx = np.searchsorted(m.grid, points, side="left")
-    inside = idx < m.grid.size
-    tail = np.where(inside, tail_max[np.minimum(idx, m.grid.size - 1)], 0.0)
-    return np.maximum(m(points), tail)
-
-
-def _envelope_breakpoints(m: MembershipFn) -> np.ndarray:
-    """Abscissae where a knot segment crosses the level reached to its right.
-
-    Together with the knots these are all breakpoints of the right
-    envelope of m.
+    R is left-continuous and breaks at 0 and at each knot's value that
+    exceeds every knot to its right; below such a level R runs down that
+    knot's right segment, jumping at the next level down unless the segment
+    reaches it.  Returns the levels, R at each, and the segment extents.
     """
-    tail_max = _suffix_max(m.values)
-    y0, y1 = m.values[:-1], m.values[1:]
-    level = tail_max[1:]
-    crosses = (y0 - level) * (y1 - level) < 0.0
-    if not np.any(crosses):
-        return np.empty(0)
-    t = (level[crosses] - y0[crosses]) / (y1[crosses] - y0[crosses])
-    x0, x1 = m.grid[:-1][crosses], m.grid[1:][crosses]
-    return x0 + t * (x1 - x0)
+    g, v = np.append(grid, grid[-1]), np.append(values, 0.0)  # drop to 0 at the span end
+    tail = np.append(np.maximum.accumulate(v[::-1])[::-1][1:], 0.0)
+    knots = np.flatnonzero(v > tail)[::-1]
+    extents = np.append(0.0, g[knots + 1] - g[knots]), np.append(1.0, v[knots] - v[knots + 1])
+    return np.append(0.0, v[knots]), (np.append(g[-1], g[knots]), *extents)
+
+
+class _Cuts:
+    """Right (sign 1) or left (sign -1: the mirror image's right ends, negated)
+    α-cut ends of many memberships, packed under keys s + 1j * level.  These
+    sort lexicographically, so one searchsorted finds a level in membership
+    s's table exactly."""
+
+    def __init__(self, memberships, sign: float):
+        size = sum(m.grid.size + 1 for m in memberships)
+        self.key = np.empty(size, dtype=complex)
+        self.at, self.dx, self.dv = ends = np.empty((3, size))
+        # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
+        shift = max(0, 1000 - max(np.frexp(np.abs(m.grid).max())[1] for m in memberships))
+        stop = 0
+        for s, m in enumerate(memberships):
+            grid = np.ldexp(m.grid if sign > 0 else -m.grid[::-1], shift)
+            levels, (at, dx, dv) = _right_cuts(grid, m.values if sign > 0 else m.values[::-1])
+            start, stop = stop, stop + levels.size
+            self.key[start:stop] = s + 1j * levels
+            ends[:, start:stop] = sign * at, sign * dx, dv
+        self.key = self.key[:stop]
+
+    def find(self, s, alpha):
+        """Entry of membership s at level alpha, or topping the piece holding it."""
+        return np.searchsorted(self.key, s + 1j * alpha)
+
+    def slide(self, p, alpha):
+        """Cut end at alpha on the piece topped by entry p, minus ``at[p]``."""
+        return (self.key[p].imag - alpha) / self.dv[p] * self.dx[p]
+
+
+def _gap(right: _Cuts, left: _Cuts, p, q, alpha):
+    """R - L at alpha on the pieces topped by entries p and q, from knot differences."""
+    return right.at[p] - left.at[q] + (right.slide(p, alpha) - left.slide(q, alpha))
+
+
+def _last_feasible(own: _Cuts, other: _Cuts, s, t, cap, sign: float):
+    """Bisect each s's levels below cap for the last with R >= L against t."""
+    lo, hi = own.find(s, 0.0), own.find(s, cap)
+    while (live := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[live] + hi[live]) // 2
+        alpha = own.key[mid].imag
+        q = other.find(t[live], alpha)
+        feasible = sign * (own.at[mid] - other.at[q] - other.slide(q, alpha)) >= 0.0
+        lo[live], hi[live] = np.where(feasible, mid, lo[live]), np.where(feasible, hi[live], mid)
+    return lo
+
+
+def dominance_pairs(memberships, rows, cols) -> np.ndarray:
+    """Degree to which memberships[rows[i]] is >= memberships[cols[i]], for all i.
+
+    For k and l: sup over u >= v of min(k(u), l(v)), the possibility index
+    PD(k >= l) = max{α <= min(peak k, peak l) : L_l(α) <= R_k(α)}.  Each pair
+    tests that cap, bisects k's levels then l's down to linear pieces, and
+    solves their crossing: O(knots) per membership, O(log knots) numpy steps.
+    """
+    right, left = _Cuts(memberships, 1.0), _Cuts(memberships, -1.0)
+    k, l = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    degree = np.minimum(*np.array([m.peak for m in memberships])[[k, l]])
+    todo = np.flatnonzero(degree > 0.0)
+    cap = degree[todo]
+    todo = todo[_gap(right, left, right.find(k[todo], cap), left.find(l[todo], cap), cap) < 0.0]
+    k, l, cap = k[todo], l[todo], degree[todo]
+    a, b = _last_feasible(right, left, k, l, cap, 1.0), _last_feasible(left, right, l, k, cap, -1.0)
+    lo = np.maximum(right.key[a].imag, left.key[b].imag)
+    hi = np.minimum(np.minimum(right.key[a + 1].imag, left.key[b + 1].imag), cap)
+    rise, fall = np.maximum([_gap(right, left, a + 1, b + 1, lo), -_gap(right, left, a + 1, b + 1, hi)], 0.0)
+    share = np.divide(rise, rise + fall, out=np.zeros_like(rise), where=rise > 0.0)
+    degree[todo] = np.minimum(lo + share * (hi - lo), hi)
+    return degree
 
 
 def dominance(k: MembershipFn, l: MembershipFn) -> float:
-    """Degree to which the fuzzy quantity k is greater than or equal to l.
-
-    Computes sup over u >= v of min(k(u), l(v)) exactly.  The inner sup
-    over u collapses to the nonincreasing right envelope
-    g(v) = sup_{u >= v} k(u), and sup_v min(g(v), l(v)) is attained either
-    at a breakpoint of g or l or at a crossing of the two inside a merged
-    segment, so evaluating those finitely many candidates is exact.
-    """
-    candidates = np.unique(np.concatenate((k.grid, l.grid, _envelope_breakpoints(k))))
-    envelope = _sup_from_right(k, candidates)
-    other = l(candidates)
-    best = float(np.max(np.minimum(envelope, other)))
-    if best >= 1.0:
-        return 1.0
-
-    # Crossing refinement: on each open interval between candidates both
-    # functions are linear, pinned down exactly by two interior samples.
-    x0, x1 = candidates[:-1], candidates[1:]
-    m1 = x0 + (x1 - x0) / 3.0
-    m2 = x0 + 2.0 * (x1 - x0) / 3.0
-    g1, g2 = _sup_from_right(k, m1), _sup_from_right(k, m2)
-    l1, l2 = l(m1), l(m2)
-    # Intervals a few ulp wide can round to width 0; their nonfinite
-    # slopes give a nonfinite crossing, which the mask below drops.
-    width = m2 - m1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope_g = (g2 - g1) / width
-        slope_l = (l2 - l1) / width
-        t = (l1 - g1) / (slope_g - slope_l)
-    at = m1 + t
-    inside = np.isfinite(at) & (at > x0) & (at < x1)
-    if np.any(inside):
-        t_in = t[inside]
-        crossing = np.minimum(
-            g1[inside] + slope_g[inside] * t_in, l1[inside] + slope_l[inside] * t_in
-        )
-        best = max(best, float(np.max(crossing)))
-    return min(max(best, 0.0), 1.0)
+    """Degree to which the fuzzy quantity k is greater than or equal to l:
+    the one-pair case of ``dominance_pairs``."""
+    return float(dominance_pairs((k, l), [0], [1])[0])

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own integration and
 sup-min code paths: integrals are sampled Riemann/trapezoid sums, the
-dominance oracle is a masked double loop over grid pairs, and the
+dominance oracles are a masked double loop over grid pairs and an exact
+x-space candidate enumeration (the package works on α-cuts), and the
 trapezoid membership is re-derived from its corner formulas.
 """
 
@@ -66,6 +67,51 @@ def dominance_oracle_setup(n: int = ORACLE_GRID):
     xs = np.linspace(0.0, 1.0, n)
     feasible = np.tri(n, dtype=bool)  # row u index >= column v index
     return xs, feasible
+
+
+def _sup_from_right(m: MembershipFn, points) -> np.ndarray:
+    """sup of m over [p, +inf) for each p: the nonincreasing right envelope."""
+    points = np.asarray(points, dtype=float)
+    tail_max = np.maximum.accumulate(m.values[::-1])[::-1]
+    idx = np.searchsorted(m.grid, points, side="left")
+    inside = idx < m.grid.size
+    tail = np.where(inside, tail_max[np.minimum(idx, m.grid.size - 1)], 0.0)
+    return np.maximum(m(points), tail)
+
+
+def _one_sided(m: MembershipFn, x0, x1):
+    """m(x0+) and m(x1-): the values, except past a vertical edge at a span end."""
+    lo, hi = m.grid[0], m.grid[-1]
+    return (np.where((x0 >= lo) & (x0 < hi), m(x0), 0.0),
+            np.where((x1 > lo) & (x1 <= hi), m(x1), 0.0))
+
+
+def candidate_dominance(k: MembershipFn, l: MembershipFn) -> float:
+    """sup over u >= v of min(k(u), l(v)), exact, by candidate enumeration.
+
+    An x-space method independent of the package's α-cut kernel.  The
+    inner sup over u is the right envelope g(v) = sup_{u >= v} k(u).  On
+    each open segment (x0, x1) between merged knots, k and l are linear
+    and g = max(k, g(x1)), so sup min(g, l) there is min(g(x1), sup l) or
+    the crossing of k and l, solved from one-sided end limits in segment
+    parameter space.  Together with the knots themselves this covers every
+    candidate, and segments an ulp wide need no interior samples.
+    """
+    # a common power-of-two rescale is exact and changes no degree; it keeps
+    # knot spacings out of the subnormal range, where np.interp breaks down
+    shift = 500 - np.frexp(np.abs(np.concatenate((k.grid, l.grid))).max())[1]
+    k, l = (MembershipFn(np.ldexp(m.grid, shift), m.values) for m in (k, l))
+    xs = np.unique(np.concatenate((k.grid, l.grid)))
+    g = _sup_from_right(k, xs)
+    best = float(np.max(np.minimum(g, l(xs))))
+    x0, x1 = xs[:-1], xs[1:]
+    (k0, k1), (h0, h1) = _one_sided(k, x0, x1), _one_sided(l, x0, x1)
+    best = max(best, float(np.max(np.minimum(g[1:], np.maximum(h0, h1)), initial=0.0)))
+    d0, d1 = k0 - h0, k1 - h1
+    cross = d0 * d1 < 0.0
+    t = d0[cross] / (d0[cross] - d1[cross])
+    crossing = np.minimum(k0[cross] + t * (k1[cross] - k0[cross]), h0[cross] + t * (h1[cross] - h0[cross]))
+    return min(max(best, float(np.max(crossing, initial=0.0))), 1.0)
 
 
 # ---------------------------------------------------------------------------

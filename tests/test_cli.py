@@ -279,6 +279,28 @@ class TestAnalyze:
         assert "dead" in err
         assert "degenerate membership" in err
 
+    @pytest.mark.parametrize(
+        "sec_id, overrides, message",
+        [
+            ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
+             "overflow"),
+            ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
+             "return grid must be strictly increasing"),
+            ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
+             "nodes must be strictly increasing and positive"),
+            ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
+             "overflow"),
+        ],
+    )
+    def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
+        # each of these fails only while profiling, after parsing succeeds
+        path = write_portfolio(tmp_path, [simple_security(sec_id, **overrides)])
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: security {sec_id!r}: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_validation_failure_exits_one(self, capsys):
         assert main(["analyze", str(FIXTURES / "bad_prob_sum.json")]) == 1
         assert "alpha" in capsys.readouterr().err

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpv_effect.membership import MembershipFn, dominance, trapezoid, triangle
 from bpv_effect.returns import SecurityProfile
 from bpv_effect.effectiveness import Universe, build_report
 
-from support import direct_pareto
+from support import candidate_dominance, direct_pareto
 
 
 def make_profile(rho, variance, energy=0.4, entropy=0.1, expected_return=0.05):
@@ -154,6 +157,84 @@ class TestParetoScores:
             assert np.all(report.strict_outranking <= report.outranking + 1e-15)
             assert np.all((report.effectiveness >= 0.0) & (report.effectiveness <= 1.0))
             assert np.all((report.strict_effectiveness >= 0.0) & (report.strict_effectiveness <= 1.0))
+
+
+@st.composite
+def rough_grids(draw):
+    """Knot grids mixing ordinary steps with knots 2 ulp apart, some of them
+    starting at subnormal abscissas."""
+    count = draw(st.integers(min_value=2, max_value=9))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.3]) | st.floats(min_value=0.01, max_value=2.0),
+                          min_size=count - 1, max_size=count - 1))
+    grid = [draw(st.floats(min_value=-5.0, max_value=5.0) | st.sampled_from([0.0, 5e-324, -1e-310]))]
+    for step in steps:  # a zero step stands for two ulp
+        grid.append(grid[-1] + step if step > 0.0 else np.nextafter(np.nextafter(grid[-1], np.inf), np.inf))
+    return np.array(grid)
+
+
+@st.composite
+def rough_universes(draw):
+    """2-8 memberships with plateaus, several local maxima, nonzero span-end
+    values (vertical edges), subnormal peaks and ulp-wide segments; some
+    universes put every membership on one shared grid."""
+    size = draw(st.integers(min_value=2, max_value=8))
+    shared = draw(st.booleans())
+    grids = [draw(rough_grids())] * size if shared else [draw(rough_grids()) for _ in range(size)]
+    rhos = []
+    for grid in grids:
+        level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+        values = np.array(draw(st.lists(level, min_size=grid.size, max_size=grid.size)))
+        rhos.append(MembershipFn(grid, values * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-310]))))
+    variances = draw(st.lists(st.sampled_from([0.01, 0.02, 0.03]), min_size=size, max_size=size))
+    return rhos, variances
+
+
+def synthetic_rho(rng, knots=801):
+    """Non-convex fuzzy return: a few triangular bumps on one knot grid."""
+    center, width = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.05, 0.4))
+    grid = np.linspace(center - width, center + width, knots)
+    values = np.zeros(knots)
+    for _ in range(int(rng.integers(2, 6))):
+        peak, half = rng.uniform(grid[0], grid[-1]), rng.uniform(0.05, 0.3) * width
+        values = np.maximum(values, rng.uniform(0.3, 1.0) * np.clip(1.0 - np.abs(grid - peak) / half, 0.0, 1.0))
+    return MembershipFn(grid, values)
+
+
+class TestBatchedDominance:
+    @given(rough_universes())
+    @settings(max_examples=100, deadline=None)
+    def test_batched_and_pairwise_match_candidate_oracle(self, universe):
+        rhos, variances = universe
+        ids = tuple(f"s{i}" for i in range(len(rhos)))
+        report = build_report(Universe(ids, tuple(make_profile(r, v) for r, v in zip(rhos, variances))))
+        for i, k in enumerate(rhos):
+            for j, l in enumerate(rhos):
+                expected = candidate_dominance(k, l)
+                assert abs(dominance(k, l) - expected) <= 1e-12
+                if variances[i] <= variances[j]:
+                    assert abs(report.outranking[i, j] - expected) <= 1e-12
+
+    def test_diagonal_is_peak_and_gated_entries_are_zero(self):
+        rng = np.random.default_rng(31)
+        profiles = tuple(make_profile(synthetic_rho(rng, 101), float(v))
+                         for v in rng.choice([0.01, 0.02, 0.03], 12))
+        report = build_report(Universe(tuple(f"s{i}" for i in range(12)), profiles))
+        assert np.array_equal(np.diag(report.outranking), [p.rho.peak for p in profiles])
+        variance = np.array([p.variance for p in profiles])
+        failing = variance[:, None] > variance[None, :]
+        assert np.any(failing)
+        assert np.all(report.outranking[failing] == 0.0)
+        assert np.all(report.strict_outranking[failing] == 0.0)
+
+    def test_256_securities_of_801_knots_finish_quickly(self):
+        # pair-by-pair scalar calls would take roughly 27 s at this size; the batched pass is far below
+        rng = np.random.default_rng(256)
+        profiles = tuple(make_profile(synthetic_rho(rng), float(rng.uniform(0.001, 0.05))) for _ in range(256))
+        universe = Universe(tuple(f"s{i}" for i in range(256)), profiles)
+        start = time.perf_counter()
+        report = build_report(universe)
+        assert time.perf_counter() - start < 5.0
+        assert report.outranking.shape == (256, 256)
 
 
 class TestUniverse:

@@ -168,7 +168,7 @@ class TestDominance:
         assert dominance(k, k) == pytest.approx(0.6, abs=1e-12)
 
     def test_knots_two_ulp_apart_raise_no_warning(self):
-        # the refinement interval between 1 and its second successor rounds to width 0
+        # a plateau 2 ulp wide: slopes taken over its width would divide by zero
         close = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
         k = MembershipFn([0.0, 1.0, close, 3.0], [0.0, 0.5, 0.5, 0.0])
         l = MembershipFn([0.0, 1.0, close, 3.0], [0.0, 0.2, 0.2, 0.0])
@@ -176,6 +176,20 @@ class TestDominance:
             warnings.simplefilter("error")
             assert dominance(k, l) == pytest.approx(0.2, abs=1e-12)
             assert dominance(l, k) == pytest.approx(0.2, abs=1e-12)
+
+    def test_crossing_inside_ulp_wide_segment(self):
+        # falling k and rising l cross half way along a segment 2 ulp wide,
+        # too narrow to hold interior samples
+        grid = [1.0, np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+        k, l = MembershipFn(grid, [0.75, 0.0]), MembershipFn(grid, [0.0, 0.75])
+        assert dominance(k, l) == pytest.approx(0.375, abs=1e-12)
+        assert dominance(l, k) == pytest.approx(0.75, abs=1e-12)
+
+    def test_subnormal_abscissas(self):
+        # a crossing 0.8 of the way along a segment two subnormal ulps wide
+        grid = [0.0, 1e-323]
+        k, l = MembershipFn(grid, [1.0, 0.0]), MembershipFn(grid, [0.0, 0.25])
+        assert dominance(k, l) == pytest.approx(0.2, abs=1e-12)
 
     def test_jump_edges(self):
         # left-edge jump on k changes nothing to the right of its plateau
