@@ -3,9 +3,10 @@
 Input is a JSON portfolio (schema_version 1) listing securities with a
 fuzzy present value (trapezoid corners or a sampled grid), a future-value
 distribution, and a return convention.  ``analyze`` writes a JSON report
-plus optional CSV of the fuzzy expected-return grids; ``validate`` only
-checks the file.  Exit codes: 0 ok, 1 validation failure, 2 a security
-whose profile cannot be computed.
+plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
+the file and builds each security's quadrature nodes and return grid.
+Exit codes: 0 ok, 1 validation failure, 2 a security whose profile
+(``analyze``) or nodes and grid (``validate``) cannot be computed.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 from .distribution import FutureValueDist
 from .effectiveness import Universe, build_report
 from .membership import MembershipFn, trapezoid
-from .returns import EngineSettings, convention, profile
+from .returns import EngineSettings, ReturnGrid, convention, profile
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
@@ -253,14 +254,35 @@ def _report_errors(errors) -> int:
     return 1
 
 
+def _each_security(securities, work):
+    """``work(mu, dist, conv)`` for each security, with floating-point overflow,
+    division by zero and invalid operations raised.  Returns the results, or
+    None after printing the first failure with the security's id."""
+    results = []
+    for sec_id, kind, mu, dist in securities:
+        try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                results.append(work(mu, dist, convention(kind)))
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
+            return None
+    return results
+
+
 def cmd_validate(args) -> int:
     errors: list[str] = []
     doc = _load_document(args.portfolio, errors)
-    if doc is not None:
-        _, _, _, parse_errors = _parse_portfolio(doc, args)
-        errors.extend(parse_errors)
-    if errors:
+    if doc is None:
         return _report_errors(errors)
+    securities, settings, _, parse_errors = _parse_portfolio(doc, args)
+    if parse_errors:
+        return _report_errors(parse_errors)
+
+    def grid(mu, dist, conv):
+        return ReturnGrid.spanning(mu, dist.make_nodes(settings.nodes), conv, settings.grid_points)
+
+    if _each_security(sorted(securities, key=lambda item: item[0]), grid) is None:
+        return 2
     print("ok")
     return 0
 
@@ -275,14 +297,9 @@ def cmd_analyze(args) -> int:
         return _report_errors(parse_errors)
 
     securities = sorted(securities, key=lambda item: item[0])
-    profiles = []
-    for sec_id, kind, mu, dist in securities:
-        try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                profiles.append(profile(mu, dist, convention(kind), settings))
-        except (ValueError, ArithmeticError) as exc:
-            print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
-            return 2
+    profiles = _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings))
+    if profiles is None:
+        return 2
     ids = [sec_id for sec_id, _, _, _ in securities]
     report = build_report(Universe(tuple(ids), tuple(profiles)))
 
@@ -327,12 +344,11 @@ def _write_grids(path: str, ids, profiles, count: int) -> None:
     lo = min(p.rho.grid[0] for p in profiles)
     hi = max(p.rho.grid[-1] for p in profiles)
     rates = np.linspace(lo, hi, count)
+    table = np.column_stack([rates] + [p.rho(rates) for p in profiles]).tolist()
+    row = ",".join(["%.15g"] * (1 + len(profiles))) + "\r\n"  # csv.writer's line end
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r"] + [f"rho_{sec_id}" for sec_id in ids])
-        columns = [p.rho(rates) for p in profiles]
-        for j, r in enumerate(rates):
-            writer.writerow([f"{r:.15g}"] + [f"{col[j]:.15g}" for col in columns])
+        csv.writer(handle).writerow(["r"] + [f"rho_{sec_id}" for sec_id in ids])
+        handle.write("".join(row % tuple(values) for values in table))
 
 
 def _truncation_flag(text: str) -> tuple[float, float]:

@@ -35,7 +35,8 @@ class MembershipFn:
             raise ValueError("grid and values must have matching lengths")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise ValueError("grid and values must be finite")
-        if not np.all(np.diff(grid) > 0.0):
+        spacing = np.diff(grid)
+        if not np.all(spacing > 0.0):
             raise ValueError("grid must be strictly increasing")
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("membership values must lie in [0, 1]")
@@ -43,10 +44,21 @@ class MembershipFn:
         values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        # np.interp's slopes overflow on knot spacings below the normal range;
+        # such grids are evaluated after one exact power-of-two rescale of the
+        # abscissas (to below 2**1000), which keeps those spacings normal
+        shift = 0
+        if spacing.min() < np.finfo(float).tiny:
+            shift = max(0, 1000 - int(np.frexp(np.abs(grid).max())[1]))
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_abscissas", np.ldexp(grid, shift) if shift else grid)
 
     def __call__(self, x):
         """Evaluate the interpolant; zero outside the knot span."""
-        return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
+        if self._shift:
+            with np.errstate(over="ignore"):  # beyond the span either way
+                x = np.ldexp(x, self._shift)
+        return np.interp(x, self._abscissas, self.values, left=0.0, right=0.0)
 
     @property
     def support(self) -> tuple[float, float]:

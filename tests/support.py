@@ -3,9 +3,14 @@
 Everything here deliberately avoids the package's own integration and
 sup-min code paths: integrals are sampled Riemann/trapezoid sums, the
 dominance oracles are a masked double loop over grid pairs and an exact
-x-space candidate enumeration (the package works on α-cuts), and the
-trapezoid membership is re-derived from its corner formulas.
+x-space candidate enumeration (the package works on α-cuts), state sums
+are a loop over nodes with a scalar membership lookup (the package sums
+runs of nodes knot by knot), and the trapezoid membership is re-derived
+from its corner formulas.
 """
+
+import bisect
+import math
 
 import numpy as np
 
@@ -112,6 +117,48 @@ def candidate_dominance(k: MembershipFn, l: MembershipFn) -> float:
     t = d0[cross] / (d0[cross] - d1[cross])
     crossing = np.minimum(k0[cross] + t * (k1[cross] - k0[cross]), h0[cross] + t * (h1[cross] - h0[cross]))
     return min(max(best, float(np.max(crossing, initial=0.0))), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# per-node state sums (the package sums runs of nodes knot by knot)
+
+
+def _membership_at(grid, values, x) -> float:
+    """Piecewise-linear membership at one point, zero outside the closed span."""
+    if not grid[0] <= x <= grid[-1]:
+        return 0.0
+    k = bisect.bisect_right(grid, x) - 1
+    if k == len(grid) - 1:
+        return values[k]
+    return values[k] + (values[k + 1] - values[k]) * ((x - grid[k]) / (grid[k + 1] - grid[k]))
+
+
+def _node_memberships(mu: MembershipFn, conv, rates, y) -> list[float]:
+    """mu(pv(r, y)) at each rate, one node; 0 at rates the convention excludes."""
+    rates = np.asarray(rates, dtype=float).reshape(-1, 1)  # the package maps a rate column
+    with np.errstate(divide="ignore", over="ignore"):
+        present = conv.present_map(rates, y).ravel()
+    grid, values = mu.grid.tolist(), mu.values.tolist()
+    return [_membership_at(grid, values, p) if r > conv.limit else 0.0
+            for r, p in zip(rates.ravel(), present.tolist())]
+
+
+def node_loop_state_sums(mu: MembershipFn, conv, nodes, rates) -> np.ndarray:
+    """sum_j w_j mu(pv(r, y_j)) at each rate, node by node."""
+    terms = [[w * m for m in _node_memberships(mu, conv, rates, y)]
+             for y, w in zip(nodes.nodes.tolist(), nodes.weights.tolist())]
+    return np.array([math.fsum(column) for column in zip(*terms)])
+
+
+def node_loop_kernel(mu: MembershipFn, conv, nodes, center, steps) -> np.ndarray:
+    """sum_j w_j max(mu(pv(center + s, y_j)), mu(pv(center - s, y_j))) per step s."""
+    steps = np.asarray(steps, dtype=float)
+    terms = []
+    for y, w in zip(nodes.nodes.tolist(), nodes.weights.tolist()):
+        upper = _node_memberships(mu, conv, center + steps, y)
+        lower = _node_memberships(mu, conv, center - steps, y)
+        terms.append([w * max(u, l) for u, l in zip(upper, lower)])
+    return np.array([math.fsum(column) for column in zip(*terms)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bpv_effect import FutureValueDist, convention, profile, trapezoid
 from bpv_effect.cli import main
+from bpv_effect.returns import EngineSettings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,6 +32,32 @@ def simple_security(sec_id="one", **overrides):
     }
     entry.update(overrides)
     return entry
+
+
+# securities that parse but cannot be profiled; all but the last fail while
+# building their quadrature nodes or return grid
+PROFILE_FAILURES = [
+    ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
+     "overflow"),
+    ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
+     "return grid must be strictly increasing"),
+    ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
+     "nodes must be strictly increasing and positive"),
+    ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
+     "overflow"),
+]
+
+
+def legacy_grids_csv(ids, profiles, count) -> bytes:
+    """The grids CSV as a csv.writer row loop writes it."""
+    rates = np.linspace(min(p.rho.grid[0] for p in profiles), max(p.rho.grid[-1] for p in profiles), count)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["r"] + [f"rho_{sec_id}" for sec_id in ids])
+    columns = [p.rho(rates) for p in profiles]
+    for j, r in enumerate(rates):
+        writer.writerow([f"{r:.15g}"] + [f"{col[j]:.15g}" for col in columns])
+    return buffer.getvalue().encode("utf-8")
 
 
 class TestValidate:
@@ -128,6 +158,16 @@ class TestValidate:
             assert main([command, path]) == 1
             err = capsys.readouterr().err
             assert field in err and "'odd'" in err and "finite" in err
+
+    @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES[:3])
+    def test_node_or_grid_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
+        path = write_portfolio(tmp_path, [simple_security("fine"), simple_security(sec_id, **overrides)])
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: security {sec_id!r}: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_multiple_errors_reported_together(self, tmp_path, capsys):
         first = simple_security("a", convention="weekly")
@@ -238,6 +278,25 @@ class TestAnalyze:
         assert len(first) == 3
         float(first[0])  # parses as numbers
 
+    def test_grid_csv_bytes_match_csv_writer(self, tmp_path):
+        ids = ['a,"b"', "plain"]  # the first needs quoting
+        settings = {"grid_points": 101, "nodes": 64, "variance_panels": 64}
+        lognormal = {"family": "lognormal", "log_mean": 4.6, "log_sd": 0.1}
+        path = write_portfolio(tmp_path, [
+            simple_security(ids[0], convention="logarithmic", future_value=lognormal),
+            simple_security(ids[1]),
+        ], settings=settings)
+        grids = tmp_path / "grids.csv"
+        assert main(["analyze", path, "--out", str(tmp_path / "r.json"), "--grids-out", str(grids)]) == 0
+        mu = trapezoid(90, 95, 105, 110)
+        engine = EngineSettings(**settings)
+        profiles = [
+            profile(mu, FutureValueDist.lognormal(4.6, 0.1, (0.005, 0.995)), convention("logarithmic"), engine),
+            profile(mu, FutureValueDist.discrete([98.0, 102.0], [0.5, 0.5]), convention("simple"), engine),
+        ]
+        assert grids.read_bytes() == legacy_grids_csv(ids, profiles, 101)
+        assert grids.read_bytes().startswith(b'r,"rho_a,""b""",rho_plain\r\n')
+
     def test_report_floats_round_trip_at_15_digits(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)]) == 0
@@ -279,19 +338,7 @@ class TestAnalyze:
         assert "dead" in err
         assert "degenerate membership" in err
 
-    @pytest.mark.parametrize(
-        "sec_id, overrides, message",
-        [
-            ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
-             "overflow"),
-            ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
-             "return grid must be strictly increasing"),
-            ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
-             "nodes must be strictly increasing and positive"),
-            ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
-             "overflow"),
-        ],
-    )
+    @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
         # each of these fails only while profiling, after parsing succeeds
         path = write_portfolio(tmp_path, [simple_security(sec_id, **overrides)])

@@ -58,6 +58,19 @@ class TestEvaluation:
         assert crisp(1.5) == 1.0
         assert np.array_equal(crisp.grid, [1.0, 2.0])
 
+    def test_subnormal_spacing_stays_between_knot_values(self):
+        assert MembershipFn([0.0, 1e-323], [1.0, 0.0])(5e-324) == 0.5
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            grid = np.unique(np.cumsum(rng.integers(1, 6, 6)) * 5e-324 * rng.choice([1.0, 2.0**30]))
+            values = rng.choice([0.0, 1.0, rng.uniform()], grid.size)
+            m = MembershipFn(grid, values)
+            xs = np.concatenate((grid, rng.uniform(grid[0], grid[-1], 50)))
+            j = np.clip(np.searchsorted(grid, xs, side="right") - 1, 0, grid.size - 2)
+            low, high = np.minimum(values[j], values[j + 1]), np.maximum(values[j], values[j + 1])
+            assert np.all((low <= m(xs)) & (m(xs) <= high))
+        assert m(1e300) == 0.0 and m(-1e300) == 0.0
+
     def test_rejects_bad_corners(self):
         with pytest.raises(ValueError):
             trapezoid(0, 2, 1, 3)

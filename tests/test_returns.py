@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bpv_effect.distribution import FutureValueDist
+from bpv_effect import returns
+from bpv_effect.distribution import FutureValueDist, QuadratureNodes
 from bpv_effect.membership import MembershipFn, trapezoid, triangle
 from bpv_effect.returns import (
     LOGARITHMIC,
@@ -19,7 +20,7 @@ from bpv_effect.returns import (
     variance_span,
 )
 
-from support import riemann
+from support import node_loop_kernel, node_loop_state_sums, riemann
 
 FAST = EngineSettings(grid_points=401, nodes=64, variance_panels=512)
 
@@ -196,6 +197,111 @@ class TestExpectedReturnDistribution:
         for y, p in zip(points, probs):
             manual += p * mu(y / (1.0 + grid.r_values))
         assert np.max(np.abs(rho.values - manual)) < 1e-12
+
+
+@st.composite
+def knot_view_cases(draw):
+    """Membership, convention, nodes and rates that stress the knot view's run edges.
+
+    Grids may be non-unimodal, with vertical edges at both span ends and a
+    segment one ulp wide.  Some nodes are placed where their present value
+    lands exactly on a knot at one of the rates, some within an ulp of
+    that (where the future value of a knot rounds), some one ulp from
+    another node, and weights may be zero.
+    """
+    conv = draw(st.sampled_from([SIMPLE, LOGARITHMIC]))
+    count = draw(st.integers(min_value=2, max_value=7))
+    gaps = draw(st.lists(st.floats(0.05, 30.0), min_size=count - 1, max_size=count - 1))
+    if draw(st.integers(0, 3)) == 0:  # rarely, so that most cases keep a tight tolerance
+        gaps[draw(st.integers(0, count - 2))] = 0.0
+    grid = [draw(st.floats(min_value=40.0, max_value=160.0))]
+    for gap in gaps:
+        grid.append(grid[-1] + gap if gap else float(np.nextafter(grid[-1], np.inf)))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=count, max_size=count))
+    mu = MembershipFn(grid, values)
+    # rates r at which pv(r, x * (1 + r)) == x exactly: 1 + r a power of two, or exp(-r) == 1
+    exact = [0.0] if conv is LOGARITHMIC else [-0.5, 0.0, 1.0]
+    span = np.linspace(-0.95, 7.5, 37) if conv is SIMPLE else np.linspace(-2.8, 2.2, 37)
+    rates = np.concatenate((exact, span))
+    knots = st.integers(0, count - 1)
+    futures = [float(conv.future_map(exact[i], grid[k]))
+               for i, k in draw(st.lists(st.tuples(st.integers(0, len(exact) - 1), knots), max_size=4))]
+    for i, k in draw(st.lists(st.tuples(st.integers(0, span.size - 1), knots), max_size=4)):
+        near = conv.future_map(span[i], grid[k])
+        futures += [float(near), float(np.nextafter(near, 0.0)), float(np.nextafter(near, np.inf))]
+    futures += draw(st.lists(st.floats(min_value=20.0, max_value=320.0), min_size=1, max_size=30))
+    futures += np.linspace(20.0, 320.0, draw(st.integers(0, 120))).tolist()  # long runs
+    twins = draw(st.lists(st.integers(0, len(futures) - 1), max_size=3))
+    futures += [float(np.nextafter(futures[i], np.inf)) for i in twins]
+    y = np.unique(futures)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=y.size, max_size=y.size)))
+    if weights.sum() == 0.0:
+        weights[:] = 1.0
+    return mu, conv, QuadratureNodes(y, weights / weights.sum()), rates
+
+
+class TestKnotView:
+    """The knot view against a per-node loop, and which view ``profile`` runs."""
+
+    @staticmethod
+    def tolerance(mu):
+        return 1e-14 * (1.0 + np.abs(mu.grid).max() * np.abs(np.diff(mu.values) / np.diff(mu.grid)).max())
+
+    @given(knot_view_cases())
+    def test_state_sums_match_node_loop(self, case):
+        mu, conv, nodes, rates = case
+        rates = np.concatenate((rates, [-1.0, -1.5] if conv is SIMPLE else []))
+        oracle = node_loop_state_sums(mu, conv, nodes, rates)
+        knot = returns._KnotView(mu, conv, nodes).state_sum(rates)
+        node = returns._state_values(mu, conv, rates, nodes.nodes) @ nodes.weights
+        assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
+        assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
+
+    @given(knot_view_cases(), st.floats(min_value=-0.5, max_value=1.0))
+    def test_kernel_matches_node_loop(self, case, center):
+        mu, conv, nodes, _ = case
+        center = (1.0 if conv is SIMPLE else 0.0) if center > 0.5 else center  # exact copies
+        # small steps overlap the two copies; simple-rate lower copies reach -1 and fall below it
+        steps = np.concatenate((
+            np.linspace(0.0, 0.4, 9), [0.5, 1.0, 1.5, center + 1.0], np.sqrt(np.linspace(0.0, 64.0, 33)),
+        ))
+        steps = steps[steps >= 0.0]
+        oracle = node_loop_kernel(mu, conv, nodes, center, steps)
+        knot = returns._KnotView(mu, conv, nodes).kernel(center, steps)
+        upper = returns._state_values(mu, conv, center + steps, nodes.nodes)
+        lower = returns._state_values(mu, conv, center - steps, nodes.nodes)
+        node = np.maximum(upper, lower) @ nodes.weights
+        assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
+        assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
+
+    def test_view_selection(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("this view must not run")
+
+        mu = trapezoid(85, 95, 105, 120)
+        with monkeypatch.context() as patch:
+            patch.setattr(returns, "_state_values", refuse)
+            profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
+        with monkeypatch.context() as patch:
+            patch.setattr(returns, "_KnotView", refuse)
+            profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
+
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
+    def test_profile_edge_cases_raise_no_floating_point_exception(self, conv):
+        edges = MembershipFn([80.0, 90.0, float(np.nextafter(90.0, 100.0)), 110.0], [1.0, 0.2, 0.9, 1.0])
+        # atoms on knots at rate 0, twins one ulp apart, and enough of them for the knot view
+        atoms = np.unique(np.concatenate((
+            edges.grid, np.nextafter(edges.grid, np.inf), np.linspace(60.0, 140.0, 64),
+        )))
+        discrete = FutureValueDist.discrete(atoms, np.full(atoms.size, 1.0 / atoms.size))
+        wide = trapezoid(1.0, 40.0, 60.0, 1000.0)  # simple lower copies fall below -1
+        lognormal = FutureValueDist.lognormal(np.log(100), 0.3, (0.005, 0.995))
+        cases = [(edges, discrete), (edges, lognormal), (wide, lognormal), (trapezoid(90, 90, 110, 110), lognormal)]
+        with np.errstate(all="raise"):
+            for mu, dist in cases:
+                assert returns._uses_knot_view(mu, dist.make_nodes(256))
+                result = profile(mu, dist, conv)
+                assert result.variance > 0.0
 
 
 class TestExpectedReturn:
