@@ -5,25 +5,46 @@ fuzzy present value (trapezoid corners or a sampled grid), a future-value
 distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
 the file and builds each security's quadrature nodes and return grid.
+
+This module checks only the document's shape: objects, strings, numbers
+and lists of numbers where the schema puts them.  Each domain rule (corner
+order, probabilities, truncation levels, resolutions) lives in the
+constructor that builds the value; its ``ValueError`` is reported prefixed
+with the JSON path and the security id.
+
 Exit codes: 0 ok, 1 validation failure, 2 a security whose profile
 (``analyze``) or nodes and grid (``validate``) cannot be computed.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .distribution import FutureValueDist
+from .distribution import FutureValueDist, truncation_levels
 from .effectiveness import Universe, build_report
 from .membership import MembershipFn, trapezoid
-from .returns import EngineSettings, ReturnGrid, convention, profile
+from .returns import CONVENTIONS, EngineSettings, ReturnGrid, profile
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
-DEFAULT_SETTINGS = EngineSettings()
+
+# Each present-value type and future-value family: its constructor and the
+# JSON fields passed to it by name.  The fields in _LISTS are nonempty lists
+# of numbers; all others are numbers.
+_SHAPES = {
+    "trapezoid": (trapezoid, ("a", "b", "c", "d")),
+    "grid": (lambda points, values: MembershipFn(points, values), ("points", "values")),
+}
+_FAMILIES = {
+    "normal": (FutureValueDist.normal, ("mean", "sd")),
+    "lognormal": (FutureValueDist.lognormal, ("log_mean", "log_sd")),
+    "discrete": (FutureValueDist.discrete, ("points", "probs")),
+}
+_LISTS = {"points", "values", "probs", "truncation"}
 
 
 def _round15(value):
@@ -41,172 +62,113 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _number(entry, key, path, errors, required=True):
-    if key not in entry:
-        if required:
-            errors.append(f"{path}.{key}: missing required number")
-        return None
-    value = entry[key]
-    if not _is_number(value):
-        errors.append(f"{path}.{key}: expected a number, got {value!r}")
-        return None
-    return float(value)
-
-
-def _number_list(entry, key, path, errors):
+def _field(entry, key, path, errors):
+    """``entry[key]`` as a float, or as a list of floats for the keys in
+    _LISTS; None after recording an error."""
     value = entry.get(key)
-    if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
-        errors.append(f"{path}.{key}: expected a nonempty list of numbers")
-        return None
-    return [float(v) for v in value]
-
-
-def _parse_truncation(value, path, errors):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(_is_number(v) for v in value)
-        or not (0.0 <= value[0] < value[1] <= 1.0)
-    ):
-        errors.append(f"{path}: truncation must be a pair [lo, hi] with 0 <= lo < hi <= 1")
-        return None
-    return (float(value[0]), float(value[1]))
-
-
-def _build_membership(entry, path, errors) -> MembershipFn | None:
-    if not isinstance(entry, dict):
-        errors.append(f"{path}: expected an object")
-        return None
-    shape = entry.get("type")
-    if shape == "trapezoid":
-        corners = [_number(entry, key, path, errors) for key in ("a", "b", "c", "d")]
-        if any(v is None for v in corners):
-            return None
-        a, b, c, d = corners
-        if not (a <= b <= c <= d):
-            errors.append(f"{path}: trapezoid corners must satisfy a <= b <= c <= d")
-            return None
-        if a <= 0.0:
-            errors.append(f"{path}.a: present-value support must be positive")
-            return None
-        try:
-            return trapezoid(a, b, c, d)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    if shape == "grid":
-        points = _number_list(entry, "points", path, errors)
-        values = _number_list(entry, "values", path, errors)
-        if points is None or values is None:
-            return None
-        if points[0] <= 0.0:
-            errors.append(f"{path}.points: present-value support must be positive")
-            return None
-        try:
-            return MembershipFn(np.array(points), np.array(values))
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    errors.append(f"{path}.type: expected 'trapezoid' or 'grid'")
+    try:
+        if key not in _LISTS and _is_number(value):
+            return float(value)
+        if key in _LISTS and isinstance(value, list) and value and all(map(_is_number, value)):
+            return [float(v) for v in value]
+    except OverflowError:  # an integer beyond the float range
+        pass
+    kind = "a nonempty list of numbers" if key in _LISTS else "a number"
+    errors.append(f"{path}.{key}: expected {kind}" + (f", got {value!r}" if key in entry else ""))
     return None
 
 
-def _build_distribution(entry, path, errors, default_truncation) -> FutureValueDist | None:
+def _tag(entry, key, table, path, errors):
+    """The row of ``table`` that the string ``entry[key]`` names; None after
+    recording an error."""
+    tag = entry.get(key)
+    if isinstance(tag, str) and tag in table:
+        return table[tag]
+    errors.append(f"{path}.{key}: expected {' or '.join(map(repr, table))}")
+    return None
+
+
+def _build(entry, path, tag_key, table, errors, **optional):
+    """Construct the value a tagged JSON object describes from the fields its
+    tag reads, plus the ``optional`` keyword defaults, which the object's own
+    fields of the same name override.  Returns None after recording errors."""
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None
-    family = entry.get("family")
-    truncation = default_truncation
-    if "truncation" in entry:
-        truncation = _parse_truncation(entry["truncation"], f"{path}.truncation", errors)
-        if truncation is None:
-            return None
+    row = _tag(entry, tag_key, table, path, errors)
+    if row is None:
+        return None
+    make, keys = row
+    keys += tuple(key for key in optional if key in entry)
+    fields = {key: _field(entry, key, path, errors) for key in keys}
+    if any(value is None for value in fields.values()):
+        return None
     try:
-        if family == "normal":
-            mean = _number(entry, "mean", path, errors)
-            sd = _number(entry, "sd", path, errors)
-            if mean is None or sd is None:
-                return None
-            return FutureValueDist.normal(mean, sd, truncation)
-        if family == "lognormal":
-            log_mean = _number(entry, "log_mean", path, errors)
-            log_sd = _number(entry, "log_sd", path, errors)
-            if log_mean is None or log_sd is None:
-                return None
-            return FutureValueDist.lognormal(log_mean, log_sd, truncation)
-        if family == "discrete":
-            if "truncation" in entry:
-                errors.append(f"{path}.truncation: not supported for discrete future values")
-                return None
-            points = _number_list(entry, "points", path, errors)
-            probs = _number_list(entry, "probs", path, errors)
-            if points is None or probs is None:
-                return None
-            if len(points) != len(probs):
-                errors.append(f"{path}.probs: must match points in length")
-                return None
-            if min(probs) < 0.0:
-                errors.append(f"{path}.probs: probabilities must be nonnegative")
-                return None
-            if abs(sum(probs) - 1.0) > 1e-12:
-                errors.append(f"{path}.probs: probabilities must sum to 1 (got {sum(probs):.12g})")
-                return None
-            return FutureValueDist.discrete(np.array(points), np.array(probs))
+        return make(**{**optional, **fields})
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
-    errors.append(f"{path}.family: expected 'normal', 'lognormal' or 'discrete'")
-    return None
+
+
+def _build_membership(entry, path, errors) -> MembershipFn | None:
+    mu = _build(entry, path, "type", _SHAPES, errors)
+    if mu is not None and mu.support[0] <= 0.0:
+        errors.append(f"{path}: present-value support must be positive")
+        return None
+    return mu
+
+
+def _build_distribution(entry, path, errors, truncation) -> FutureValueDist | None:
+    if isinstance(entry, dict) and entry.get("family") == "discrete":
+        truncation = None  # the settings' truncation applies to continuous laws only
+    return _build(entry, path, "family", _FAMILIES, errors, truncation=truncation)
 
 
 def _resolve_settings(doc, args, errors):
-    resolved = {
-        "grid_points": DEFAULT_SETTINGS.grid_points,
-        "nodes": DEFAULT_SETTINGS.nodes,
-        "variance_panels": DEFAULT_SETTINGS.variance_panels,
-    }
+    """Engine settings and default truncation from the settings block, then
+    the command-line flags, which win.  The block's values are checked even
+    where a flag overrides them."""
     truncation = DEFAULT_TRUNCATION
     block = doc.get("settings", {})
     if not isinstance(block, dict):
         errors.append("settings: expected an object")
-        return None
-    for key in resolved:
-        if key in block:
-            value = block[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                errors.append(f"settings.{key}: expected a positive integer")
-            else:
-                resolved[key] = value
+        return None, truncation
+    keys = dataclasses.asdict(EngineSettings())
+    values = {}
+    for key in filter(block.__contains__, keys):
+        if isinstance(block[key], int) and not isinstance(block[key], bool):
+            values[key] = block[key]
+        else:
+            errors.append(f"settings.{key}: expected an integer, got {block[key]!r}")
     if "truncation" in block:
-        parsed = _parse_truncation(block["truncation"], "settings.truncation", errors)
-        if parsed is not None:
-            truncation = parsed
-    for key in resolved:  # command-line flags win over the file
-        override = getattr(args, key, None)
-        if override is not None:
-            resolved[key] = override
+        levels = _field(block, "truncation", "settings", errors)
+        try:
+            truncation = truncation_levels(levels) if levels is not None else truncation
+        except ValueError as exc:
+            errors.append(f"settings: {exc}")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     if getattr(args, "truncation", None) is not None:
         truncation = args.truncation
     try:
-        return EngineSettings(**resolved), truncation
+        return dataclasses.replace(EngineSettings(**values), **flags), truncation
     except ValueError as exc:
         errors.append(f"settings: {exc}")
-        return None
+        return None, truncation
 
 
-def _parse_portfolio(doc, args):
-    """Validate the portfolio document; returns (securities, settings, truncation, errors)."""
-    errors: list[str] = []
+def _parse_portfolio(doc, args, errors):
+    """The securities as (id, convention, membership, law) sorted by id, the
+    engine settings and the default truncation; problems go to ``errors``."""
     if not isinstance(doc, dict):
-        return None, None, None, ["portfolio: expected a JSON object"]
+        errors.append("portfolio: expected a JSON object")
+        return None
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}")
-    resolved = _resolve_settings(doc, args, errors)
+    settings, truncation = _resolve_settings(doc, args, errors)
     entries = doc.get("securities")
     if not isinstance(entries, list) or not entries:
         errors.append("securities: expected a nonempty list")
-        return None, None, None, errors
-    settings, truncation = resolved if resolved is not None else (None, DEFAULT_TRUNCATION)
+        return None
     seen: set[str] = set()
     securities = []
     for i, entry in enumerate(entries):
@@ -223,35 +185,30 @@ def _parse_portfolio(doc, args):
             errors.append(f"{path}: duplicate id")
             continue
         seen.add(sec_id)
-        kind = entry.get("convention")
-        if kind not in ("simple", "logarithmic"):
-            errors.append(f"{path}.convention: expected 'simple' or 'logarithmic'")
-            continue
+        conv = _tag(entry, "convention", CONVENTIONS, path, errors)
         mu = _build_membership(entry.get("present_value"), f"{path}.present_value", errors)
-        dist = _build_distribution(
-            entry.get("future_value"), f"{path}.future_value", errors, truncation
-        )
-        if mu is None or dist is None:
-            continue
-        securities.append((sec_id, kind, mu, dist))
-    return securities, settings, truncation, errors
+        dist = _build_distribution(entry.get("future_value"), f"{path}.future_value", errors, truncation)
+        securities.append((sec_id, conv, mu, dist))
+    return sorted(securities, key=lambda item: item[0]), settings, truncation
 
 
-def _load_document(path: str, errors: list[str]):
+def _load(args):
+    """The parsed portfolio named by ``args.portfolio``, or None after
+    printing every error."""
+    errors: list[str] = []
+    parsed = None
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(args.portfolio, encoding="utf-8") as handle:
+            doc = json.load(handle)
     except OSError as exc:
-        errors.append(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        errors.append(f"{path}: invalid JSON ({exc})")
-    return None
-
-
-def _report_errors(errors) -> int:
+        errors.append(f"cannot read {args.portfolio}: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        errors.append(f"{args.portfolio}: invalid JSON ({exc})")
+    else:
+        parsed = _parse_portfolio(doc, args, errors)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
-    return 1
+    return None if errors else parsed
 
 
 def _each_security(securities, work):
@@ -259,10 +216,10 @@ def _each_security(securities, work):
     division by zero and invalid operations raised.  Returns the results, or
     None after printing the first failure with the security's id."""
     results = []
-    for sec_id, kind, mu, dist in securities:
+    for sec_id, conv, mu, dist in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                results.append(work(mu, dist, convention(kind)))
+                results.append(work(mu, dist, conv))
         except (ValueError, ArithmeticError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return None
@@ -270,33 +227,25 @@ def _each_security(securities, work):
 
 
 def cmd_validate(args) -> int:
-    errors: list[str] = []
-    doc = _load_document(args.portfolio, errors)
-    if doc is None:
-        return _report_errors(errors)
-    securities, settings, _, parse_errors = _parse_portfolio(doc, args)
-    if parse_errors:
-        return _report_errors(parse_errors)
+    parsed = _load(args)
+    if parsed is None:
+        return 1
+    securities, settings, _ = parsed
 
     def grid(mu, dist, conv):
         return ReturnGrid.spanning(mu, dist.make_nodes(settings.nodes), conv, settings.grid_points)
 
-    if _each_security(sorted(securities, key=lambda item: item[0]), grid) is None:
+    if _each_security(securities, grid) is None:
         return 2
     print("ok")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    errors: list[str] = []
-    doc = _load_document(args.portfolio, errors)
-    if doc is None:
-        return _report_errors(errors)
-    securities, settings, truncation, parse_errors = _parse_portfolio(doc, args)
-    if parse_errors:
-        return _report_errors(parse_errors)
-
-    securities = sorted(securities, key=lambda item: item[0])
+    parsed = _load(args)
+    if parsed is None:
+        return 1
+    securities, settings, truncation = parsed
     profiles = _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings))
     if profiles is None:
         return 2
@@ -305,17 +254,12 @@ def cmd_analyze(args) -> int:
 
     document = {
         "schema_version": SCHEMA_VERSION,
-        "settings": {
-            "grid_points": settings.grid_points,
-            "nodes": settings.nodes,
-            "variance_panels": settings.variance_panels,
-            "truncation": list(truncation),
-        },
+        "settings": {**dataclasses.asdict(settings), "truncation": list(truncation)},
         "ids": ids,
         "securities": [
             {
                 "id": sec_id,
-                "convention": kind,
+                "convention": conv.kind,
                 "expected_return": prof.expected_return,
                 "variance": prof.variance,
                 "energy": prof.energy,
@@ -323,7 +267,7 @@ def cmd_analyze(args) -> int:
                 "effectiveness": float(report.effectiveness[i]),
                 "strict_effectiveness": float(report.strict_effectiveness[i]),
             }
-            for i, ((sec_id, kind, _, _), prof) in enumerate(zip(securities, profiles))
+            for i, ((sec_id, conv, _, _), prof) in enumerate(zip(securities, profiles))
         ],
         "outranking": report.outranking.tolist(),
         "strict_outranking": report.strict_outranking.tolist(),
@@ -352,13 +296,10 @@ def _write_grids(path: str, ids, profiles, count: int) -> None:
 
 
 def _truncation_flag(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise argparse.ArgumentTypeError("expected 0 <= LO < HI <= 1")
-    return lo, hi
+    try:
+        return truncation_levels([float(part) for part in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,13 @@ _ndtri = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
 _ndtr = np.vectorize(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), otypes=[float])
 
 
+def truncation_levels(levels) -> tuple[float, float]:
+    """The quantile levels ``[lo, hi]`` as a float pair, checked: 0 <= lo < hi <= 1."""
+    if len(levels) != 2 or not (0.0 <= levels[0] < levels[1] <= 1.0):
+        raise ValueError(f"truncation must be a pair [lo, hi] with 0 <= lo < hi <= 1 (got {list(levels)!r})")
+    return float(levels[0]), float(levels[1])
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureNodes:
     """Discretization of a future-value law: positive nodes with weights summing to 1."""
@@ -63,10 +70,7 @@ class FutureValueDist:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.truncation is not None:
-            lo, hi = self.truncation
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError("truncation levels must satisfy 0 <= lo < hi <= 1")
-            object.__setattr__(self, "truncation", (float(lo), float(hi)))
+            object.__setattr__(self, "truncation", truncation_levels(self.truncation))
         if self.family == "normal":
             self._require_finite("mean", "sd")
             if self.sd <= 0.0:
@@ -92,9 +96,9 @@ class FutureValueDist:
             if points[0] <= 0.0 or not np.all(np.diff(points) > 0.0):
                 raise ValueError("points must be strictly increasing and positive")
             if probs.min() < 0.0:
-                raise ValueError("probabilities must be nonnegative")
+                raise ValueError("probs must be nonnegative")
             if abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError(f"probabilities must sum to 1 (got {probs.sum():.12g})")
+                raise ValueError(f"probs must sum to 1 (got {probs.sum():.12g})")
             points.flags.writeable = False
             probs.flags.writeable = False
             object.__setattr__(self, "points", points)
@@ -111,8 +115,9 @@ class FutureValueDist:
         return cls(family="lognormal", log_mean=float(log_mean), log_sd=float(log_sd), truncation=truncation)
 
     @classmethod
-    def discrete(cls, points, probs) -> "FutureValueDist":
-        return cls(family="discrete", points=points, probs=probs)
+    def discrete(cls, points, probs, truncation=None) -> "FutureValueDist":
+        """A discrete law admits no truncation: anything but None is rejected."""
+        return cls(family="discrete", points=points, probs=probs, truncation=truncation)
 
     def _require_finite(self, *names):
         for name in names:

@@ -32,12 +32,12 @@ class MembershipFn:
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid needs at least two points")
         if values.shape != grid.shape:
-            raise ValueError("grid and values must have matching lengths")
+            raise ValueError("grid points and values must have matching lengths")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise ValueError("grid and values must be finite")
+            raise ValueError("grid points and values must be finite")
         spacing = np.diff(grid)
         if not np.all(spacing > 0.0):
-            raise ValueError("grid must be strictly increasing")
+            raise ValueError("grid points must be strictly increasing")
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("membership values must lie in [0, 1]")
         grid.flags.writeable = False
@@ -89,7 +89,7 @@ def trapezoid(a: float, b: float, c: float, d: float) -> MembershipFn:
     if not (a <= b <= c <= d):
         raise ValueError("trapezoid corners must satisfy a <= b <= c <= d")
     if a == d:
-        raise ValueError("trapezoid support must have positive width")
+        raise ValueError("trapezoid support must have positive width (a < d)")
     corner_values = [(a, 1.0 if a == b else 0.0), (b, 1.0), (c, 1.0), (d, 1.0 if c == d else 0.0)]
     xs: list[float] = []
     ys: list[float] = []

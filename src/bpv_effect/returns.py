@@ -102,13 +102,13 @@ LOGARITHMIC = ReturnConvention(
     present_map=lambda rate, future: future * np.exp(-rate),
     future_map=lambda rate, present: present * np.exp(rate),
 )
-_CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
+CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
 
 def convention(name: str) -> ReturnConvention:
-    if name not in _CONVENTIONS:
+    if name not in CONVENTIONS:
         raise ValueError(f"unknown return convention {name!r}")
-    return _CONVENTIONS[name]
+    return CONVENTIONS[name]
 
 
 def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> np.ndarray:
@@ -429,8 +429,8 @@ class EngineSettings:
     def __post_init__(self):
         if self.grid_points < 4:
             raise ValueError("grid_points must be at least 4")
-        if self.nodes < 1:
-            raise ValueError("nodes must be positive")
+        if self.nodes < 2:  # continuous laws need two; discrete laws ignore the count
+            raise ValueError("nodes must be at least 2")
         if self.variance_panels < 1:
             raise ValueError("variance_panels must be positive")
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpv_effect import FutureValueDist, convention, profile, trapezoid
 from bpv_effect.cli import main
@@ -46,6 +48,33 @@ PROFILE_FAILURES = [
     ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
      "overflow"),
 ]
+
+
+# inputs that fail validation: (security overrides, settings block, a field
+# the message must name, whether it names the security); both commands exit 1
+LOGNORMAL = {"family": "lognormal", "log_mean": 4.6, "log_sd": 0.1}
+BAD_INPUTS = {
+    "nan_corner": ({"present_value": {"type": "trapezoid", "a": float("nan"), "b": 95, "c": 105, "d": 110}},
+                   None, "present_value", True),
+    "infinite_corner": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": 105, "d": float("inf")}},
+                        None, "present_value", True),
+    "huge_integer_corner": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": 105, "d": 10**400}},
+                            None, "present_value.d", True),
+    "negative_grid_support": ({"present_value": {"type": "grid", "points": [-5, 100, 110], "values": [0, 1, 0]}},
+                              None, "present_value", True),
+    "a_equals_d": ({"present_value": {"type": "trapezoid", "a": 100, "b": 100, "c": 100, "d": 100}},
+                   None, "present_value", True),
+    "probs_length": ({"future_value": {"family": "discrete", "points": [98, 102], "probs": [1.0]}},
+                     None, "probs", True),
+    "discrete_truncation": ({"future_value": {"family": "discrete", "points": [98, 102], "probs": [0.5, 0.5],
+                                              "truncation": [0.01, 0.99]}}, None, "truncation", True),
+    "reversed_truncation": ({"future_value": {**LOGNORMAL, "truncation": [0.99, 0.01]}}, None, "truncation", True),
+    "reversed_settings_truncation": ({}, {"truncation": [0.99, 0.01]}, "settings", False),
+    "string_number": ({"future_value": {"family": "normal", "mean": 100, "sd": "ten"}}, None, "sd", True),
+    "non_object_present_value": ({"present_value": [90, 95, 105, 110]}, None, "present_value", True),
+    "boolean_nodes": ({}, {"nodes": True}, "settings.nodes", False),
+    "one_node": ({"future_value": LOGNORMAL}, {"nodes": 1}, "nodes", False),
+}
 
 
 def legacy_grids_csv(ids, profiles, count) -> bytes:
@@ -168,6 +197,25 @@ class TestValidate:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("overrides, block, field, names_id", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_bad_input_exits_one_naming_field_and_id(self, tmp_path, capsys, overrides, block, field, names_id):
+        path = write_portfolio(tmp_path, [simple_security("bad", **overrides)], settings=block)
+        for command in ("validate", "analyze"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert field in captured.err and ("'bad'" in captured.err) == names_id
+            assert all(line.startswith("error: ") for line in captured.err.splitlines())
+
+    @pytest.mark.parametrize("content", [b"null", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["null", "not_utf8", "nested_too_deep"])
+    def test_unusable_document_exits_one_with_a_message(self, tmp_path, capsys, content):
+        path = tmp_path / "portfolio.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_multiple_errors_reported_together(self, tmp_path, capsys):
         first = simple_security("a", convention="weekly")
@@ -348,6 +396,102 @@ class TestAnalyze:
         assert message in err
         assert "Traceback" not in err
 
+    def test_reversed_truncation_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(FIXTURES / "portfolio3.json"), "--truncation", "0.5,0.4"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--truncation" in err
+
     def test_validation_failure_exits_one(self, capsys):
         assert main(["analyze", str(FIXTURES / "bad_prob_sum.json")]) == 1
         assert "alpha" in capsys.readouterr().err
+
+
+# valid one-security portfolios, one per shape and family, that the fuzz
+# test below mutates; small settings keep each analyze call to milliseconds
+FUZZ_BASES = [
+    simple_security("x", future_value={"family": "discrete", "points": [98, 102], "probs": [0.5, 0.5]}),
+    simple_security(
+        "x", convention="logarithmic",
+        present_value={"type": "grid", "points": [85, 95, 108, 118], "values": [0, 0.7, 1, 0]},
+        future_value={"family": "lognormal", "log_mean": 4.6, "log_sd": 0.1},
+    ),
+    simple_security(
+        "x", future_value={"family": "normal", "mean": 101, "sd": 5, "truncation": [0.01, 0.99]},
+    ),
+]
+FUZZ_SETTINGS = {"grid_points": 41, "nodes": 16, "variance_panels": 32, "truncation": [0.005, 0.995]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+def _mutate(doc, path, value):
+    """Replace the value at ``path``, or delete it from its object."""
+    if not path:
+        return None if value is DELETE else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        if isinstance(parent, dict):
+            parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestContractFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_json_exits_cleanly_naming_the_security(self, tmp_path_factory, data):
+        base = {"schema_version": 1, "settings": FUZZ_SETTINGS, "securities": [data.draw(st.sampled_from(FUZZ_BASES))]}
+        doc = json.loads(json.dumps(base))  # a deep copy
+        for _ in range(data.draw(st.integers(1, 3))):
+            if not isinstance(doc, (dict, list)):
+                break
+            paths = list(_paths(doc))
+            if isinstance(doc, dict) and isinstance(doc.get("securities"), list) and doc["securities"]:
+                entry = doc["securities"][0]
+                if isinstance(entry, dict) and isinstance(entry.get("future_value"), dict):
+                    paths.append(("securities", 0, "future_value", "truncation"))
+            path = data.draw(st.sampled_from(paths))
+            doc = _mutate(doc, path, data.draw(st.just(DELETE) | json_values))
+        block = doc.get("settings") if isinstance(doc, dict) else None
+        if isinstance(block, dict):  # huge resolutions only exhaust memory
+            for key in ("grid_points", "nodes", "variance_panels"):
+                if type(block.get(key)) is int and block[key] > 300:
+                    block[key] = 300
+        entries = doc.get("securities") if isinstance(doc, dict) else None
+        entry = entries[0] if isinstance(entries, list) and entries else None
+        sec_id = entry.get("id") if isinstance(entry, dict) else None
+
+        path = tmp_path_factory.mktemp("fuzz") / "portfolio.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("validate", "analyze"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2)
+            if code == 0:
+                continue
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("error:") for line in lines)
+            if isinstance(sec_id, str) and sec_id:
+                for line in lines:
+                    if line.startswith(("error: securities[0]", "error: security ")) and ".id:" not in line:
+                        assert repr(sec_id) in line
