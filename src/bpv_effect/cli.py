@@ -47,19 +47,12 @@ _FAMILIES = {
 _LISTS = {"points", "values", "probs", "truncation"}
 
 
-def _round15(value):
-    """Round floats to 15 significant digits, recursively through containers."""
-    if isinstance(value, float):
-        return float(f"{value:.15g}")
-    if isinstance(value, dict):
-        return {k: _round15(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round15(v) for v in value]
-    return value
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _field(entry, key, path, errors):
@@ -136,7 +129,7 @@ def _resolve_settings(doc, args, errors):
     keys = dataclasses.asdict(EngineSettings())
     values = {}
     for key in filter(block.__contains__, keys):
-        if isinstance(block[key], int) and not isinstance(block[key], bool):
+        if _is_integer(block[key]):
             values[key] = block[key]
         else:
             errors.append(f"settings.{key}: expected an integer, got {block[key]!r}")
@@ -162,8 +155,10 @@ def _parse_portfolio(doc, args, errors):
     if not isinstance(doc, dict):
         errors.append("portfolio: expected a JSON object")
         return None
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        errors.append(f"schema_version: expected {SCHEMA_VERSION}")
+    version = doc.get("schema_version")
+    if not _is_integer(version) or version != SCHEMA_VERSION:  # True == 1.0 == 1 in Python
+        got = f", got {version!r}" if "schema_version" in doc else ""
+        errors.append(f"schema_version: expected {SCHEMA_VERSION}{got}")
     settings, truncation = _resolve_settings(doc, args, errors)
     entries = doc.get("securities")
     if not isinstance(entries, list) or not entries:
@@ -249,10 +244,24 @@ def cmd_analyze(args) -> int:
     profiles = _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings))
     if profiles is None:
         return 2
+    document = _report_document(securities, profiles, settings, truncation)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            _write_report(document, handle)
+    else:
+        _write_report(document, sys.stdout)
+
+    if args.grids_out:
+        _write_grids(args.grids_out, [sec_id for sec_id, _, _, _ in securities], profiles, settings.grid_points)
+    return 0
+
+
+def _report_document(securities, profiles, settings, truncation) -> dict:
+    """The report: settings, per-security statistics and scores, and the two
+    outranking matrices, which stay arrays for ``_write_report``."""
     ids = [sec_id for sec_id, _, _, _ in securities]
     report = build_report(Universe(tuple(ids), tuple(profiles)))
-
-    document = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "settings": {**dataclasses.asdict(settings), "truncation": list(truncation)},
         "ids": ids,
@@ -269,19 +278,49 @@ def cmd_analyze(args) -> int:
             }
             for i, ((sec_id, conv, _, _), prof) in enumerate(zip(securities, profiles))
         ],
-        "outranking": report.outranking.tolist(),
-        "strict_outranking": report.strict_outranking.tolist(),
+        "outranking": report.outranking,
+        "strict_outranking": report.strict_outranking,
     }
-    text = json.dumps(_round15(document), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
-    if args.grids_out:
-        _write_grids(args.grids_out, ids, profiles, settings.grid_points)
-    return 0
+
+def _digits15(value: float) -> float:
+    return float(f"{value:.15g}")
+
+
+def _write_report(document: dict, handle) -> None:
+    """Write a nonempty ``document`` as JSON with every float rounded to 15
+    significant digits: the bytes ``json.dumps(indent=2, sort_keys=True)``
+    gives for the rounded document, plus a newline.  Its arrays, the
+    outranking matrices, are written row by row by ``_write_matrix``; the
+    rest goes through ``json.dumps``."""
+    handle.write("{")
+    for i, key in enumerate(sorted(document)):
+        handle.write(("," if i else "") + f"\n  {json.dumps(key)}: ")
+        value = document[key]
+        if isinstance(value, np.ndarray):
+            _write_matrix(value, handle)
+        else:  # json.dumps writes a float's repr, which parse_float reads back exactly
+            rounded = json.loads(json.dumps(value), parse_float=lambda text: _digits15(float(text)))
+            handle.write(json.dumps(rounded, indent=2, sort_keys=True).replace("\n", "\n  "))
+    handle.write("\n}\n")
+
+
+def _write_matrix(matrix: np.ndarray, handle) -> None:
+    """A finite matrix with at least one row and column, laid out as
+    ``json.dumps(indent=2)`` lays out a list of rows under a top-level key,
+    each entry at 15 significant digits.
+
+    Each distinct value is rounded and formatted once: a 1024-security
+    outranking matrix has about 70k distinct values among its 1M entries.
+    Distinct bit patterns, not values, keep -0.0 apart from 0.0.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(matrix, dtype=float).ravel().view(np.uint64),
+                              return_inverse=True)
+    words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
+    handle.write("[")
+    for i, row in enumerate(words[inverse.reshape(matrix.shape)]):
+        handle.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(row.tolist()) + "\n    ]")
+    handle.write("\n  ]")
 
 
 def _write_grids(path: str, ids, profiles, count: int) -> None:

@@ -8,6 +8,7 @@ family must be truncated so that its support stays positive.  Discrete
 families carry their atoms exactly and admit no truncation.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -22,6 +23,16 @@ _FAMILIES = ("normal", "lognormal", "discrete")
 _STANDARD_NORMAL = NormalDist()
 _ndtri = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
 _ndtr = np.vectorize(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), otypes=[float])
+
+
+@functools.lru_cache(maxsize=8)
+def _midpoint_quantiles(n: int, lo: float, hi: float) -> np.ndarray:
+    """Standard-normal quantiles at the probability midpoints (i - 1/2)/n of
+    the levels (lo, hi), read-only; a screen asks for the same few tables
+    once per security."""
+    z = _ndtri(lo + (np.arange(n) + 0.5) / n * (hi - lo))
+    z.flags.writeable = False
+    return z
 
 
 def truncation_levels(levels) -> tuple[float, float]:
@@ -167,12 +178,14 @@ class FutureValueDist:
         if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         lo, hi = self._levels()
-        z = _ndtri(lo + p_arr * (hi - lo))
-        if self.family == "normal":
-            out = self.mean + self.sd * z
-        else:
-            out = np.exp(self.log_mean + self.log_sd * z)
+        out = self._from_standard(_ndtri(lo + p_arr * (hi - lo)))
         return float(out) if np.isscalar(p) else out
+
+    def _from_standard(self, z):
+        """The continuous law's value at standard-normal quantile ``z``."""
+        if self.family == "normal":
+            return self.mean + self.sd * z
+        return np.exp(self.log_mean + self.log_sd * z)
 
     def make_nodes(self, n: int) -> QuadratureNodes:
         """Quadrature nodes for integrating against this law.
@@ -185,8 +198,7 @@ class FutureValueDist:
             return QuadratureNodes(self.points, self.probs)
         if n < 2:
             raise ValueError("continuous families need at least 2 nodes")
-        midpoints = (np.arange(n) + 0.5) / n
-        return QuadratureNodes(self.quantile(midpoints), np.full(n, 1.0 / n))
+        return QuadratureNodes(self._from_standard(_midpoint_quantiles(n, *self._levels())), np.full(n, 1.0 / n))
 
     def scaled(self, factor: float) -> "FutureValueDist":
         """The law of ``factor * V`` for a positive factor."""

@@ -418,6 +418,13 @@ def return_variance(
     return quadrature.integrate(xs, xs * kernel) / denominator
 
 
+# Upper bound on each resolution setting, far above any useful value (the
+# convergence studies stop at 2048), so that an absurd one is a validation
+# error naming the setting, not a failed allocation.  Work and memory grow
+# with products of the settings, so values near the bound can still be slow.
+MAX_RESOLUTION = 2**20
+
+
 @dataclass(frozen=True)
 class EngineSettings:
     """Resolution knobs for profile computation."""
@@ -433,6 +440,9 @@ class EngineSettings:
             raise ValueError("nodes must be at least 2")
         if self.variance_panels < 1:
             raise ValueError("variance_panels must be positive")
+        for name in ("grid_points", "nodes", "variance_panels"):
+            if getattr(self, name) > MAX_RESOLUTION:
+                raise ValueError(f"{name} must be at most {MAX_RESOLUTION} (got {getattr(self, name)})")
 
 
 def profile(

@@ -271,3 +271,19 @@ def random_membership(rng, span=(-5.0, 5.0), max_knots=8):
         if np.all(np.diff(grid) >= 0.1):
             break
     return MembershipFn(grid, rng.uniform(0.0, 1.0, count))
+
+
+# ---------------------------------------------------------------------------
+# report oracle
+
+
+def round15(value):
+    """Round floats to 15 significant digits, recursively through containers:
+    the report's number contract, one value at a time."""
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    if isinstance(value, dict):
+        return {k: round15(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round15(v) for v in value]
+    return value

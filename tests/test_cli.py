@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpv_effect import FutureValueDist, convention, profile, trapezoid
-from bpv_effect.cli import main
+from bpv_effect.cli import _write_report, main
 from bpv_effect.returns import EngineSettings
+
+from support import round15
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def write_portfolio(tmp_path, securities, settings=None, name="portfolio.json"):
-    doc = {"schema_version": 1, "securities": securities}
+def write_portfolio(tmp_path, securities, settings=None, name="portfolio.json", **top):
+    """Write a schema-1 portfolio; ``top`` adds or replaces top-level fields."""
+    doc = {"schema_version": 1, "securities": securities, **top}
     if settings is not None:
         doc["settings"] = settings
     path = tmp_path / name
@@ -50,30 +53,36 @@ PROFILE_FAILURES = [
 ]
 
 
-# inputs that fail validation: (security overrides, settings block, a field
-# the message must name, whether it names the security); both commands exit 1
+# inputs that fail validation: (security overrides, top-level document
+# fields, a field the message must name, whether it names the security);
+# both commands exit 1, before any allocation sized by a setting
 LOGNORMAL = {"family": "lognormal", "log_mean": 4.6, "log_sd": 0.1}
 BAD_INPUTS = {
     "nan_corner": ({"present_value": {"type": "trapezoid", "a": float("nan"), "b": 95, "c": 105, "d": 110}},
-                   None, "present_value", True),
+                   {}, "present_value", True),
     "infinite_corner": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": 105, "d": float("inf")}},
-                        None, "present_value", True),
+                        {}, "present_value", True),
     "huge_integer_corner": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": 105, "d": 10**400}},
-                            None, "present_value.d", True),
+                            {}, "present_value.d", True),
     "negative_grid_support": ({"present_value": {"type": "grid", "points": [-5, 100, 110], "values": [0, 1, 0]}},
-                              None, "present_value", True),
+                              {}, "present_value", True),
     "a_equals_d": ({"present_value": {"type": "trapezoid", "a": 100, "b": 100, "c": 100, "d": 100}},
-                   None, "present_value", True),
+                   {}, "present_value", True),
     "probs_length": ({"future_value": {"family": "discrete", "points": [98, 102], "probs": [1.0]}},
-                     None, "probs", True),
+                     {}, "probs", True),
     "discrete_truncation": ({"future_value": {"family": "discrete", "points": [98, 102], "probs": [0.5, 0.5],
-                                              "truncation": [0.01, 0.99]}}, None, "truncation", True),
-    "reversed_truncation": ({"future_value": {**LOGNORMAL, "truncation": [0.99, 0.01]}}, None, "truncation", True),
-    "reversed_settings_truncation": ({}, {"truncation": [0.99, 0.01]}, "settings", False),
-    "string_number": ({"future_value": {"family": "normal", "mean": 100, "sd": "ten"}}, None, "sd", True),
-    "non_object_present_value": ({"present_value": [90, 95, 105, 110]}, None, "present_value", True),
-    "boolean_nodes": ({}, {"nodes": True}, "settings.nodes", False),
-    "one_node": ({"future_value": LOGNORMAL}, {"nodes": 1}, "nodes", False),
+                                              "truncation": [0.01, 0.99]}}, {}, "truncation", True),
+    "reversed_truncation": ({"future_value": {**LOGNORMAL, "truncation": [0.99, 0.01]}}, {}, "truncation", True),
+    "reversed_settings_truncation": ({}, {"settings": {"truncation": [0.99, 0.01]}}, "settings", False),
+    "string_number": ({"future_value": {"family": "normal", "mean": 100, "sd": "ten"}}, {}, "sd", True),
+    "non_object_present_value": ({"present_value": [90, 95, 105, 110]}, {}, "present_value", True),
+    "boolean_nodes": ({}, {"settings": {"nodes": True}}, "settings.nodes", False),
+    "one_node": ({"future_value": LOGNORMAL}, {"settings": {"nodes": 1}}, "nodes", False),
+    "huge_nodes": ({"future_value": LOGNORMAL}, {"settings": {"nodes": 10**15}}, "nodes must be at most", False),
+    "huge_grid_points": ({}, {"settings": {"grid_points": 10**15}}, "grid_points must be at most", False),
+    "huge_variance_panels": ({}, {"settings": {"variance_panels": 2**20 + 1}}, "variance_panels must be at", False),
+    "boolean_schema_version": ({}, {"schema_version": True}, "schema_version", False),
+    "float_schema_version": ({}, {"schema_version": 1.0}, "schema_version", False),
 }
 
 
@@ -198,9 +207,9 @@ class TestValidate:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("overrides, block, field, names_id", BAD_INPUTS.values(), ids=BAD_INPUTS)
-    def test_bad_input_exits_one_naming_field_and_id(self, tmp_path, capsys, overrides, block, field, names_id):
-        path = write_portfolio(tmp_path, [simple_security("bad", **overrides)], settings=block)
+    @pytest.mark.parametrize("overrides, top, field, names_id", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_bad_input_exits_one_naming_field_and_id(self, tmp_path, capsys, overrides, top, field, names_id):
+        path = write_portfolio(tmp_path, [simple_security("bad", **overrides)], **top)
         for command in ("validate", "analyze"):
             assert main([command, path]) == 1
             captured = capsys.readouterr()
@@ -406,6 +415,58 @@ class TestAnalyze:
     def test_validation_failure_exits_one(self, capsys):
         assert main(["analyze", str(FIXTURES / "bad_prob_sum.json")]) == 1
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--grid-points", "--nodes", "--variance-panels"])
+    def test_huge_resolution_flag_exits_one_naming_it(self, capsys, flag):
+        assert main(["analyze", str(FIXTURES / "portfolio3.json"), flag, str(10**15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: settings: {flag[2:].replace('-', '_')} must be at most {2**20} (got {10**15})\n"
+
+
+# matrix entries: exact zeros of both signs, 1.0, the smallest subnormal and
+# other tiny values, values one ulp apart (equal at 15 digits or not), and
+# arbitrary ones; drawing from a few per document makes ties common
+SPECIAL_ENTRIES = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, 1e-300, 1.0 - 2.0**-53, 0.1, 0.1 + 2.0**-56, 1.0 / 3.0]
+entries = (st.sampled_from(SPECIAL_ENTRIES) | st.floats(0.0, 1.0)
+           | st.floats(0.0, 1.0).map(lambda x: float(np.nextafter(x, 2.0))))
+identifiers = (st.sampled_from(['"quoted"', "back\\slash", "tab\there", "line\nbreak", "\x00", "é", "\u2028", "😀"])
+               | st.text(min_size=1, max_size=6))
+report_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_ENTRIES)
+
+
+@st.composite
+def report_documents(draw):
+    """Documents shaped like a report: settings, ids, per-security entries and
+    two n x n matrices, with n from 1."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(identifiers, min_size=n, max_size=n, unique=True))
+    pool = draw(st.lists(entries, min_size=1, max_size=5))
+    matrix = st.lists(st.sampled_from(pool) | entries, min_size=n * n, max_size=n * n)
+    return {
+        "schema_version": 1,
+        "settings": {"grid_points": draw(st.integers(4, 2**20)), "nodes": 256, "variance_panels": 1024,
+                     "truncation": draw(st.lists(report_floats, min_size=2, max_size=2))},
+        "ids": ids,
+        "securities": [
+            {"id": sec_id, "convention": draw(st.sampled_from(["simple", "logarithmic"])),
+             **{key: draw(report_floats) for key in ("expected_return", "variance", "energy", "entropy",
+                                                     "effectiveness", "strict_effectiveness")}}
+            for sec_id in ids
+        ],
+        "outranking": np.array(draw(matrix)).reshape(n, n),
+        "strict_outranking": np.array(draw(matrix)).reshape(n, n),
+    }
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(report_documents())
+    def test_bytes_equal_json_dumps_of_the_rounded_document(self, document):
+        plain = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in document.items()}
+        buffer = io.StringIO()
+        _write_report(document, buffer)
+        assert buffer.getvalue() == json.dumps(round15(plain), indent=2, sort_keys=True) + "\n"
 
 
 # valid one-security portfolios, one per shape and family, that the fuzz

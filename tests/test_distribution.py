@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 import bpv_effect
+from bpv_effect import distribution
 from bpv_effect.distribution import FutureValueDist, QuadratureNodes
 
 
@@ -168,6 +169,27 @@ class TestNodes:
         nodes = standard_lognormal.make_nodes(4)
         assert np.allclose(standard_lognormal.cdf(nodes.nodes), [0.125, 0.375, 0.625, 0.875], atol=1e-12)
         assert np.allclose(nodes.weights, 0.25)
+
+    @pytest.mark.parametrize("law", [
+        FutureValueDist.lognormal(0.0, 1.0),
+        FutureValueDist.lognormal(4.6, 0.08, (0.005, 0.995)),
+        FutureValueDist.lognormal(-2.0, 0.5, (0.2, 0.9)),
+        FutureValueDist.normal(100.0, 10.0, (0.005, 0.995)),
+        FutureValueDist.normal(103.0, 6.0, (0.01, 0.99)),
+        FutureValueDist.normal(50.0, 5.0, (0.3, 1.0)),
+    ])
+    def test_cached_nodes_equal_quantiles_at_midpoints(self, law):
+        for n in (2, 7, 256, 1000, 256):  # the repeat reads the cached table
+            nodes = law.make_nodes(n)
+            assert np.array_equal(nodes.nodes, law.quantile((np.arange(n) + 0.5) / n))
+            assert np.array_equal(nodes.weights, np.full(n, 1.0 / n))
+
+    def test_cached_quantile_table_is_read_only(self, standard_lognormal):
+        standard_lognormal.make_nodes(16)
+        table = distribution._midpoint_quantiles(16, 0.0, 1.0)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
     def test_continuous_needs_two_nodes(self, standard_lognormal):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpv_effect import membership
 from bpv_effect.membership import (
     MembershipFn,
     dominance,
+    dominance_pairs,
     energy_measure,
     entropy_measure,
     trapezoid,
@@ -212,3 +215,33 @@ class TestDominance:
         # crisp interval vs crisp interval
         assert dominance(trapezoid(0, 0, 1, 1), trapezoid(1, 1, 2, 2)) == pytest.approx(1.0, abs=1e-12)
         assert dominance(trapezoid(0, 0, 1, 1), trapezoid(1.5, 1.5, 2, 2)) == 0.0
+
+
+class TestBlockedDominance:
+    @staticmethod
+    def universe(seed, count=24, pairs=3000):
+        """Overlapping sampled-grid memberships and random pairs among them."""
+        rng = np.random.default_rng(seed)
+        memberships = [random_membership(rng, span=(-3.0, 3.0), max_knots=12) for _ in range(count)]
+        return memberships, rng.integers(0, count, pairs), rng.integers(0, count, pairs)
+
+    def test_blocks_of_any_size_give_identical_bits(self, monkeypatch):
+        memberships, rows, cols = self.universe(11)
+        whole = dominance_pairs(memberships, rows, cols)
+        assert rows.size <= membership.PAIR_BLOCK and 0.0 < whole.mean() < 1.0
+        for block in (1, 7, 1000, rows.size - 1):
+            monkeypatch.setattr(membership, "PAIR_BLOCK", block)
+            assert np.array_equal(dominance_pairs(memberships, rows, cols), whole)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        def peak(pairs):
+            memberships, rows, cols = self.universe(12, pairs=pairs)
+            tracemalloc.start()
+            try:
+                dominance_pairs(memberships, rows, cols)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(membership.PAIR_BLOCK)
+        assert peak(4 * membership.PAIR_BLOCK) < 2 * one

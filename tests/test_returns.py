@@ -377,6 +377,14 @@ class TestVariance:
             return_variance(mu, SIMPLE, nodes, 50.0, 1e-4, 64)
 
 
+class TestEngineSettings:
+    @pytest.mark.parametrize("name", ["grid_points", "nodes", "variance_panels"])
+    def test_each_resolution_is_bounded(self, name):
+        assert getattr(EngineSettings(**{name: returns.MAX_RESOLUTION}), name) == returns.MAX_RESOLUTION
+        with pytest.raises(ValueError, match=f"{name} must be at most {returns.MAX_RESOLUTION}"):
+            EngineSettings(**{name: returns.MAX_RESOLUTION + 1})
+
+
 class TestProfile:
     def test_crisp_plateau_has_tiny_entropy(self):
         mu = MembershipFn([95.0, 105.0], [1.0, 1.0])
