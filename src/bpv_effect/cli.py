@@ -292,33 +292,34 @@ def _write_report(document: dict, handle) -> None:
     significant digits: the bytes ``json.dumps(indent=2, sort_keys=True)``
     gives for the rounded document, plus a newline.  Its arrays, the
     outranking matrices, are written row by row by ``_write_matrix``; the
-    rest goes through ``json.dumps``."""
+    rest goes through ``json.dumps``.
+
+    Each distinct value of all arrays together is rounded and formatted
+    once: a 1024-security outranking matrix has about 70k distinct values
+    among its 1M entries, and the strict matrix repeats most of them.
+    Distinct bit patterns, not values, keep -0.0 apart from 0.0.
+    """
+    arrays = {key: np.ascontiguousarray(value, dtype=float).view(np.uint64)
+              for key, value in document.items() if isinstance(value, np.ndarray)}
+    bits = np.unique(np.concatenate([np.empty(0, np.uint64), *(a.ravel() for a in arrays.values())]))
+    words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
     handle.write("{")
     for i, key in enumerate(sorted(document)):
         handle.write(("," if i else "") + f"\n  {json.dumps(key)}: ")
-        value = document[key]
-        if isinstance(value, np.ndarray):
-            _write_matrix(value, handle)
+        if key in arrays:
+            _write_matrix(words[np.searchsorted(bits, arrays[key])], handle)
         else:  # json.dumps writes a float's repr, which parse_float reads back exactly
-            rounded = json.loads(json.dumps(value), parse_float=lambda text: _digits15(float(text)))
+            rounded = json.loads(json.dumps(document[key]), parse_float=lambda text: _digits15(float(text)))
             handle.write(json.dumps(rounded, indent=2, sort_keys=True).replace("\n", "\n  "))
     handle.write("\n}\n")
 
 
-def _write_matrix(matrix: np.ndarray, handle) -> None:
-    """A finite matrix with at least one row and column, laid out as
-    ``json.dumps(indent=2)`` lays out a list of rows under a top-level key,
-    each entry at 15 significant digits.
-
-    Each distinct value is rounded and formatted once: a 1024-security
-    outranking matrix has about 70k distinct values among its 1M entries.
-    Distinct bit patterns, not values, keep -0.0 apart from 0.0.
-    """
-    bits, inverse = np.unique(np.ascontiguousarray(matrix, dtype=float).ravel().view(np.uint64),
-                              return_inverse=True)
-    words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
+def _write_matrix(words: np.ndarray, handle) -> None:
+    """A matrix of formatted entries, with at least one row and column, laid
+    out as ``json.dumps(indent=2)`` lays out a list of rows under a top-level
+    key."""
     handle.write("[")
-    for i, row in enumerate(words[inverse.reshape(matrix.shape)]):
+    for i, row in enumerate(words):
         handle.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(row.tolist()) + "\n    ]")
     handle.write("\n  ]")
 

@@ -128,38 +128,37 @@ def entropy_measure(m: MembershipFn) -> float:
     return area / (1.0 + area)
 
 
-def _right_cuts(grid: np.ndarray, values: np.ndarray):
-    """Right α-cut ends R(α) = max{u : m(u) >= α} of one membership.
-
-    R is left-continuous and breaks at 0 and at each knot's value that
-    exceeds every knot to its right; below such a level R runs down that
-    knot's right segment, jumping at the next level down unless the segment
-    reaches it.  Returns the levels, R at each, and the segment extents.
-    """
-    g, v = np.append(grid, grid[-1]), np.append(values, 0.0)  # drop to 0 at the span end
-    tail = np.append(np.maximum.accumulate(v[::-1])[::-1][1:], 0.0)
-    knots = np.flatnonzero(v > tail)[::-1]
-    extents = np.append(0.0, g[knots + 1] - g[knots]), np.append(1.0, v[knots] - v[knots + 1])
-    return np.append(0.0, v[knots]), (np.append(g[-1], g[knots]), *extents)
-
-
 class _Cuts:
     """Right (sign 1) or left (sign -1: the mirror image's right ends, negated)
     α-cut ends of many memberships, packed under keys s + 1j * level.  These
     sort lexicographically, so one searchsorted finds a level in membership
-    s's table exactly."""
+    s's table exactly.
 
-    def __init__(self, memberships, sign: float):
-        # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
-        shift = max(0, 1000 - max(np.frexp(np.abs(m.grid).max())[1] for m in memberships))
-        keys, ends = [], []
-        for s, m in enumerate(memberships):
-            grid = np.ldexp(m.grid if sign > 0 else -m.grid[::-1], shift)
-            levels, (at, dx, dv) = _right_cuts(grid, m.values if sign > 0 else m.values[::-1])
-            keys.append(s + 1j * levels)
-            ends.append(np.array((sign * at, sign * dx, dv)))
-        self.key = np.concatenate(keys)
-        self.at, self.dx, self.dv = np.concatenate(ends, axis=1)
+    The right end R(α) = max{u : m(u) >= α} is left-continuous and breaks at
+    0 and at each knot's value that exceeds every knot to its right; below
+    such a level R runs down that knot's right segment, jumping at the next
+    level down unless the segment reaches it.  An entry holds a level, R
+    there and the segment's extents; level 0 sits at the span end.
+
+    Row s of ``grid`` and ``values`` lists membership s's knots from its span
+    end back, after a value-0 entry at column ``end[s]`` for the drop to 0
+    past the span.  The other entries have value 0, so none is a cut.
+    """
+
+    def __init__(self, grid, values, end, sign: float):
+        width = values.shape[1]
+        cut = np.zeros(values.shape, dtype=bool)
+        cut[:, 1:] = values[:, 1:] > np.fmax.accumulate(values[:, :-1], axis=1)
+        end = np.arange(values.shape[0]) * width + end
+        cut.reshape(-1)[end] = True
+        at = np.flatnonzero(cut)  # by membership, then by rising level
+        g, v = np.ravel(grid), np.ravel(values)
+        level, x = v[at], g[at]
+        dx, dv = g[at - 1] - x, level - v[at - 1]
+        end = np.searchsorted(at, end)
+        dx[end], dv[end] = 0.0, 1.0
+        self.key = at // width + 1j * level
+        self.at, self.dx, self.dv = sign * x, sign * dx, dv
 
     def find(self, s, alpha):
         """Entry of membership s at level alpha, or topping the piece holding it."""
@@ -168,6 +167,27 @@ class _Cuts:
     def slide(self, p, alpha):
         """Cut end at alpha on the piece topped by entry p, minus ``at[p]``."""
         return (self.key[p].imag - alpha) / self.dv[p] * self.dx[p]
+
+
+def _cut_tables(memberships) -> tuple[_Cuts, _Cuts]:
+    """The right and left α-cut tables of many memberships, from one array.
+
+    Row s holds membership s's knots, right-aligned behind value-0 padding,
+    between value-0 entries at both span ends.  Read backwards, the rows
+    give the right table; negated, the mirror images' rows for the left.
+    """
+    sizes = np.array([m.grid.size for m in memberships])
+    rows, width = np.arange(sizes.size), sizes.max() + 2
+    first = width - 1 - sizes  # column of each first knot
+    knots = np.arange(width) >= first[:, None]
+    knots[:, -1] = False
+    grid, values = np.zeros(knots.shape), np.zeros(knots.shape)
+    grid[knots] = np.concatenate([m.grid for m in memberships])
+    values[knots] = np.concatenate([m.values for m in memberships])
+    grid[rows, first - 1], grid[:, -1] = grid[rows, first], grid[:, -2]
+    # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
+    grid = np.ldexp(grid, max(0, 1000 - int(np.frexp(np.abs(grid).max())[1])))
+    return _Cuts(grid[:, ::-1], values[:, ::-1], 0, 1.0), _Cuts(-grid, values, first - 1, -1.0)
 
 
 def _gap(right: _Cuts, left: _Cuts, p, q, alpha):
@@ -204,7 +224,7 @@ def dominance_pairs(memberships, rows, cols) -> np.ndarray:
     solves their crossing: O(knots) per membership, O(log knots) numpy steps
     per block of ``PAIR_BLOCK`` pairs.
     """
-    right, left = _Cuts(memberships, 1.0), _Cuts(memberships, -1.0)
+    right, left = _cut_tables(memberships)
     peaks = np.array([m.peak for m in memberships])
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     degree = np.minimum(peaks[rows], peaks[cols])

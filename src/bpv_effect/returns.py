@@ -18,7 +18,8 @@ in one of two views.  The node view evaluates ``mu`` at every (rate, node)
 pair.  The knot view uses that the present value is linear in the future
 value: the nodes on one linear piece of ``mu`` form a contiguous run whose
 sum follows from prefix sums, at O(knots) cost per rate.  A security takes
-the knot view when it has at least ``KNOT_VIEW_RATIO`` nodes per knot.
+the knot view when its node count reaches an affine function of its knot
+count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
 """
 
 import math
@@ -125,18 +126,21 @@ def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> n
 
 
 # A security sums its state memberships in the knot view when it has at least
-# this many quadrature nodes per membership knot, and node by node otherwise.
-# Measured with whole ``profile`` calls (801 rates, 1024 panels, numpy 2.4,
-# 2-core x86_64): the knot view costs about 2.5 ms plus 0.3 ms per knot, the
-# node view about 0.04 ms per node, so the two break even at about 25 nodes
-# per knot for 2 knots, 20 for 4, 12 for 8 and 8 from 16 knots up.  At 256
-# nodes a 4-knot trapezoid profiles in 3.1 ms instead of 8.5; a 3-atom law
-# would take 2.9 ms instead of 0.6, and a 101-knot grid 28 ms instead of 7.5.
-KNOT_VIEW_RATIO = 16
+# KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * knots quadrature nodes, and node
+# by node otherwise.  Measured with whole ``profile`` calls (801 rates, 1024
+# panels, numpy 2.4, 2-core x86_64, medians of 9) over 2-101 knots and 3-512
+# nodes: the knot view costs about 1.3 ms plus 0.19 ms per knot (1.9 ms at 2
+# knots, 2.4 at 8, 4.9 at 16, 7.9 at 32, 10 at 48) whatever the node count,
+# the node view about 0.5 ms plus 0.031 ms per node (1.05 ms at 16 nodes, 2.4
+# at 64, 8.6 at 256) whatever the knot count, so the two break even at about
+# 25 + 6 * knots nodes.  A 4-knot trapezoid profiles in 2.2 ms instead of
+# 8.5 with 256 nodes, and in 0.5-0.9 ms instead of 2.1-2.5 with an 8-atom law.
+KNOT_VIEW_NODES = 24
+KNOT_VIEW_NODES_PER_KNOT = 6
 
 
 def _uses_knot_view(mu: MembershipFn, nodes: QuadratureNodes) -> bool:
-    return nodes.nodes.size >= KNOT_VIEW_RATIO * mu.grid.size
+    return nodes.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size
 
 
 class _KnotView:
@@ -155,6 +159,10 @@ class _KnotView:
     K + 1 past it.  Rates whose present-value scale is not finite and
     positive (at or below the convention's limit) sum to 0, which is the
     node view's value for a membership with positive support.
+
+    Every per-rate array is threshold-major: thresholds or pieces down axis
+    0, rates along axis 1, so each numpy pass runs over one contiguous row of
+    rates per threshold, and the pieces of a rate add left to right.
     """
 
     def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
@@ -163,8 +171,8 @@ class _KnotView:
         self.padded = np.concatenate(([-np.inf], self.y, [np.inf]))
         self.W = np.concatenate(([0.0], np.cumsum(w)))
         self.M = np.concatenate(([0.0], np.cumsum(w * self.y)))
-        # present value reaching each knot, then strictly passing the last
-        self.reach = np.append(x, np.nextafter(x[-1], np.inf))
+        # present value reaching each knot, then strictly passing the last: a column
+        self.reach = np.append(x, np.nextafter(x[-1], np.inf))[:, None]
         # per piece: left knot, width, value there, rise across
         self.pieces = np.array([
             np.concatenate(([0.0], x, [0.0])),
@@ -172,6 +180,7 @@ class _KnotView:
             np.concatenate(([0.0], v, [0.0])),
             np.concatenate(([0.0], np.diff(v), [0.0, 0.0])),
         ])
+        self.runs = self.pieces[:, 1:-1, None]  # the pieces between the first and last edge
 
     def valid(self, rates):
         """Rates whose present-value scale is finite and positive."""
@@ -180,7 +189,8 @@ class _KnotView:
         return (scale > 0.0) & (scale < np.inf)
 
     def edges(self, r):
-        """First node reaching each threshold, for a column of valid rates.
+        """First node reaching each threshold (a row per threshold) for a row
+        of valid rates.
 
         ``searchsorted`` on the thresholds' future values gives a guess that
         rounding can leave a few nodes off; testing the present value of the
@@ -210,15 +220,15 @@ class _KnotView:
         return v + dv * np.clip((self.conv.present_map(r, y) - x) / dx, 0.0, 1.0)
 
     def run_sums(self, r, e):
-        """S(r) for a column of valid rates, from their edges: one run per piece."""
+        """S(r) for a row of valid rates, from their edges: one run per piece."""
         W, M = self.W[e], self.M[e]
-        return self.run_sum(r, np.diff(W, axis=1), np.diff(M, axis=1), self.pieces[:, None, 1:-1]).sum(axis=1)
+        return self.run_sum(r, W[1:] - W[:-1], M[1:] - M[:-1], self.runs).sum(axis=0)
 
     def state_sum(self, rates):
         """S(r) at each rate."""
         out = np.zeros(rates.size)
         ok = self.valid(rates)
-        r = rates[ok].reshape(-1, 1)
+        r = rates[ok]
         with np.errstate(over="ignore"):
             out[ok] = self.run_sums(r, self.edges(r))
         return out
@@ -233,17 +243,19 @@ class _KnotView:
         out = np.zeros(steps.size)
         up, lo = center + steps, center - steps
         ok = self.valid(up)
-        up, lo = up[ok, None], lo[ok, None]
+        up, lo = up[ok], lo[ok]
         lo_ok = self.valid(lo)
         with np.errstate(over="ignore"):
             # an invalid lower rate is swapped for the upper one, then its
             # edges are moved past every node, so its copy sums to 0
             r = np.concatenate((up, np.where(lo_ok, lo, up)))
-            e_up, e_lo = np.split(self.edges(r), 2)
-            e_lo = np.where(lo_ok, e_lo, self.y.size)
-            total = self.run_sums(r, np.concatenate((e_up, e_lo))).reshape(2, -1).sum(axis=0)
-            both = np.flatnonzero(np.maximum(e_up[:, 0], e_lo[:, 0]) < np.minimum(e_up[:, -1], e_lo[:, -1]))
-            total[both] = self.overlap(up[both], lo[both], e_up[both], e_lo[both])
+            e = self.edges(r)
+            e[:, up.size + np.flatnonzero(~lo_ok)] = self.y.size
+            e_up, e_lo = e[:, :up.size], e[:, up.size:]
+            sums = self.run_sums(r, e)
+            total = sums[:up.size] + sums[up.size:]
+            both = np.flatnonzero(np.maximum(e_up[0], e_lo[0]) < np.minimum(e_up[-1], e_lo[-1]))
+            total[both] = self.overlap(up[both], lo[both], e_up[:, both], e_lo[:, both])
         out[ok] = total
         return out
 
@@ -254,36 +266,30 @@ class _KnotView:
         merged edges each copy stays on one piece, so the difference of the
         two copies is linear in y there: it changes sign at most once, at a
         node found from its values on the interval's first and last nodes,
-        and each side sums the larger copy.
+        and each side sums the larger copy.  Both ends of an interval are
+        evaluated in one pass, down a leading axis of length 2.
         """
         n = self.y.size
-        merged = np.concatenate((e_up, e_lo), axis=1)
-        order = np.argsort(merged, axis=1, kind="stable")
-        merged = np.take_along_axis(merged, order, axis=1)
-        from_up = order < e_up.shape[1]
-        up_piece = np.take(self.pieces, np.cumsum(from_up, axis=1)[:, :-1], axis=1)
-        lo_piece = np.take(self.pieces, np.cumsum(~from_up, axis=1)[:, :-1], axis=1)
-        a, b = merged[:, :-1], merged[:, 1:]
-        y_first, y_last = self.y[np.minimum(a, n - 1)], self.y[np.maximum(b - 1, 0)]
-        gap_first = self.value(up, up_piece, y_first) - self.value(lo, lo_piece, y_first)
-        gap_last = self.value(up, up_piece, y_last) - self.value(lo, lo_piece, y_last)
-        up_first, up_last = gap_first >= 0.0, gap_last >= 0.0
-        cross = (up_first != up_last) & (b - a > 1)
-        share = np.divide(gap_first, gap_first - gap_last, out=np.zeros_like(gap_first), where=cross)
-        at = np.searchsorted(self.y, y_first + share * (y_last - y_first))
+        merged = np.concatenate((e_up, e_lo))
+        order = np.argsort(merged, axis=0, kind="stable")
+        merged = np.sort(merged, axis=0)
+        up_piece = np.cumsum(order < e_up.shape[0], axis=0)[:-1]
+        lo_piece = np.arange(1, merged.shape[0])[:, None] - up_piece  # the other edges so far
+        a, b = merged[:-1], merged[1:]
+        ends = self.y[[np.minimum(a, n - 1), np.maximum(b - 1, 0)]]  # first and last node
+        gap = self.value(up, self.pieces[:, up_piece], ends) - self.value(lo, self.pieces[:, lo_piece], ends)
+        up_wins = gap >= 0.0
+        cross = (up_wins[0] != up_wins[1]) & (b - a > 1)
+        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
+        at = np.searchsorted(self.y, ends[0] + share * (ends[1] - ends[0]))
         split = np.where(cross, np.clip(at, a + 1, b - 1), b)
-        W, M = self.W[merged], self.M[merged]
-        W_split, M_split = self.W[split], self.M[split]
-        return (
-            self.run_sum(
-                np.where(up_first, up, lo), W_split - W[:, :-1], M_split - M[:, :-1],
-                np.where(up_first, up_piece, lo_piece),
-            )
-            + self.run_sum(
-                np.where(up_last, up, lo), W[:, 1:] - W_split, M[:, 1:] - M_split,
-                np.where(up_last, up_piece, lo_piece),
-            )
-        ).sum(axis=1)
+        W, M = self.W[[a, split, b]], self.M[[a, split, b]]
+        halves = self.run_sum(
+            np.where(up_wins, up, lo), np.diff(W, axis=0), np.diff(M, axis=0),
+            self.pieces[:, np.where(up_wins, up_piece, lo_piece)],
+        )
+        # a step's intervals add as one contiguous row, in numpy's order for that
+        return np.ascontiguousarray((halves[0] + halves[1]).T).sum(axis=1)
 
 
 def _state_sum(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes, rates) -> np.ndarray:
@@ -366,7 +372,7 @@ def expected_return_distribution(
     For a discrete future-value law the node weights are the exact atom
     probabilities and the result carries no quadrature error at all.  The
     sum over nodes is exact for the polyline ``mu`` in either view (see
-    ``KNOT_VIEW_RATIO``): knot by knot in O(rates * knots), or node by node
+    ``KNOT_VIEW_NODES``): knot by knot in O(rates * knots), or node by node
     in O(rates * nodes).
     """
     values = _state_sum(mu, conv, nodes, grid.r_values)

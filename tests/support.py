@@ -3,10 +3,11 @@
 Everything here deliberately avoids the package's own integration and
 sup-min code paths: integrals are sampled Riemann/trapezoid sums, the
 dominance oracles are a masked double loop over grid pairs and an exact
-x-space candidate enumeration (the package works on α-cuts), state sums
-are a loop over nodes with a scalar membership lookup (the package sums
-runs of nodes knot by knot), and the trapezoid membership is re-derived
-from its corner formulas.
+x-space candidate enumeration (the package works on α-cuts), α-cut tables
+are built one membership at a time (the package builds one table for
+all), state sums are a loop over nodes with a scalar membership lookup
+(the package sums runs of nodes knot by knot), and the trapezoid
+membership is re-derived from its corner formulas.
 """
 
 import bisect
@@ -117,6 +118,33 @@ def candidate_dominance(k: MembershipFn, l: MembershipFn) -> float:
     t = d0[cross] / (d0[cross] - d1[cross])
     crossing = np.minimum(k0[cross] + t * (k1[cross] - k0[cross]), h0[cross] + t * (h1[cross] - h0[cross]))
     return min(max(best, float(np.max(crossing, initial=0.0))), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# α-cut tables, one membership at a time (the package builds them in one pass)
+
+
+def _right_cuts(grid: np.ndarray, values: np.ndarray):
+    """Right α-cut ends R(α) = max{u : m(u) >= α} of one membership: the
+    levels, R at each, and the segment extents."""
+    g, v = np.append(grid, grid[-1]), np.append(values, 0.0)  # drop to 0 at the span end
+    tail = np.append(np.maximum.accumulate(v[::-1])[::-1][1:], 0.0)
+    knots = np.flatnonzero(v > tail)[::-1]
+    extents = np.append(0.0, g[knots + 1] - g[knots]), np.append(1.0, v[knots] - v[knots + 1])
+    return np.append(0.0, v[knots]), (np.append(g[-1], g[knots]), *extents)
+
+
+def loop_cuts(memberships, sign: float):
+    """The (key, at, dx, dv) arrays of ``membership._Cuts``, built membership
+    by membership."""
+    shift = max(0, 1000 - max(np.frexp(np.abs(m.grid).max())[1] for m in memberships))
+    keys, ends = [], []
+    for s, m in enumerate(memberships):
+        grid = np.ldexp(m.grid if sign > 0 else -m.grid[::-1], shift)
+        levels, (at, dx, dv) = _right_cuts(grid, m.values if sign > 0 else m.values[::-1])
+        keys.append(s + 1j * levels)
+        ends.append(np.array((sign * at, sign * dx, dv)))
+    return (np.concatenate(keys), *np.concatenate(ends, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpv_effect import membership
 from bpv_effect.membership import MembershipFn, dominance, trapezoid, triangle
 from bpv_effect.returns import SecurityProfile
 from bpv_effect.effectiveness import Universe, build_report
 
-from support import candidate_dominance, direct_pareto
+from support import candidate_dominance, direct_pareto, loop_cuts
 
 
 def make_profile(rho, variance, energy=0.4, entropy=0.1, expected_return=0.05):
@@ -213,6 +214,14 @@ class TestBatchedDominance:
                 assert abs(dominance(k, l) - expected) <= 1e-12
                 if variances[i] <= variances[j]:
                     assert abs(report.outranking[i, j] - expected) <= 1e-12
+
+    @given(rough_universes())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_tables_equal_the_per_membership_loop(self, universe):
+        rhos, _ = universe
+        for cuts, sign in zip(membership._cut_tables(rhos), (1.0, -1.0)):
+            for built, looped in zip((cuts.key, cuts.at, cuts.dx, cuts.dv), loop_cuts(rhos, sign)):
+                assert built.dtype == looped.dtype and built.tobytes() == looped.tobytes()
 
     def test_diagonal_is_peak_and_gated_entries_are_zero(self):
         rng = np.random.default_rng(31)

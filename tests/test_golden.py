@@ -9,19 +9,33 @@ analyze`` and shows the diff.
 - ``portfolio3``: the shipped fixture's report and ``--grids-out`` CSV.
 - ``accuracy_panel``: the 19-security portfolio that ``perfbench`` scores
   for accuracy (``portfolios.write("panel", ...)``), and its report.
+
+The accuracy ratchet scores the panel's report and grids against
+``perfbench/reference.py``: each error may fall, never rise past its
+recorded value.
 """
 
 import csv
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from bpv_effect.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 EXPECTED = FIXTURES / "expected"
 RTOL = 1e-14
+# the accuracy panel's largest errors against perfbench/reference.py; a change
+# that lowers one lowers its record here too
+RECORDED_ERRORS = {
+    "variance_rel_err.max": 9.114170411167442e-4,
+    "rho_sup_err.max": 3.635707777309205e-3,
+    "dominance_abs_err.max": 5.6379746188162105e-05,
+}
 
 
 def assert_close(actual, expected, path="report"):
@@ -62,3 +76,16 @@ def test_grids_csv_matches_golden(tmp_path):
     assert header == expected_header
     assert_close([[float(v) for v in row] for row in rows], [[float(v) for v in row] for row in expected_rows],
                  "grids")
+
+
+def test_accuracy_panel_errors_do_not_rise(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    shutil.copyfile(FIXTURES / "accuracy_panel.json", tmp_path / "portfolio00.json")
+    assert main(["analyze", str(tmp_path / "portfolio00.json"), "--out", str(tmp_path / "first00.json"),
+                 "--grids-out", str(tmp_path / "first00.csv")]) == 0
+    errors = reference.accuracy("panel", 0, str(tmp_path))
+    assert sorted(errors) == sorted(RECORDED_ERRORS)
+    for name, recorded in RECORDED_ERRORS.items():
+        assert errors[name] <= recorded * (1.0 + 1e-9), (name, errors[name], recorded)

@@ -286,6 +286,23 @@ class TestKnotView:
             patch.setattr(returns, "_KnotView", refuse)
             profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
+    @pytest.mark.parametrize("mu, boundary", [
+        (MembershipFn([90.0, 110.0], [1.0, 0.4]), 36),
+        (trapezoid(85, 95, 105, 120), 48),
+        (MembershipFn(np.linspace(80.0, 120.0, 16), np.linspace(0.0, 1.0, 16)), 120),
+    ])
+    def test_view_boundary_is_affine_in_the_knot_count(self, monkeypatch, mu, boundary):
+        # the knot view from 24 + 6 * knots nodes, the node view below
+        def refuse(*args, **kwargs):
+            raise AssertionError("this view must not run")
+
+        dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
+        for count, other in ((boundary, "_state_values"), (boundary - 1, "_KnotView")):
+            assert dist.make_nodes(count).nodes.size == count
+            with monkeypatch.context() as patch:
+                patch.setattr(returns, other, refuse)
+                profile(mu, dist, SIMPLE, EngineSettings(nodes=count))
+
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
     def test_profile_edge_cases_raise_no_floating_point_exception(self, conv):
         edges = MembershipFn([80.0, 90.0, float(np.nextafter(90.0, 100.0)), 110.0], [1.0, 0.2, 0.9, 1.0])
