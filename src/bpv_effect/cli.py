@@ -301,7 +301,11 @@ def _write_report(document: dict, handle) -> None:
     """
     arrays = {key: np.ascontiguousarray(value, dtype=float).view(np.uint64)
               for key, value in document.items() if isinstance(value, np.ndarray)}
-    bits = np.unique(np.concatenate([np.empty(0, np.uint64), *(a.ravel() for a in arrays.values())]))
+    # the distinct bit patterns, sorted (np.unique would import numpy.ma, about 2 MB, on first use)
+    bits = np.sort(np.concatenate([np.empty(0, np.uint64), *(a.ravel() for a in arrays.values())]))
+    distinct = np.ones(bits.shape, dtype=bool)
+    distinct[1:] = bits[1:] != bits[:-1]
+    bits = bits[distinct]
     words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
     handle.write("{")
     for i, key in enumerate(sorted(document)):

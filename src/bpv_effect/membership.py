@@ -139,26 +139,10 @@ class _Cuts:
     such a level R runs down that knot's right segment, jumping at the next
     level down unless the segment reaches it.  An entry holds a level, R
     there and the segment's extents; level 0 sits at the span end.
-
-    Row s of ``grid`` and ``values`` lists membership s's knots from its span
-    end back, after a value-0 entry at column ``end[s]`` for the drop to 0
-    past the span.  The other entries have value 0, so none is a cut.
     """
 
-    def __init__(self, grid, values, end, sign: float):
-        width = values.shape[1]
-        cut = np.zeros(values.shape, dtype=bool)
-        cut[:, 1:] = values[:, 1:] > np.fmax.accumulate(values[:, :-1], axis=1)
-        end = np.arange(values.shape[0]) * width + end
-        cut.reshape(-1)[end] = True
-        at = np.flatnonzero(cut)  # by membership, then by rising level
-        g, v = np.ravel(grid), np.ravel(values)
-        level, x = v[at], g[at]
-        dx, dv = g[at - 1] - x, level - v[at - 1]
-        end = np.searchsorted(at, end)
-        dx[end], dv[end] = 0.0, 1.0
-        self.key = at // width + 1j * level
-        self.at, self.dx, self.dv = sign * x, sign * dx, dv
+    def __init__(self, key, at, dx, dv):
+        self.key, self.at, self.dx, self.dv = key, at, dx, dv
 
     def find(self, s, alpha):
         """Entry of membership s at level alpha, or topping the piece holding it."""
@@ -169,25 +153,58 @@ class _Cuts:
         return (self.key[p].imag - alpha) / self.dv[p] * self.dx[p]
 
 
+# α-cut tables are built from blocks of memberships with about this many
+# knots in all, which bounds a block's dense temporaries to under 1 MB.  A
+# 128-security screen (801-knot fuzzy returns) takes 7 blocks: at 2 cores its
+# tables took 4.5 ms, 4.3-5.2 ms in blocks of 2**15 knots and 6.8 in 2**13.
+CUT_BLOCK = 2**14
+
+
 def _cut_tables(memberships) -> tuple[_Cuts, _Cuts]:
-    """The right and left α-cut tables of many memberships, from one array.
+    """The right and left α-cut tables of many memberships, block by block."""
+    # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
+    shift = max(0, 1000 - max(int(np.frexp(max(-m.grid[0], m.grid[-1]))[1]) for m in memberships))
+    step = max(1, CUT_BLOCK // max(m.grid.size + 2 for m in memberships))
+    right, left = zip(*(_cut_block(memberships[i:i + step], i, shift) for i in range(0, len(memberships), step)))
+    right = _Cuts(*map(np.concatenate, zip(*right)))  # drops the right parts before the left ones are joined
+    return right, _Cuts(*map(np.concatenate, zip(*left)))
+
+
+def _cut_block(memberships, first_row: int, shift: int):
+    """The right and left table entries of a block of memberships, from one array.
 
     Row s holds membership s's knots, right-aligned behind value-0 padding,
-    between value-0 entries at both span ends.  Read backwards, the rows
-    give the right table; negated, the mirror images' rows for the left.
+    between value-0 entries at both span ends.  Read backwards, the rows list
+    the knots from the span end back, which gives the right table; negated,
+    the rows do the same for the mirror images, which gives the left table.
     """
     sizes = np.array([m.grid.size for m in memberships])
-    rows, width = np.arange(sizes.size), sizes.max() + 2
-    first = width - 1 - sizes  # column of each first knot
-    knots = np.arange(width) >= first[:, None]
+    rows, first = np.arange(sizes.size), sizes.max() + 1 - sizes  # column of each first knot
+    knots = np.arange(sizes.max() + 2) >= first[:, None]
     knots[:, -1] = False
     grid, values = np.zeros(knots.shape), np.zeros(knots.shape)
     grid[knots] = np.concatenate([m.grid for m in memberships])
     values[knots] = np.concatenate([m.values for m in memberships])
     grid[rows, first - 1], grid[:, -1] = grid[rows, first], grid[:, -2]
-    # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
-    grid = np.ldexp(grid, max(0, 1000 - int(np.frexp(np.abs(grid).max())[1])))
-    return _Cuts(grid[:, ::-1], values[:, ::-1], 0, 1.0), _Cuts(-grid, values, first - 1, -1.0)
+    np.ldexp(grid, shift, out=grid)
+    right = _cut_entries(grid[:, ::-1], values[:, ::-1], 0, 1.0, first_row)
+    return right, _cut_entries(np.negative(grid, out=grid), values, first - 1, -1.0, first_row)
+
+
+def _cut_entries(grid, values, end, sign: float, first_row: int):
+    """Key, cut end, and segment extents of each α-cut entry, from rows that
+    list knots from the span end back after a value-0 entry at column
+    ``end[s]``; the other entries have value 0, so none is a cut."""
+    end = np.broadcast_to(end, values.shape[:1])
+    cut = np.zeros(values.shape, dtype=bool)
+    np.greater(values[:, 1:], np.fmax.accumulate(values[:, :-1], axis=1), out=cut[:, 1:])
+    cut[np.arange(end.size), end] = True
+    s, k = np.nonzero(cut)  # by membership, then by rising level
+    level, x = values[s, k], grid[s, k]
+    dx, dv = grid[s, k - 1] - x, level - values[s, k - 1]
+    end = k == end[s]
+    dx[end], dv[end] = 0.0, 1.0
+    return first_row + s + 1j * level, sign * x, sign * dx, dv
 
 
 def _gap(right: _Cuts, left: _Cuts, p, q, alpha):

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,11 +216,13 @@ class TestBatchedDominance:
                 if variances[i] <= variances[j]:
                     assert abs(report.outranking[i, j] - expected) <= 1e-12
 
-    @given(rough_universes())
+    @given(rough_universes(), st.sampled_from([membership.CUT_BLOCK, 1, 12, 20]))
     @settings(max_examples=200, deadline=None)
-    def test_cut_tables_equal_the_per_membership_loop(self, universe):
+    def test_cut_tables_equal_the_per_membership_loop(self, universe, block):
         rhos, _ = universe
-        for cuts, sign in zip(membership._cut_tables(rhos), (1.0, -1.0)):
+        with mock.patch.object(membership, "CUT_BLOCK", block):  # small blocks hold one or a few rows
+            tables = membership._cut_tables(rhos)
+        for cuts, sign in zip(tables, (1.0, -1.0)):
             for built, looped in zip((cuts.key, cuts.at, cuts.dx, cuts.dv), loop_cuts(rhos, sign)):
                 assert built.dtype == looped.dtype and built.tobytes() == looped.tobytes()
 
