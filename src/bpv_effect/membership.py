@@ -195,16 +195,18 @@ def _cut_entries(grid, values, end, sign: float, first_row: int):
     """Key, cut end, and segment extents of each α-cut entry, from rows that
     list knots from the span end back after a value-0 entry at column
     ``end[s]``; the other entries have value 0, so none is a cut."""
-    end = np.broadcast_to(end, values.shape[:1])
+    width = values.shape[1]
     cut = np.zeros(values.shape, dtype=bool)
-    np.greater(values[:, 1:], np.fmax.accumulate(values[:, :-1], axis=1), out=cut[:, 1:])
-    cut[np.arange(end.size), end] = True
-    s, k = np.nonzero(cut)  # by membership, then by rising level
-    level, x = values[s, k], grid[s, k]
-    dx, dv = grid[s, k - 1] - x, level - values[s, k - 1]
-    end = k == end[s]
+    cut[:, 1:] = values[:, 1:] > np.fmax.accumulate(values[:, :-1], axis=1)
+    end = np.arange(values.shape[0]) * width + end
+    cut.reshape(-1)[end] = True
+    at = np.flatnonzero(cut)  # by membership, then by rising level
+    g, v = np.ravel(grid), np.ravel(values)
+    level, x = v[at], g[at]
+    dx, dv = g[at - 1] - x, level - v[at - 1]
+    end = np.searchsorted(at, end)
     dx[end], dv[end] = 0.0, 1.0
-    return first_row + s + 1j * level, sign * x, sign * dx, dv
+    return first_row + at // width + 1j * level, sign * x, sign * dx, dv
 
 
 def _gap(right: _Cuts, left: _Cuts, p, q, alpha):
