@@ -155,8 +155,11 @@ class _Cuts:
 
 # α-cut tables are built from blocks of memberships with about this many
 # knots in all, which bounds a block's dense temporaries to under 1 MB.  A
-# 128-security screen (801-knot fuzzy returns) takes 7 blocks: at 2 cores its
-# tables took 4.5 ms, 4.3-5.2 ms in blocks of 2**15 knots and 6.8 in 2**13.
+# 128-security screen (801-knot fuzzy returns) takes 7 blocks.  Measured there
+# on 2 cores: both tables in 4.5 ms with a tracemalloc peak of 1.5 MB; blocks
+# of 2**15 knots took 4.3-5.2 ms and peaked at 1.8 MB, blocks of 2**13 took
+# 6.8 ms, and a single block took about 6 ms and left a screening loop's
+# peak RSS 1.3 MB higher than blocks of 2**14 did.
 CUT_BLOCK = 2**14
 
 

@@ -288,7 +288,9 @@ class _KnotView:
             np.where(up_wins, up, lo), np.diff(W, axis=0), np.diff(M, axis=0),
             self.pieces[:, np.where(up_wins, up_piece, lo_piece)],
         )
-        # a step's intervals add as one contiguous row, in numpy's order for that
+        # each step sums its intervals along one contiguous row: from 8 intervals
+        # (4 knots) on, numpy adds such a row pairwise, the order of every
+        # earlier report, where a sum down axis 0 would add left to right
         return np.ascontiguousarray((halves[0] + halves[1]).T).sum(axis=1)
 
 
