@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's own integration and
 sup-min code paths: integrals are sampled Riemann/trapezoid sums, the
 dominance oracles are a masked double loop over grid pairs and an exact
 x-space candidate enumeration (the package works on α-cuts), α-cut tables
-are built one membership at a time (the package builds one table for
-all), state sums are a loop over nodes with a scalar membership lookup
+are built one membership at a time (the package builds them from padded
+blocks), state sums are a loop over nodes with a scalar membership lookup
 (the package sums runs of nodes knot by knot), and the trapezoid
 membership is re-derived from its corner formulas.
 """
@@ -121,7 +121,7 @@ def candidate_dominance(k: MembershipFn, l: MembershipFn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# α-cut tables, one membership at a time (the package builds them in one pass)
+# α-cut tables, one membership at a time (the package builds them from padded blocks)
 
 
 def _right_cuts(grid: np.ndarray, values: np.ndarray):
