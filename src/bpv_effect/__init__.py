@@ -27,7 +27,6 @@ from .returns import (
     convention,
     expected_return,
     expected_return_distribution,
-    from_return_cdf,
     profile,
     return_variance,
     variance_span,
@@ -53,7 +52,6 @@ __all__ = [
     "entropy_measure",
     "expected_return",
     "expected_return_distribution",
-    "from_return_cdf",
     "profile",
     "return_variance",
     "trapezoid",

@@ -40,11 +40,6 @@ class Universe:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("security ids must be unique")
 
-    @classmethod
-    def of(cls, pairs) -> "Universe":
-        ids, profiles = zip(*pairs)
-        return cls(tuple(ids), tuple(profiles))
-
     @property
     def size(self) -> int:
         return len(self.ids)

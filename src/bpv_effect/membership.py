@@ -68,10 +68,6 @@ class MembershipFn:
     def peak(self) -> float:
         return float(self.values.max())
 
-    def shift(self, offset: float) -> "MembershipFn":
-        """Translate all abscissae by ``offset``."""
-        return MembershipFn(self.grid + offset, self.values)
-
     def scale(self, factor: float) -> "MembershipFn":
         """Scale all abscissae by a positive ``factor``."""
         if factor <= 0.0:

@@ -14,14 +14,15 @@ membership of rate r is ``mu`` evaluated at the unique present value that
 produces r, and rates outside a convention's domain carry membership 0.
 
 The average of the state memberships over the quadrature nodes is taken
-in one of two views.  The node view evaluates ``mu`` at every (rate, node)
-pair.  The knot view uses that the present value is linear in the future
-value: the nodes on one linear piece of ``mu`` form a contiguous run whose
-sum follows from prefix sums, at O(knots) cost per rate.  A security takes
-the knot view when its node count reaches an affine function of its knot
-count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
+in one of two views, built once per security.  The node view evaluates
+``mu`` at every (rate, node) pair.  The knot view uses that the present
+value is linear in the future value: the nodes on one linear piece of ``mu``
+form a contiguous run whose sum follows from prefix sums, at O(knots) cost
+per rate.  A security takes the knot view when its node count reaches an
+affine function of its knot count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
 """
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,9 +44,7 @@ class ReturnConvention:
 
     ``limit`` is the infimum of the convention's rates.  The three maps
     work elementwise and check nothing: a rate at or below ``limit`` gives
-    a nonpositive or infinite present value.  ``rate``,
-    ``present_value_for`` and ``future_value_for`` check their arguments,
-    then apply the maps.
+    a nonpositive or infinite present value.
     """
 
     kind: str
@@ -54,23 +53,6 @@ class ReturnConvention:
     present_map: Callable  # (rate, future) -> present value
     future_map: Callable  # (rate, present) -> future value
 
-    def rate(self, present, future):
-        _require_positive(present, "present value")
-        _require_positive(future, "future value")
-        return self.rate_map(present, future)
-
-    def present_value_for(self, rate, future):
-        """The unique present value producing ``rate`` from ``future``."""
-        _require_positive(future, "future value")
-        self._require_rate(rate)
-        return self.present_map(rate, future)
-
-    def future_value_for(self, rate, present):
-        """The unique future value producing ``rate`` from ``present``."""
-        _require_positive(present, "present value")
-        self._require_rate(rate)
-        return self.future_map(rate, present)
-
     def rate_bounds(self, pv_support: tuple[float, float], node_range: tuple[float, float]) -> tuple[float, float]:
         """Smallest rate interval outside which every state membership is 0."""
         s_lo, s_hi = pv_support
@@ -78,15 +60,6 @@ class ReturnConvention:
         if s_lo <= 0.0:
             raise ValueError("present-value membership support must be positive")
         return float(self.rate_map(s_hi, y_lo)), float(self.rate_map(s_lo, y_hi))
-
-    def _require_rate(self, rate):
-        if np.any(np.asarray(rate) <= self.limit):
-            raise ValueError(f"{self.kind} return rate is undefined at or below {self.limit}")
-
-
-def _require_positive(value, name: str) -> None:
-    if np.any(np.asarray(value) <= 0.0):
-        raise ValueError(f"{name} must be positive")
 
 
 SIMPLE = ReturnConvention(
@@ -115,13 +88,13 @@ def convention(name: str) -> ReturnConvention:
 def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> np.ndarray:
     """Matrix of state memberships, rates down the rows, future values across.
 
-    Rates at or below the convention's limit map to a nonpositive or
-    infinite present value, which lies outside any membership support, so
-    they get membership 0.
+    Rates at or below the convention's limit, and present values that
+    overflow, give a nonpositive or infinite present value, which lies
+    outside any membership support, so they get membership 0.
     """
     r = np.asarray(rates, dtype=float).reshape(-1, 1)
     y = np.asarray(futures, dtype=float).reshape(1, -1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return mu(conv.present_map(r, y))
 
 
@@ -137,10 +110,6 @@ def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> n
 # 8.5 with 256 nodes, and in 0.5-0.9 ms instead of 2.1-2.5 with an 8-atom law.
 KNOT_VIEW_NODES = 24
 KNOT_VIEW_NODES_PER_KNOT = 6
-
-
-def _uses_knot_view(mu: MembershipFn, nodes: QuadratureNodes) -> bool:
-    return nodes.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size
 
 
 class _KnotView:
@@ -294,20 +263,38 @@ class _KnotView:
         return np.ascontiguousarray((halves[0] + halves[1]).T).sum(axis=1)
 
 
-def _state_sum(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes, rates) -> np.ndarray:
-    """S(r) = sum_j w_j mu(pv(r, y_j)) at each rate, in the cheaper view."""
-    if _uses_knot_view(mu, nodes):
-        return _KnotView(mu, conv, nodes).state_sum(rates)
-    return _state_values(mu, conv, rates, nodes.nodes) @ nodes.weights
+class _NodeView:
+    """The sums of ``_KnotView`` node by node: ``mu`` at every (rate, node)
+    pair, in O(rates * nodes)."""
+
+    def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
+        self.mu, self.conv, self.y, self.w = mu, conv, nodes.nodes, nodes.weights
+
+    def state_sum(self, rates):
+        return _state_values(self.mu, self.conv, rates, self.y) @ self.w
+
+    def kernel(self, center, steps):
+        upper = _state_values(self.mu, self.conv, center + steps, self.y)
+        lower = _state_values(self.mu, self.conv, center - steps, self.y)
+        return np.maximum(upper, lower) @ self.w
 
 
-def _variance_kernel(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes, center, steps):
-    """sum_j w_j max(mu(pv(center + s, y_j)), mu(pv(center - s, y_j))) per step s."""
-    if _uses_knot_view(mu, nodes):
-        return _KnotView(mu, conv, nodes).kernel(center, steps)
-    upper = _state_values(mu, conv, center + steps, nodes.nodes)
-    lower = _state_values(mu, conv, center - steps, nodes.nodes)
-    return np.maximum(upper, lower) @ nodes.weights
+@functools.lru_cache(maxsize=1)
+def _view(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
+    """The cheaper view of one security's state sums (see ``KNOT_VIEW_NODES``).
+
+    All three arguments hash and compare by identity, so ``profile``'s fuzzy
+    return and variance, which pass the same objects, share one view.
+    """
+    if nodes.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size:
+        return _KnotView(mu, conv, nodes)
+    return _NodeView(mu, conv, nodes)
+
+
+# Widest return grid.  The area A under the fuzzy return is at most its span,
+# and the energy A / (1 + A) rounds to 1 from A = 2**53 on; the squared span
+# bounding the variance's x axis stays far below overflow up to here.
+MAX_RETURN_SPAN = 2.0**52
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,6 +309,9 @@ class ReturnGrid:
             raise ValueError("return grid needs at least four points")
         if not np.all(np.diff(r_values) > 0.0):
             raise ValueError("return grid must be strictly increasing")
+        if r_values[-1] - r_values[0] > MAX_RETURN_SPAN:
+            raise ValueError(f"return span {r_values[0]:.6g} to {r_values[-1]:.6g} is wider than 2**52, "
+                             "where the energy can round to 1")
         r_values.flags.writeable = False
         object.__setattr__(self, "r_values", r_values)
 
@@ -377,7 +367,7 @@ def expected_return_distribution(
     ``KNOT_VIEW_NODES``): knot by knot in O(rates * knots), or node by node
     in O(rates * nodes).
     """
-    values = _state_sum(mu, conv, nodes, grid.r_values)
+    values = _view(mu, conv, nodes).state_sum(grid.r_values)
     return MembershipFn(grid.r_values, np.clip(values, 0.0, 1.0))
 
 
@@ -419,7 +409,7 @@ def return_variance(
     if panels < 1:
         raise ValueError("panels must be a positive integer")
     xs = np.linspace(0.0, x_span, panels + 1)
-    kernel = _variance_kernel(mu, conv, nodes, center, np.sqrt(xs))
+    kernel = _view(mu, conv, nodes).kernel(center, np.sqrt(xs))
     denominator = quadrature.integrate(xs, kernel)
     if denominator == 0.0:
         raise DegenerateMembershipError("degenerate membership: variance undefined")
@@ -478,60 +468,3 @@ def profile(
         energy=energy_measure(rho),
         entropy=entropy_measure(rho),
     )
-
-
-def from_return_cdf(
-    return_cdf,
-    price: float,
-    conv: ReturnConvention,
-    n: int = 256,
-    rate_bounds: tuple[float, float] | None = None,
-) -> FutureValueDist:
-    """Future-value law implied by a return-rate distribution at a crisp price.
-
-    The return CDF is inverted at the n probability midpoints and each
-    rate is mapped to its future value at ``price``, giving an
-    equal-weight empirical law.  ``rate_bounds`` must bracket the
-    quantiles; when omitted a bracket is grown automatically.
-    """
-    if price <= 0.0:
-        raise ValueError("price must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    midpoints = (np.arange(n) + 0.5) / n
-    if rate_bounds is None:
-        lo = max(-1.0, conv.limit / 2.0)
-        hi = 1.0
-        for _ in range(200):
-            if return_cdf(lo) <= midpoints[0]:
-                break
-            lo = max(2.0 * lo, (lo + conv.limit) / 2.0)
-        for _ in range(200):
-            if return_cdf(hi) >= midpoints[-1]:
-                break
-            hi *= 2.0
-        rate_bounds = (lo, hi)
-    lo, hi = rate_bounds
-    if return_cdf(lo) > midpoints[0] or return_cdf(hi) < midpoints[-1]:
-        raise ValueError("rate_bounds do not bracket the required quantiles")
-    rates = np.array([_bisect(return_cdf, t, lo, hi) for t in midpoints])
-    values = conv.future_value_for(rates, price)
-    atoms, inverse = np.unique(values, return_inverse=True)
-    probs = np.zeros(atoms.size)
-    np.add.at(probs, inverse, 1.0 / n)
-    return FutureValueDist.discrete(atoms, probs)
-
-
-def _bisect(cdf, target: float, lo: float, hi: float, xtol: float = 1e-13) -> float:
-    """A rate r in [lo, hi] with cdf(r) = target, to within ``xtol``.
-
-    Requires cdf(lo) <= target <= cdf(hi) and a nondecreasing ``cdf``.
-    """
-    while True:
-        mid = (lo + hi) / 2.0
-        if hi - lo <= xtol or not lo < mid < hi:
-            return mid
-        if cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid

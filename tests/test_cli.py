@@ -39,8 +39,9 @@ def simple_security(sec_id="one", **overrides):
     return entry
 
 
-# securities that parse but cannot be profiled; all but the last fail while
-# building their quadrature nodes or return grid
+# securities that parse but cannot be profiled; each fails while building its
+# quadrature nodes or return grid, so both commands exit 2
+EXTREME = json.loads((FIXTURES / "extreme_range.json").read_text(encoding="utf-8"))["securities"][1]
 PROFILE_FAILURES = [
     ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
      "overflow"),
@@ -49,7 +50,9 @@ PROFILE_FAILURES = [
     ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
      "nodes must be strictly increasing and positive"),
     ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
-     "overflow"),
+     "return span"),
+    ("extreme", {key: EXTREME[key] for key in ("present_value", "future_value")},
+     "return span -1 to 1.09136e+302 is wider than 2**52"),
 ]
 
 
@@ -197,7 +200,7 @@ class TestValidate:
             err = capsys.readouterr().err
             assert field in err and "'odd'" in err and "finite" in err
 
-    @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES[:3])
+    @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_node_or_grid_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
         path = write_portfolio(tmp_path, [simple_security("fine"), simple_security(sec_id, **overrides)])
         assert main(["validate", path]) == 2

@@ -259,6 +259,6 @@ class TestUniverse:
             Universe(("a", "a"), (normal_profile, normal_profile))
 
     def test_of_pairs(self, normal_profile):
-        universe = Universe.of([("x", normal_profile)])
+        universe = Universe(*zip(*[("x", normal_profile)]))
         assert universe.ids == ("x",)
         assert universe.size == 1

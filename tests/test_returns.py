@@ -14,7 +14,6 @@ from bpv_effect.returns import (
     convention,
     expected_return,
     expected_return_distribution,
-    from_return_cdf,
     profile,
     return_variance,
     variance_span,
@@ -31,21 +30,15 @@ class TestConventions:
            st.floats(min_value=0.1, max_value=500.0))
     def test_round_trip(self, kind, rate, future):
         conv = convention(kind)
-        present = conv.present_value_for(rate, future)
+        present = conv.present_map(rate, future)
         assert present > 0.0
-        assert conv.rate(present, future) == pytest.approx(rate, abs=1e-12)
-        assert conv.future_value_for(rate, present) == pytest.approx(future, rel=1e-12)
+        assert conv.rate_map(present, future) == pytest.approx(rate, abs=1e-12)
+        assert conv.future_map(rate, present) == pytest.approx(future, rel=1e-12)
 
     def test_monotonicity(self):
         for conv in (SIMPLE, LOGARITHMIC):
-            assert conv.rate(90.0, 100.0) > conv.rate(110.0, 100.0)
-            assert conv.rate(100.0, 110.0) > conv.rate(100.0, 90.0)
-
-    def test_simple_domain(self):
-        with pytest.raises(ValueError):
-            SIMPLE.present_value_for(-1.0, 100.0)
-        with pytest.raises(ValueError):
-            SIMPLE.present_value_for(-1.5, 100.0)
+            assert conv.rate_map(90.0, 100.0) > conv.rate_map(110.0, 100.0)
+            assert conv.rate_map(100.0, 110.0) > conv.rate_map(100.0, 90.0)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -56,17 +49,13 @@ class TestStateMembership:
     MU = trapezoid(90, 95, 105, 110)
 
     def test_simple_on_plateau(self):
-        assert self.MU(SIMPLE.present_value_for(0.0, 100.0)) == 1.0
+        assert self.MU(SIMPLE.present_map(0.0, 100.0)) == 1.0
 
     def test_logarithmic_on_plateau(self):
-        assert self.MU(LOGARITHMIC.present_value_for(0.0, 100.0)) == 1.0
+        assert self.MU(LOGARITHMIC.present_map(0.0, 100.0)) == 1.0
 
     def test_simple_outside_support(self):
-        assert self.MU(SIMPLE.present_value_for(1.0, 100.0)) == 0.0
-
-    def test_simple_rejects_rate_at_minus_one(self):
-        with pytest.raises(ValueError):
-            self.MU(SIMPLE.present_value_for(-1.0, 100.0))
+        assert self.MU(SIMPLE.present_map(1.0, 100.0)) == 0.0
 
 
 class TestReturnGrid:
@@ -103,6 +92,16 @@ class TestReturnGrid:
         nodes = FutureValueDist.discrete([1.0], [1.0]).make_nodes(1)
         with pytest.raises(ValueError):
             ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
+
+    def test_span_limit_keeps_the_profile_finite(self):
+        # a vertical left edge keeps rho near 1 across the grid, so its area is about the span
+        law = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            inside = profile(trapezoid(2.5e-14, 2.5e-14, 150.0, 200.0), law, SIMPLE)
+        assert 4e15 < inside.rho.grid[-1] - inside.rho.grid[0] <= returns.MAX_RETURN_SPAN
+        assert inside.energy < 1.0 and np.isfinite(inside.variance)
+        with pytest.raises(ValueError, match=r"return span -0.77 to 4.54734e\+15 is wider than 2\*\*52"):
+            profile(trapezoid(2.4e-14, 2.4e-14, 150.0, 200.0), law, SIMPLE)
 
 
 class TestExpectedReturnDistribution:
@@ -286,6 +285,21 @@ class TestKnotView:
             patch.setattr(returns, "_KnotView", refuse)
             profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
+    def test_profile_builds_one_view(self, monkeypatch):
+        built = []
+
+        class Counted(returns._KnotView):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(returns, "_KnotView", Counted)
+        mu = trapezoid(85, 95, 105, 120)
+        profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
+        assert len(built) == 1  # the fuzzy return and the variance kernel share it
+        profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
+        assert len(built) == 1  # the node view
+
     @pytest.mark.parametrize("mu, boundary", [
         (MembershipFn([90.0, 110.0], [1.0, 0.4]), 36),
         (trapezoid(85, 95, 105, 120), 48),
@@ -316,7 +330,7 @@ class TestKnotView:
         cases = [(edges, discrete), (edges, lognormal), (wide, lognormal), (trapezoid(90, 90, 110, 110), lognormal)]
         with np.errstate(all="raise"):
             for mu, dist in cases:
-                assert returns._uses_knot_view(mu, dist.make_nodes(256))
+                assert isinstance(returns._view(mu, conv, dist.make_nodes(256)), returns._KnotView)
                 result = profile(mu, dist, conv)
                 assert result.variance > 0.0
 
@@ -403,6 +417,14 @@ class TestEngineSettings:
 
 
 class TestProfile:
+    def test_present_values_beyond_the_float_range_weigh_nothing(self):
+        # the node view's lower kernel copies reach rates near -1400, where y * exp(-r) overflows
+        mu = trapezoid(5e-161, 3e-84, 8e57, 4e58)
+        dist = FutureValueDist.discrete([1.3e-179, 9.5e-175, 4.3e-15], [0.25, 0.5, 0.25])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = profile(mu, dist, LOGARITHMIC)
+        assert result.variance > 0.0
+
     def test_crisp_plateau_has_tiny_entropy(self):
         mu = MembershipFn([95.0, 105.0], [1.0, 1.0])
         result = profile(mu, FutureValueDist.discrete([100.0], [1.0]), SIMPLE)
@@ -447,31 +469,3 @@ class TestProfile:
         mu = MembershipFn([90.0, 110.0], [0.0, 0.0])
         with pytest.raises(DegenerateMembershipError):
             profile(mu, FutureValueDist.discrete([100.0], [1.0]), SIMPLE, FAST)
-
-
-class TestFromReturnCdf:
-    def test_logarithmic_normal_returns_give_lognormal_values(self):
-        from scipy import stats
-
-        price = 100.0
-        ret = stats.norm(0.05, 0.1)
-        implied = from_return_cdf(ret.cdf, price, LOGARITHMIC, n=512)
-        exact = FutureValueDist.lognormal(np.log(price) + 0.05, 0.1)
-        xs = np.linspace(exact.quantile(0.05), exact.quantile(0.95), 21)
-        assert np.max(np.abs(implied.cdf(xs) - exact.cdf(xs))) <= 0.5 / 512 + 1e-9
-
-    def test_transfer_relation_holds_on_the_atoms(self):
-        from scipy import stats
-
-        price = 80.0
-        ret = stats.norm(0.02, 0.2)
-        implied = from_return_cdf(ret.cdf, price, SIMPLE, n=256)
-        assert np.all(implied.points > 0.0)
-        xs = np.linspace(implied.points[2], implied.points[-3], 17)
-        assert np.max(np.abs(implied.cdf(xs) - ret.cdf(xs / price - 1.0))) <= 0.5 / 256 + 1e-9
-
-    def test_explicit_bounds_must_bracket(self):
-        from scipy import stats
-
-        with pytest.raises(ValueError):
-            from_return_cdf(stats.norm(0.0, 1.0).cdf, 100.0, LOGARITHMIC, n=16, rate_bounds=(-0.1, 0.1))
