@@ -4,7 +4,7 @@ Input is a JSON portfolio (schema_version 1) listing securities with a
 fuzzy present value (trapezoid corners or a sampled grid), a future-value
 distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
-the file and builds each security's quadrature nodes and return grid.
+the file and computes each security's fuzzy return and its center.
 
 This module checks only the document's shape: objects, strings, numbers
 and lists of numbers where the schema puts them.  Each domain rule (corner
@@ -12,8 +12,9 @@ order, probabilities, truncation levels, resolutions) lives in the
 constructor that builds the value; its ``ValueError`` is reported prefixed
 with the JSON path and the security id.
 
-Exit codes: 0 ok, 1 validation failure, 2 a security whose profile
-(``analyze``) or nodes and grid (``validate``) cannot be computed.
+Exit codes: 0 ok, 1 an unreadable or invalid portfolio or an unwritable
+output, 2 a security whose profile (``analyze``) or expected return
+(``validate``) cannot be computed.
 """
 
 import argparse
@@ -27,7 +28,7 @@ import numpy as np
 from .distribution import FutureValueDist, truncation_levels
 from .effectiveness import Universe, build_report
 from .membership import MembershipFn, trapezoid
-from .returns import CONVENTIONS, EngineSettings, ReturnGrid, profile
+from .returns import CONVENTIONS, EngineSettings, ReturnGrid, expected_return, expected_return_distribution, profile
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
@@ -227,10 +228,12 @@ def cmd_validate(args) -> int:
         return 1
     securities, settings, _ = parsed
 
-    def grid(mu, dist, conv):
-        return ReturnGrid.spanning(mu, dist.make_nodes(settings.nodes), conv, settings.grid_points)
+    def center(mu, dist, conv):
+        nodes = dist.make_nodes(settings.nodes)
+        grid = ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
+        return expected_return(expected_return_distribution(mu, conv, nodes, grid))
 
-    if _each_security(securities, grid) is None:
+    if _each_security(securities, center) is None:
         return 2
     print("ok")
     return 0
@@ -245,15 +248,26 @@ def cmd_analyze(args) -> int:
     if profiles is None:
         return 2
     document = _report_document(securities, profiles, settings, truncation)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _write_report(document, handle)
-    else:
+    if not args.out:
         _write_report(document, sys.stdout)
-
-    if args.grids_out:
-        _write_grids(args.grids_out, [sec_id for sec_id, _, _, _ in securities], profiles, settings.grid_points)
+    elif not _write_file(args.out, lambda handle: _write_report(document, handle)):
+        return 1
+    if args.grids_out and not _write_file(
+        args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points), newline=""
+    ):
+        return 1
     return 0
+
+
+def _write_file(path: str, write, **options) -> bool:
+    """``write(handle)`` into the file at ``path``; False after printing why it failed."""
+    try:
+        with open(path, "w", encoding="utf-8", **options) as handle:
+            write(handle)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _report_document(securities, profiles, settings, truncation) -> dict:
@@ -328,15 +342,15 @@ def _write_matrix(words: np.ndarray, handle) -> None:
     handle.write("\n  ]")
 
 
-def _write_grids(path: str, ids, profiles, count: int) -> None:
+def _write_grids(handle, securities, profiles, count: int) -> None:
+    """The fuzzy returns at ``count`` common rates as CSV, to a handle opened with ``newline=""``."""
     lo = min(p.rho.grid[0] for p in profiles)
     hi = max(p.rho.grid[-1] for p in profiles)
     rates = np.linspace(lo, hi, count)
     table = np.column_stack([rates] + [p.rho(rates) for p in profiles]).tolist()
     row = ",".join(["%.15g"] * (1 + len(profiles))) + "\r\n"  # csv.writer's line end
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle).writerow(["r"] + [f"rho_{sec_id}" for sec_id in ids])
-        handle.write("".join(row % tuple(values) for values in table))
+    csv.writer(handle).writerow(["r"] + [f"rho_{sec_id}" for sec_id, _, _, _ in securities])
+    handle.write("".join(row % tuple(values) for values in table))
 
 
 def _truncation_flag(text: str) -> tuple[float, float]:
@@ -366,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--grids-out", default=None, help="CSV path for the fuzzy return grids")
     analyze.set_defaults(func=cmd_analyze)
 
-    validate = sub.add_parser("validate", help="check a portfolio file without computing")
+    validate = sub.add_parser("validate", help="check a portfolio file and each security's expected return")
     validate.add_argument("portfolio", help="portfolio JSON file")
     validate.set_defaults(func=cmd_validate)
     return parser

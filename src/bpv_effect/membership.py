@@ -68,12 +68,6 @@ class MembershipFn:
     def peak(self) -> float:
         return float(self.values.max())
 
-    def scale(self, factor: float) -> "MembershipFn":
-        """Scale all abscissae by a positive ``factor``."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return MembershipFn(self.grid * factor, self.values)
-
 
 def trapezoid(a: float, b: float, c: float, d: float) -> MembershipFn:
     """Trapezoidal membership: 0 at a, rises to 1 on [b, c], back to 0 at d.

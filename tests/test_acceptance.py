@@ -5,6 +5,7 @@ lines; a failed assertion in any test marks that criterion failed.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from bpv_effect.cli import main
 from bpv_effect.distribution import FutureValueDist
 from bpv_effect.effectiveness import Universe, build_report
-from bpv_effect.membership import dominance, energy_measure, entropy_measure, trapezoid, triangle
+from bpv_effect.membership import MembershipFn, dominance, energy_measure, entropy_measure, trapezoid, triangle
 from bpv_effect.returns import (
     LOGARITHMIC,
     SIMPLE,
@@ -123,15 +124,21 @@ def test_criterion_3_discrete_oracle_equivalence():
     note(3, f"3 discrete fixtures, worst statistic gap {worst:.2e} < 1e-4 in {elapsed:.1f} s")
 
 
+# the discrete law and the lognormal fixture's law of factor * V, built from their parameters
+SCALED_LAWS = (
+    lambda factor: FutureValueDist.discrete(np.array([90.0, 100.0, 115.0]) * factor, [0.3, 0.5, 0.2]),
+    lambda factor: FutureValueDist.lognormal(float(np.log(100.0)) + math.log(factor), 0.15, (0.005, 0.995)),
+)
+
+
 def test_criterion_4_scale_invariance():
-    mu, lognormal = LOGNORMAL_FIXTURE
-    discrete = FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])
+    mu = LOGNORMAL_FIXTURE[0]
     worst = 0.0
-    for dist in (discrete, lognormal):
+    for law in SCALED_LAWS:
         for conv in (SIMPLE, LOGARITHMIC):
-            base = profile(mu, dist, conv)
+            base = profile(mu, law(1.0), conv)
             for factor in (0.5, 3.0):
-                scaled = profile(mu.scale(factor), dist.scaled(factor), conv)
+                scaled = profile(MembershipFn(mu.grid * factor, mu.values), law(factor), conv)
                 gaps = (
                     float(np.max(np.abs(scaled.rho(base.rho.grid) - base.rho.values))),
                     abs(scaled.expected_return - base.expected_return),
@@ -145,13 +152,12 @@ def test_criterion_4_scale_invariance():
 
 
 def test_criterion_5_log_shift_covariance():
-    mu, lognormal = LOGNORMAL_FIXTURE
-    discrete = FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])
+    mu = LOGNORMAL_FIXTURE[0]
     shift = 0.1
     worst = 0.0
-    for dist in (discrete, lognormal):
-        base = profile(mu, dist, LOGARITHMIC)
-        moved = profile(mu, dist.scaled(float(np.exp(shift))), LOGARITHMIC)
+    for law in SCALED_LAWS:
+        base = profile(mu, law(1.0), LOGARITHMIC)
+        moved = profile(mu, law(float(np.exp(shift))), LOGARITHMIC)
         gap_return = abs(moved.expected_return - base.expected_return - shift)
         gap_variance = abs(moved.variance - base.variance)
         worst = max(worst, gap_return, gap_variance)

@@ -40,8 +40,9 @@ def simple_security(sec_id="one", **overrides):
 
 
 # securities that parse but cannot be profiled; each fails while building its
-# quadrature nodes or return grid, so both commands exit 2
+# quadrature nodes, return grid or fuzzy return's center, so both commands exit 2
 EXTREME = json.loads((FIXTURES / "extreme_range.json").read_text(encoding="utf-8"))["securities"][1]
+FLAT = json.loads((FIXTURES / "degenerate_return.json").read_text(encoding="utf-8"))["securities"][1]
 PROFILE_FAILURES = [
     ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
      "overflow"),
@@ -53,6 +54,8 @@ PROFILE_FAILURES = [
      "return span"),
     ("extreme", {key: EXTREME[key] for key in ("present_value", "future_value")},
      "return span -1 to 1.09136e+302 is wider than 2**52"),
+    ("flat", {key: FLAT[key] for key in ("present_value", "future_value")},
+     "degenerate membership: expected return undefined"),
 ]
 
 
@@ -397,6 +400,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "dead" in err
         assert "degenerate membership" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--grids-out"])
+    def test_unwritable_output_exits_one_with_a_message(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "output"
+        assert main(["analyze", str(FIXTURES / "portfolio3.json"), flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):

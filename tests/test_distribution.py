@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import stats
 
 import bpv_effect
@@ -21,89 +20,6 @@ def standard_lognormal():
 @pytest.fixture
 def two_atoms():
     return FutureValueDist.discrete([2.0, 5.0], [0.3, 0.7])
-
-
-class TestCdfQuantile:
-    def test_lognormal_median(self, standard_lognormal):
-        assert standard_lognormal.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
-        assert standard_lognormal.quantile(0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_discrete_step(self, two_atoms):
-        assert two_atoms.cdf(3.0) == pytest.approx(0.3, abs=1e-15)
-        assert two_atoms.cdf(1.9) == 0.0
-        assert two_atoms.cdf(5.0) == pytest.approx(1.0, abs=1e-15)
-        assert two_atoms.quantile(0.5) == 5.0
-        assert two_atoms.quantile(0.3) == 2.0
-        assert two_atoms.quantile(0.0) == 2.0
-
-    def test_truncated_normal_boundaries(self):
-        d = FutureValueDist.normal(100.0, 10.0, (0.005, 0.995))
-        lower = stats.norm(100.0, 10.0).ppf(0.005)
-        upper = stats.norm(100.0, 10.0).ppf(0.995)
-        assert d.cdf(lower) == pytest.approx(0.0, abs=1e-12)
-        assert d.cdf(upper) == pytest.approx(1.0, abs=1e-12)
-
-    @given(
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.floats(min_value=0.1, max_value=1.0),
-        st.floats(min_value=0.02, max_value=0.98),
-    )
-    def test_continuous_round_trip(self, log_mean, log_sd, p):
-        d = FutureValueDist.lognormal(log_mean, log_sd, (0.01, 0.99))
-        x = d.quantile(p)
-        assert d.quantile(d.cdf(x)) == pytest.approx(x, rel=1e-9)
-
-    def test_quantile_monotone(self, standard_lognormal):
-        ps = np.linspace(0.01, 0.99, 50)
-        qs = standard_lognormal.quantile(ps)
-        assert np.all(np.diff(qs) > 0)
-
-    def test_truncation_at_full_range_is_identity(self):
-        base = FutureValueDist.lognormal(0.3, 0.4)
-        trivially_truncated = FutureValueDist.lognormal(0.3, 0.4, (0.0, 1.0))
-        xs = np.linspace(0.2, 5.0, 23)
-        assert np.allclose(base.cdf(xs), trivially_truncated.cdf(xs), atol=1e-14)
-        ps = np.linspace(0.05, 0.95, 19)
-        assert np.allclose(base.quantile(ps), trivially_truncated.quantile(ps), rtol=1e-12)
-
-    def test_cdf_nondecreasing_with_unit_limits(self, two_atoms):
-        laws = [
-            two_atoms,
-            FutureValueDist.lognormal(0.2, 0.7),
-            FutureValueDist.lognormal(0.2, 0.7, (0.01, 0.99)),
-            FutureValueDist.normal(100.0, 10.0, (0.005, 0.995)),
-        ]
-        for law in laws:
-            xs = np.linspace(1e-6, 300.0, 4001)
-            values = law.cdf(xs)
-            assert np.all(np.diff(values) >= 0.0)
-            assert values[0] == pytest.approx(0.0, abs=1e-12)
-            assert values[-1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_continuous_laws_match_scipy_reference(self):
-        levels = np.concatenate(([1e-10, 1e-6], np.linspace(0.001, 0.999, 37), [1 - 1e-6, 1 - 1e-10]))
-        cases = [
-            (FutureValueDist.normal(100.0, 10.0, (1e-12, 1.0)), stats.norm(100.0, 10.0), (1e-12, 1.0)),
-            (FutureValueDist.lognormal(np.log(100.0), 0.3), stats.lognorm(0.3, scale=100.0), (0.0, 1.0)),
-            (FutureValueDist.lognormal(-0.5, 1.2), stats.lognorm(1.2, scale=np.exp(-0.5)), (0.0, 1.0)),
-        ]
-        for law, reference, (lo, hi) in cases:
-            expected = reference.ppf(lo + levels * (hi - lo))
-            assert np.max(np.abs(law.quantile(levels) / expected - 1.0)) <= 1e-13
-            cdf = (reference.cdf(expected) - lo) / (hi - lo)
-            assert np.max(np.abs(law.cdf(expected) / cdf - 1.0)) <= 1e-13
-
-    def test_lognormal_cdf_vanishes_at_and_below_zero(self, standard_lognormal):
-        assert standard_lognormal.cdf(0.0) == 0.0
-        assert np.array_equal(standard_lognormal.cdf(np.array([-3.0, -1e-300, 0.0])), [0.0, 0.0, 0.0])
-
-    def test_quantile_domain_errors(self, standard_lognormal, two_atoms):
-        with pytest.raises(ValueError):
-            standard_lognormal.quantile(0.0)
-        with pytest.raises(ValueError):
-            standard_lognormal.quantile(1.0)
-        with pytest.raises(ValueError):
-            two_atoms.quantile(1.5)
 
 
 class TestValidation:
@@ -127,7 +43,7 @@ class TestValidation:
     ])
     def test_non_finite_parameters_rejected(self, family, params, name):
         with pytest.raises(ValueError, match=f"finite {name} "):
-            FutureValueDist(family=family, truncation=(0.005, 0.995), **params)
+            getattr(FutureValueDist, family)(truncation=(0.005, 0.995), **params)
 
     def test_non_finite_discrete_atoms_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -145,7 +61,7 @@ class TestValidation:
 
     def test_discrete_rejects_truncation(self):
         with pytest.raises(ValueError):
-            FutureValueDist(family="discrete", points=np.array([2.0]), probs=np.array([1.0]), truncation=(0.1, 0.9))
+            FutureValueDist.discrete([2.0], [1.0], truncation=(0.1, 0.9))
 
     def test_bad_truncation_levels(self):
         with pytest.raises(ValueError):
@@ -156,6 +72,8 @@ class TestValidation:
             QuadratureNodes([1.0, 2.0], [0.5, 0.4])
         with pytest.raises(ValueError):
             QuadratureNodes([2.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureNodes([1.0, np.inf], [0.5, 0.5])
 
 
 class TestNodes:
@@ -165,24 +83,29 @@ class TestNodes:
             assert np.array_equal(nodes.nodes, [2.0, 5.0])
             assert np.array_equal(nodes.weights, [0.3, 0.7])
 
-    def test_continuous_probability_midpoints(self, standard_lognormal):
-        nodes = standard_lognormal.make_nodes(4)
-        assert np.allclose(standard_lognormal.cdf(nodes.nodes), [0.125, 0.375, 0.625, 0.875], atol=1e-12)
-        assert np.allclose(nodes.weights, 0.25)
-
-    @pytest.mark.parametrize("law", [
-        FutureValueDist.lognormal(0.0, 1.0),
-        FutureValueDist.lognormal(4.6, 0.08, (0.005, 0.995)),
-        FutureValueDist.lognormal(-2.0, 0.5, (0.2, 0.9)),
-        FutureValueDist.normal(100.0, 10.0, (0.005, 0.995)),
-        FutureValueDist.normal(103.0, 6.0, (0.01, 0.99)),
-        FutureValueDist.normal(50.0, 5.0, (0.3, 1.0)),
-    ])
-    def test_cached_nodes_equal_quantiles_at_midpoints(self, law):
+    @pytest.mark.parametrize("law, reference, levels", [
+        (FutureValueDist.lognormal(0.0, 1.0), stats.lognorm(1.0), (0.0, 1.0)),
+        (FutureValueDist.lognormal(4.6, 0.08, (0.005, 0.995)), stats.lognorm(0.08, scale=np.exp(4.6)),
+         (0.005, 0.995)),
+        (FutureValueDist.lognormal(-2.0, 0.5, (0.2, 0.9)), stats.lognorm(0.5, scale=np.exp(-2.0)), (0.2, 0.9)),
+        (FutureValueDist.normal(100.0, 10.0, (0.005, 0.995)), stats.norm(100.0, 10.0), (0.005, 0.995)),
+        (FutureValueDist.normal(103.0, 6.0, (0.01, 0.99)), stats.norm(103.0, 6.0), (0.01, 0.99)),
+        (FutureValueDist.normal(50.0, 5.0, (0.3, 1.0)), stats.norm(50.0, 5.0), (0.3, 1.0)),
+        (FutureValueDist.normal(100.0, 10.0, (1e-12, 1.0)), stats.norm(100.0, 10.0), (1e-12, 1.0)),
+    ], ids=[f"law{i}" for i in range(7)])
+    def test_cached_nodes_equal_quantiles_at_midpoints(self, law, reference, levels):
+        lo, hi = levels
         for n in (2, 7, 256, 1000, 256):  # the repeat reads the cached table
             nodes = law.make_nodes(n)
-            assert np.array_equal(nodes.nodes, law.quantile((np.arange(n) + 0.5) / n))
+            expected = reference.ppf(lo + (np.arange(n) + 0.5) / n * (hi - lo))
+            assert np.max(np.abs(nodes.nodes / expected - 1.0)) <= 1e-13
             assert np.array_equal(nodes.weights, np.full(n, 1.0 / n))
+
+    def test_truncation_at_full_range_is_identity(self):
+        base = FutureValueDist.lognormal(0.3, 0.4)
+        trivially_truncated = FutureValueDist.lognormal(0.3, 0.4, (0.0, 1.0))
+        for n in (2, 7, 256):
+            assert np.array_equal(base.make_nodes(n).nodes, trivially_truncated.make_nodes(n).nodes)
 
     def test_cached_quantile_table_is_read_only(self, standard_lognormal):
         standard_lognormal.make_nodes(16)
@@ -226,20 +149,6 @@ class TestNodes:
         assert np.isfinite(fine)
         assert abs(fine - mid) < abs(mid - coarse)
         assert abs(fine - mid) < 1e-3 * fine
-
-
-class TestScaling:
-    @given(st.floats(min_value=0.2, max_value=4.0))
-    def test_scaled_lognormal_cdf_relation(self, factor):
-        d = FutureValueDist.lognormal(0.1, 0.5, (0.01, 0.99))
-        scaled = d.scaled(factor)
-        for x in (0.5, 1.0, 2.0):
-            assert scaled.cdf(factor * x) == pytest.approx(d.cdf(x), abs=1e-12)
-
-    def test_scaled_discrete(self, two_atoms):
-        scaled = two_atoms.scaled(3.0)
-        assert np.array_equal(scaled.points, [6.0, 15.0])
-        assert np.array_equal(scaled.probs, [0.3, 0.7])
 
 
 def test_import_loads_no_scipy():

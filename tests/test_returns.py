@@ -443,11 +443,12 @@ class TestProfile:
 
     def test_scale_invariance(self):
         mu = trapezoid(85, 95, 105, 120)
-        dist = FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])
+        points, probs = np.array([90.0, 100.0, 115.0]), [0.3, 0.5, 0.2]
         for conv in (SIMPLE, LOGARITHMIC):
-            base = profile(mu, dist, conv, FAST)
+            base = profile(mu, FutureValueDist.discrete(points, probs), conv, FAST)
             for factor in (0.5, 3.0):
-                scaled = profile(mu.scale(factor), dist.scaled(factor), conv, FAST)
+                scaled_dist = FutureValueDist.discrete(points * factor, probs)
+                scaled = profile(MembershipFn(mu.grid * factor, mu.values), scaled_dist, conv, FAST)
                 assert np.max(np.abs(scaled.rho(base.rho.grid) - base.rho.values)) < 1e-9
                 assert scaled.expected_return == pytest.approx(base.expected_return, abs=1e-9)
                 assert scaled.variance == pytest.approx(base.variance, abs=1e-9)
@@ -459,7 +460,8 @@ class TestProfile:
         dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
         shift = 0.1
         base = profile(mu, dist, LOGARITHMIC, FAST)
-        moved = profile(mu, dist.scaled(float(np.exp(shift))), LOGARITHMIC, FAST)
+        moved_dist = FutureValueDist.lognormal(np.log(100) + shift, 0.15, (0.005, 0.995))  # e^shift * V
+        moved = profile(mu, moved_dist, LOGARITHMIC, FAST)
         assert moved.expected_return - base.expected_return == pytest.approx(shift, abs=1e-6)
         assert moved.variance == pytest.approx(base.variance, abs=1e-6)
         # the whole fuzzy return translates: compare on the shifted abscissae
