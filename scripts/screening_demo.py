@@ -9,7 +9,6 @@ import numpy as np
 from bpv_effect import (
     FutureValueDist,
     MembershipFn,
-    Universe,
     build_report,
     convention,
     profile,
@@ -51,7 +50,7 @@ def main() -> None:
             f" {prof.energy:8.5f} {prof.entropy:8.5f}"
         )
 
-    report = build_report(Universe(tuple(ids), tuple(profiles)))
+    report = build_report(profiles)
     print("\noutranking degrees (row vs column):")
     header = " " * 8 + "".join(f"{sec_id:>8}" for sec_id in ids)
     print(header)

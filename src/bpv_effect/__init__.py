@@ -7,7 +7,7 @@ effectiveness scores over a finite universe.
 """
 
 from .distribution import FutureValueDist, QuadratureNodes
-from .effectiveness import EffectivenessReport, Universe, build_report
+from .effectiveness import EffectivenessReport, build_report
 from .membership import (
     MembershipFn,
     dominance,
@@ -44,7 +44,6 @@ __all__ = [
     "ReturnGrid",
     "SIMPLE",
     "SecurityProfile",
-    "Universe",
     "build_report",
     "convention",
     "dominance",

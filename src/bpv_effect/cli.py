@@ -21,12 +21,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from .distribution import FutureValueDist, truncation_levels
-from .effectiveness import Universe, build_report
+from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
 from .returns import CONVENTIONS, EngineSettings, ReturnGrid, expected_return, expected_return_distribution, profile
 
@@ -235,8 +236,7 @@ def cmd_validate(args) -> int:
 
     if _each_security(securities, center) is None:
         return 2
-    print("ok")
-    return 0
+    return 0 if _write_file(None, lambda handle: print("ok", file=handle)) else 1
 
 
 def cmd_analyze(args) -> int:
@@ -248,9 +248,7 @@ def cmd_analyze(args) -> int:
     if profiles is None:
         return 2
     document = _report_document(securities, profiles, settings, truncation)
-    if not args.out:
-        _write_report(document, sys.stdout)
-    elif not _write_file(args.out, lambda handle: _write_report(document, handle)):
+    if not _write_file(args.out, lambda handle: _write_report(document, handle)):
         return 1
     if args.grids_out and not _write_file(
         args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points), newline=""
@@ -259,36 +257,46 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_file(path: str, write, **options) -> bool:
-    """``write(handle)`` into the file at ``path``; False after printing why it failed."""
+def _write_file(path: str | None, write, **options) -> bool:
+    """``write(handle)`` into the file at ``path``, or into stdout when
+    ``path`` is empty; False after printing why it failed."""
     try:
-        with open(path, "w", encoding="utf-8", **options) as handle:
-            write(handle)
+        if path:
+            with open(path, "w", encoding="utf-8", **options) as handle:
+                write(handle)
+        elif sys.stdout is None:  # the process was started with stdout closed
+            raise OSError("stdout is closed")
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if not path and sys.stdout is not None:  # drop what stays buffered, or the flush at exit fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {path or '<stdout>'}: {exc}", file=sys.stderr)
         return False
     return True
 
 
 def _report_document(securities, profiles, settings, truncation) -> dict:
-    """The report: settings, per-security statistics and scores, and the two
-    outranking matrices, which stay arrays for ``_write_report``."""
-    ids = [sec_id for sec_id, _, _, _ in securities]
-    report = build_report(Universe(tuple(ids), tuple(profiles)))
+    """The report, its floats rounded to 15 significant digits except in the
+    two outranking matrices, which stay arrays for ``_write_report``."""
+    report = build_report(profiles)
     return {
         "schema_version": SCHEMA_VERSION,
-        "settings": {**dataclasses.asdict(settings), "truncation": list(truncation)},
-        "ids": ids,
+        "settings": {**dataclasses.asdict(settings), "truncation": [_digits15(level) for level in truncation]},
+        "ids": [sec_id for sec_id, _, _, _ in securities],
         "securities": [
             {
                 "id": sec_id,
                 "convention": conv.kind,
-                "expected_return": prof.expected_return,
-                "variance": prof.variance,
-                "energy": prof.energy,
-                "entropy": prof.entropy,
-                "effectiveness": float(report.effectiveness[i]),
-                "strict_effectiveness": float(report.strict_effectiveness[i]),
+                "expected_return": _digits15(prof.expected_return),
+                "variance": _digits15(prof.variance),
+                "energy": _digits15(prof.energy),
+                "entropy": _digits15(prof.entropy),
+                "effectiveness": _digits15(report.effectiveness[i]),
+                "strict_effectiveness": _digits15(report.strict_effectiveness[i]),
             }
             for i, ((sec_id, conv, _, _), prof) in enumerate(zip(securities, profiles))
         ],
@@ -302,11 +310,12 @@ def _digits15(value: float) -> float:
 
 
 def _write_report(document: dict, handle) -> None:
-    """Write a nonempty ``document`` as JSON with every float rounded to 15
-    significant digits: the bytes ``json.dumps(indent=2, sort_keys=True)``
-    gives for the rounded document, plus a newline.  Its arrays, the
-    outranking matrices, are written row by row by ``_write_matrix``; the
-    rest goes through ``json.dumps``.
+    """Write a nonempty ``document``, whose floats outside its arrays are
+    already rounded to 15 significant digits, as JSON with every array entry
+    rounded too: the bytes ``json.dumps(indent=2, sort_keys=True)`` gives for
+    the rounded document, plus a newline.  Its arrays, the outranking
+    matrices, are written row by row by ``_write_matrix``; the rest goes
+    through ``json.dumps``.
 
     Each distinct value of all arrays together is rounded and formatted
     once: a 1024-security outranking matrix has about 70k distinct values
@@ -326,9 +335,8 @@ def _write_report(document: dict, handle) -> None:
         handle.write(("," if i else "") + f"\n  {json.dumps(key)}: ")
         if key in arrays:
             _write_matrix(words[np.searchsorted(bits, arrays[key])], handle)
-        else:  # json.dumps writes a float's repr, which parse_float reads back exactly
-            rounded = json.loads(json.dumps(document[key]), parse_float=lambda text: _digits15(float(text)))
-            handle.write(json.dumps(rounded, indent=2, sort_keys=True).replace("\n", "\n  "))
+        else:
+            handle.write(json.dumps(document[key], indent=2, sort_keys=True).replace("\n", "\n  "))
     handle.write("\n}\n")
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from bpv_effect.cli import main
 from bpv_effect.distribution import FutureValueDist
-from bpv_effect.effectiveness import Universe, build_report
+from bpv_effect.effectiveness import build_report
 from bpv_effect.membership import MembershipFn, dominance, energy_measure, entropy_measure, trapezoid, triangle
 from bpv_effect.returns import (
     LOGARITHMIC,
@@ -186,8 +186,7 @@ def test_criterion_6_pareto_fixtures():
     for _ in range(25):
         size = int(rng.integers(1, 6))
         profiles = tuple(_random_fixture_profile(rng) for _ in range(size))
-        universe = Universe(tuple(f"s{i}" for i in range(size)), profiles)
-        report = build_report(universe)
+        report = build_report(profiles)
         gap = max(
             float(np.max(np.abs(report.effectiveness - direct_pareto(report.outranking.tolist())))),
             float(np.max(np.abs(
@@ -196,8 +195,7 @@ def test_criterion_6_pareto_fixtures():
         )
         assert gap < 1e-12
 
-    singleton = Universe(("only",), (_random_fixture_profile(rng),))
-    single = build_report(singleton)
+    single = build_report((_random_fixture_profile(rng),))
     assert single.effectiveness[0] == 1.0
     assert single.strict_effectiveness[0] == 1.0
 
@@ -211,7 +209,7 @@ def test_criterion_6_pareto_fixtures():
         )
         for p in shared
     )
-    report = build_report(Universe(("a", "b", "c", "d"), equalized))
+    report = build_report(equalized)
     assert np.array_equal(report.strict_effectiveness, report.effectiveness)
     note(6, "score vectors equal direct inf-max within 1e-12; singleton and equal-imprecision cases exact")
 
@@ -222,22 +220,22 @@ def test_criterion_7_invariant_sweep():
     start = time.perf_counter()
     for _ in range(500):
         size = int(rng.integers(1, 5))
-        ids, profiles = [], []
-        for j in range(size):
+        profiles = []
+        for _ in range(size):
             mu, dist, kind = random_security(rng)
             result = profile(mu, dist, convention(kind), settings)
             assert result.rho.values.min() >= 0.0
             assert result.rho.values.max() <= 1.0
             assert result.entropy <= result.energy + 1e-15
-            ids.append(f"s{j}")
             profiles.append(result)
-        report = build_report(Universe(tuple(ids), tuple(profiles)))
+        report = build_report(profiles)
+        assert report.outranking.shape == report.strict_outranking.shape == (size, size)
+        assert report.effectiveness.shape == report.strict_effectiveness.shape == (size,)
+        assert np.all((report.outranking >= 0.0) & (report.outranking <= 1.0))
         assert np.all(report.strict_outranking <= report.outranking + 1e-15)
         for scores in (report.effectiveness, report.strict_effectiveness):
             assert np.all((scores >= 0.0) & (scores <= 1.0))
-        doubled = build_report(
-            Universe(tuple(ids) + ("twin",), tuple(profiles) + (profiles[0],))
-        )
+        doubled = build_report(profiles + [profiles[0]])
         assert np.array_equal(report.effectiveness, doubled.effectiveness[:size])
         assert np.array_equal(report.strict_effectiveness, doubled.strict_effectiveness[:size])
     elapsed = time.perf_counter() - start

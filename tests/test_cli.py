@@ -410,6 +410,26 @@ class TestAnalyze:
         assert all(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, where every write fails")
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_unwritable_stdout_exits_one_with_a_message(self, command, closed):
+        import os
+        import subprocess
+        import sys
+
+        # buffered stdout, so the write fails at the flush and again at exit unless handled
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            completed = subprocess.run(
+                [sys.executable, "-m", "bpv_effect", command, str(FIXTURES / "portfolio3.json")],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                preexec_fn=(lambda: os.close(1)) if closed else None,  # a closed stdout makes sys.stdout None
+            )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("error: cannot write <stdout>: ")
+        assert len(completed.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
         # each of these fails only while profiling, after parsing succeeds
@@ -478,6 +498,8 @@ class TestReportWriter:
     @settings(max_examples=300, deadline=None)
     @given(report_documents())
     def test_bytes_equal_json_dumps_of_the_rounded_document(self, document):
+        # the report document is built with its non-array floats rounded; the writer rounds the arrays
+        document = {key: value if isinstance(value, np.ndarray) else round15(value) for key, value in document.items()}
         plain = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in document.items()}
         buffer = io.StringIO()
         _write_report(document, buffer)

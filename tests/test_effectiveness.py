@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bpv_effect import membership
 from bpv_effect.membership import MembershipFn, dominance, trapezoid, triangle
 from bpv_effect.returns import SecurityProfile
-from bpv_effect.effectiveness import Universe, build_report
+from bpv_effect.effectiveness import build_report
 
 from support import candidate_dominance, direct_pareto, loop_cuts
 
@@ -30,7 +30,7 @@ def normal_profile():
 
 def degrees(y, z):
     """Plain and strict outranking of y over z, read off a two-security report."""
-    report = build_report(Universe(("y", "z"), (y, z)))
+    report = build_report((y, z))
     return report.outranking[0, 1], report.strict_outranking[0, 1]
 
 
@@ -78,15 +78,14 @@ class TestPairwiseDegrees:
 
 class TestParetoScores:
     def test_singleton_scores_one(self, normal_profile):
-        report = build_report(Universe(("only",), (normal_profile,)))
+        report = build_report((normal_profile,))
         assert report.effectiveness[0] == 1.0
         assert report.strict_effectiveness[0] == 1.0
 
     def test_crisp_dominance_pair(self):
         winner = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01)
         loser = make_profile(triangle(0.00, 0.05, 0.10), variance=0.02)
-        universe = Universe(("w", "l"), (winner, loser))
-        report = build_report(universe)
+        report = build_report((winner, loser))
         assert report.outranking[0, 1] == 1.0
         assert report.outranking[1, 0] == 0.0
         assert report.effectiveness[0] == 1.0
@@ -98,24 +97,21 @@ class TestParetoScores:
         for _ in range(4):
             base = random_profile(rng)
             profiles.append(make_profile(base.rho, base.variance, energy=0.3, entropy=0.02))
-        universe = Universe(tuple(f"s{i}" for i in range(4)), tuple(profiles))
-        report = build_report(universe)
+        report = build_report(profiles)
         assert np.array_equal(report.strict_outranking, report.outranking)
         assert np.array_equal(report.strict_effectiveness, report.effectiveness)
 
     def test_strictly_worse_on_every_axis_scores_zero(self):
         strong = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01, energy=0.2, entropy=0.01)
         weak = make_profile(triangle(0.00, 0.05, 0.10), variance=0.02, energy=0.4, entropy=0.05)
-        universe = Universe(("strong", "weak"), (strong, weak))
-        assert build_report(universe).strict_effectiveness[1] == 0.0
+        assert build_report((strong, weak)).strict_effectiveness[1] == 0.0
 
     def test_duplicate_security_leaves_other_scores_unchanged(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             profiles = tuple(random_profile(rng) for _ in range(3))
-            ids = ("a", "b", "c")
-            base = build_report(Universe(ids, profiles))
-            doubled = build_report(Universe(ids + ("a2",), profiles + (profiles[0],)))
+            base = build_report(profiles)
+            doubled = build_report(profiles + (profiles[0],))
             assert np.array_equal(base.effectiveness, doubled.effectiveness[:3])
             assert np.array_equal(base.strict_effectiveness, doubled.strict_effectiveness[:3])
 
@@ -123,20 +119,19 @@ class TestParetoScores:
         rng = np.random.default_rng(43)
         for _ in range(10):
             profiles = [random_profile(rng) for _ in range(3)]
-            base = build_report(Universe(("a", "b", "c"), tuple(profiles)))
+            base = build_report(profiles)
             # a clearly dominated newcomer: every incumbent outranks it fully
             newcomer = make_profile(
                 triangle(-10.0, -9.5, -9.0), variance=10.0, energy=0.99, entropy=0.49
             )
-            grown = build_report(Universe(("a", "b", "c", "z"), tuple(profiles) + (newcomer,)))
+            grown = build_report(profiles + [newcomer])
             assert np.all(grown.outranking[:3, 3] == 1.0)
             assert np.array_equal(base.effectiveness, grown.effectiveness[:3])
 
     def test_matrices_match_pairwise_functions(self):
         rng = np.random.default_rng(3)
         profiles = tuple(random_profile(rng) for _ in range(4))
-        universe = Universe(tuple(f"s{i}" for i in range(4)), profiles)
-        report = build_report(universe)
+        report = build_report(profiles)
         for i, y in enumerate(profiles):
             for j, z in enumerate(profiles):
                 degree = dominance(y.rho, z.rho)
@@ -150,8 +145,7 @@ class TestParetoScores:
         for _ in range(25):
             size = int(rng.integers(1, 6))
             profiles = tuple(random_profile(rng) for _ in range(size))
-            universe = Universe(tuple(f"s{i}" for i in range(size)), profiles)
-            report = build_report(universe)
+            report = build_report(profiles)
             assert np.max(np.abs(report.effectiveness - direct_pareto(report.outranking.tolist()))) < 1e-12
             assert np.max(np.abs(
                 report.strict_effectiveness - direct_pareto(report.strict_outranking.tolist())
@@ -207,8 +201,7 @@ class TestBatchedDominance:
     @settings(max_examples=100, deadline=None)
     def test_batched_and_pairwise_match_candidate_oracle(self, universe):
         rhos, variances = universe
-        ids = tuple(f"s{i}" for i in range(len(rhos)))
-        report = build_report(Universe(ids, tuple(make_profile(r, v) for r, v in zip(rhos, variances))))
+        report = build_report([make_profile(r, v) for r, v in zip(rhos, variances)])
         for i, k in enumerate(rhos):
             for j, l in enumerate(rhos):
                 expected = candidate_dominance(k, l)
@@ -230,7 +223,7 @@ class TestBatchedDominance:
         rng = np.random.default_rng(31)
         profiles = tuple(make_profile(synthetic_rho(rng, 101), float(v))
                          for v in rng.choice([0.01, 0.02, 0.03], 12))
-        report = build_report(Universe(tuple(f"s{i}" for i in range(12)), profiles))
+        report = build_report(profiles)
         assert np.array_equal(np.diag(report.outranking), [p.rho.peak for p in profiles])
         variance = np.array([p.variance for p in profiles])
         failing = variance[:, None] > variance[None, :]
@@ -242,9 +235,8 @@ class TestBatchedDominance:
         # pair-by-pair scalar calls would take roughly 27 s at this size; the batched pass is far below
         rng = np.random.default_rng(256)
         profiles = tuple(make_profile(synthetic_rho(rng), float(rng.uniform(0.001, 0.05))) for _ in range(256))
-        universe = Universe(tuple(f"s{i}" for i in range(256)), profiles)
         start = time.perf_counter()
-        report = build_report(universe)
+        report = build_report(profiles)
         assert time.perf_counter() - start < 5.0
         assert report.outranking.shape == (256, 256)
 
@@ -252,13 +244,4 @@ class TestBatchedDominance:
 class TestUniverse:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Universe((), ())
-
-    def test_rejects_duplicate_ids(self, normal_profile):
-        with pytest.raises(ValueError):
-            Universe(("a", "a"), (normal_profile, normal_profile))
-
-    def test_of_pairs(self, normal_profile):
-        universe = Universe(*zip(*[("x", normal_profile)]))
-        assert universe.ids == ("x",)
-        assert universe.size == 1
+            build_report(())
