@@ -7,10 +7,10 @@ Same securities as fixtures/portfolio3.json, driven through the library API.
 import numpy as np
 
 from bpv_effect import (
+    CONVENTIONS,
     FutureValueDist,
     MembershipFn,
     build_report,
-    convention,
     profile,
     trapezoid,
 )
@@ -40,7 +40,7 @@ SECURITIES = [
 def main() -> None:
     ids, profiles = [], []
     for sec_id, kind, mu, dist in SECURITIES:
-        profiles.append(profile(mu, dist, convention(kind)))
+        profiles.append(profile(mu, dist, CONVENTIONS[kind]))
         ids.append(sec_id)
 
     print(f"{'id':<8} {'E[r]':>9} {'variance':>10} {'energy':>8} {'entropy':>8}")

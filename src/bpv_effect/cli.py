@@ -211,13 +211,14 @@ def _load(args):
 def _each_security(securities, work):
     """``work(mu, dist, conv)`` for each security, with floating-point overflow,
     division by zero and invalid operations raised.  Returns the results, or
-    None after printing the first failure with the security's id."""
+    None after printing the first failure, an exhausted memory included,
+    with the security's id."""
     results = []
     for sec_id, conv, mu, dist in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 results.append(work(mu, dist, conv))
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return None
     return results

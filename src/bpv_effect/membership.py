@@ -2,14 +2,15 @@
 
 A membership function is stored as knot arrays ``(grid, values)``: values
 interpolate linearly between knots and are identically zero outside the
-knot span.  Trapezoid and triangle shapes embed exactly, and the
+knot span.  Trapezoids (triangles when b == c) embed exactly, and the
 integral-based imprecision measures and the sup-min dominance degree all
 have closed forms on this representation; dominance is solved exactly on
 α-cuts, for many pairs in one batched pass.
 
 Memberships are not required to be normal (peak value 1).  Every operation
-below is well defined without normality; in particular ``dominance(m, m)``
-equals the peak of ``m``, which is 1 only for normal memberships.
+below is well defined without normality; in particular ``dominance_pairs``
+rates m against itself at the peak of ``m`` (the diagonal of a
+``build_report`` matrix), which is 1 only for normal memberships.
 """
 
 from dataclasses import dataclass
@@ -90,11 +91,6 @@ def trapezoid(a: float, b: float, c: float, d: float) -> MembershipFn:
             xs.append(x)
             ys.append(y)
     return MembershipFn(np.array(xs), np.array(ys))
-
-
-def triangle(a: float, b: float, c: float) -> MembershipFn:
-    """Triangular membership peaking at b."""
-    return trapezoid(a, b, b, c)
 
 
 def energy_measure(m: MembershipFn) -> float:
@@ -258,9 +254,3 @@ def _solve(right: _Cuts, left: _Cuts, k, l, degree) -> None:
     rise, fall = np.maximum([_gap(right, left, a + 1, b + 1, lo), -_gap(right, left, a + 1, b + 1, hi)], 0.0)
     share = np.divide(rise, rise + fall, out=np.zeros_like(rise), where=rise > 0.0)
     degree[todo] = np.minimum(lo + share * (hi - lo), hi)
-
-
-def dominance(k: MembershipFn, l: MembershipFn) -> float:
-    """Degree to which the fuzzy quantity k is greater than or equal to l:
-    the one-pair case of ``dominance_pairs``."""
-    return float(dominance_pairs((k, l), [0], [1])[0])

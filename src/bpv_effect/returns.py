@@ -7,18 +7,19 @@ the fuzzy expected return: a membership ``rho`` over return rates.  From
 ``rho`` come the expected return (its center of mass), the behavioural
 return variance, and the energy/entropy imprecision measures.
 
-Two return conventions are shipped: the simple rate (V_t / V_0 - 1, only
-defined for rates above -1) and the logarithmic rate (ln(V_t / V_0)).
+Two return conventions are shipped, ``SIMPLE`` and ``LOGARITHMIC``, keyed
+by kind in ``CONVENTIONS``: the simple rate (V_t / V_0 - 1, only defined
+for rates above -1) and the logarithmic rate (ln(V_t / V_0)).
 Both are strictly decreasing in the present value, so the per-state
 membership of rate r is ``mu`` evaluated at the unique present value that
 produces r, and rates outside a convention's domain carry membership 0.
 
 The average of the state memberships over the quadrature nodes is taken
 in one of two views, built once per security.  The node view evaluates
-``mu`` at every (rate, node) pair.  The knot view uses that the present
-value is linear in the future value: the nodes on one linear piece of ``mu``
-form a contiguous run whose sum follows from prefix sums, at O(knots) cost
-per rate.  A security takes the knot view when its node count reaches an
+``mu`` at every (rate, node) pair (``_NodeView.values``).  The knot view
+uses that the present value is linear in the future value: the nodes on
+one linear piece of ``mu`` form a contiguous run whose sum follows from
+prefix sums, at O(knots) cost per rate.  A security takes the knot view when its node count reaches an
 affine function of its knot count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
 """
 
@@ -53,14 +54,6 @@ class ReturnConvention:
     present_map: Callable  # (rate, future) -> present value
     future_map: Callable  # (rate, present) -> future value
 
-    def rate_bounds(self, pv_support: tuple[float, float], node_range: tuple[float, float]) -> tuple[float, float]:
-        """Smallest rate interval outside which every state membership is 0."""
-        s_lo, s_hi = pv_support
-        y_lo, y_hi = node_range
-        if s_lo <= 0.0:
-            raise ValueError("present-value membership support must be positive")
-        return float(self.rate_map(s_hi, y_lo)), float(self.rate_map(s_lo, y_hi))
-
 
 SIMPLE = ReturnConvention(
     "simple",
@@ -77,25 +70,6 @@ LOGARITHMIC = ReturnConvention(
     future_map=lambda rate, present: present * np.exp(rate),
 )
 CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
-
-
-def convention(name: str) -> ReturnConvention:
-    if name not in CONVENTIONS:
-        raise ValueError(f"unknown return convention {name!r}")
-    return CONVENTIONS[name]
-
-
-def _state_values(mu: MembershipFn, conv: ReturnConvention, rates, futures) -> np.ndarray:
-    """Matrix of state memberships, rates down the rows, future values across.
-
-    Rates at or below the convention's limit, and present values that
-    overflow, give a nonpositive or infinite present value, which lies
-    outside any membership support, so they get membership 0.
-    """
-    r = np.asarray(rates, dtype=float).reshape(-1, 1)
-    y = np.asarray(futures, dtype=float).reshape(1, -1)
-    with np.errstate(divide="ignore", over="ignore"):
-        return mu(conv.present_map(r, y))
 
 
 # A security sums its state memberships in the knot view when it has at least
@@ -270,13 +244,21 @@ class _NodeView:
     def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
         self.mu, self.conv, self.y, self.w = mu, conv, nodes.nodes, nodes.weights
 
+    def values(self, rates) -> np.ndarray:
+        """Matrix of state memberships, rates down the rows, nodes across.
+
+        Rates at or below the convention's limit, and present values that
+        overflow, give a nonpositive or infinite present value, which lies
+        outside any membership support, so they get membership 0.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.mu(self.conv.present_map(np.reshape(rates, (-1, 1)), self.y))
+
     def state_sum(self, rates):
-        return _state_values(self.mu, self.conv, rates, self.y) @ self.w
+        return self.values(rates) @ self.w
 
     def kernel(self, center, steps):
-        upper = _state_values(self.mu, self.conv, center + steps, self.y)
-        lower = _state_values(self.mu, self.conv, center - steps, self.y)
-        return np.maximum(upper, lower) @ self.w
+        return np.maximum(self.values(center + steps), self.values(center - steps)) @ self.w
 
 
 @functools.lru_cache(maxsize=1)
@@ -325,13 +307,18 @@ class ReturnGrid:
     ) -> "ReturnGrid":
         """Uniform grid covering every rate with positive state membership.
 
-        The raw bounds make the fuzzy expected return vanish outside
+        The raw bounds, each end of the present-value support at the
+        opposite extreme node, make the fuzzy expected return vanish outside
         the closed interval; one extra grid step of padding makes it
         vanish strictly inside the endpoints, so all knot-based integrals
         are exact over the grid.  The padded lower end is kept above the
         convention's rate limit.
         """
-        r_lo, r_hi = conv.rate_bounds(mu.support, (float(nodes.nodes[0]), float(nodes.nodes[-1])))
+        s_lo, s_hi = mu.support
+        if s_lo <= 0.0:
+            raise ValueError("present-value membership support must be positive")
+        y_lo, y_hi = float(nodes.nodes[0]), float(nodes.nodes[-1])
+        r_lo, r_hi = float(conv.rate_map(s_hi, y_lo)), float(conv.rate_map(s_lo, y_hi))
         pad = (r_hi - r_lo) / (count - 1)
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
         return cls(np.linspace(lower, r_hi + pad, count))

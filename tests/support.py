@@ -7,7 +7,9 @@ x-space candidate enumeration (the package works on α-cuts), α-cut tables
 are built one membership at a time (the package builds them from padded
 blocks), state sums are a loop over nodes with a scalar membership lookup
 (the package sums runs of nodes knot by knot), and the trapezoid
-membership is re-derived from its corner formulas.
+membership is re-derived from its corner formulas.  The one exception is
+``dominance``, a one-pair shorthand for the package's own
+``dominance_pairs`` that the tests compare against these oracles.
 """
 
 import bisect
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from bpv_effect.membership import MembershipFn, trapezoid
+from bpv_effect.membership import MembershipFn, dominance_pairs, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
 
@@ -36,6 +38,11 @@ def refine(m: MembershipFn) -> MembershipFn:
 
 # ---------------------------------------------------------------------------
 # dominance oracle
+
+
+def dominance(k: MembershipFn, l: MembershipFn) -> float:
+    """The package's degree to which k >= l: one pair of ``dominance_pairs``."""
+    return float(dominance_pairs((k, l), [0], [1])[0])
 
 
 def lattice_trapezoid_pair(rng, n: int = ORACLE_GRID):

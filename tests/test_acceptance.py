@@ -15,13 +15,13 @@ import pytest
 from bpv_effect.cli import main
 from bpv_effect.distribution import FutureValueDist
 from bpv_effect.effectiveness import build_report
-from bpv_effect.membership import MembershipFn, dominance, energy_measure, entropy_measure, trapezoid, triangle
+from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 from bpv_effect.returns import (
     LOGARITHMIC,
     SIMPLE,
     EngineSettings,
     ReturnGrid,
-    convention,
+    CONVENTIONS,
     expected_return,
     expected_return_distribution,
     profile,
@@ -32,6 +32,7 @@ from bpv_effect.returns import (
 from support import (
     brute_dominance,
     direct_pareto,
+    dominance,
     dominance_oracle_setup,
     lattice_trapezoid_pair,
     oracle_profile_discrete,
@@ -52,11 +53,11 @@ def note(criterion: int, message: str) -> None:
 
 def test_criterion_1_closed_form_measures():
     delta = energy_measure(trapezoid(0, 1, 2, 3))
-    epsilon = entropy_measure(triangle(0, 1, 2))
+    epsilon = entropy_measure(trapezoid(0, 1, 1, 2))
     assert delta == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert epsilon == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    shape_a, shape_b = trapezoid(0, 1, 2, 3), triangle(0, 1, 2)
+    shape_a, shape_b = trapezoid(0, 1, 2, 3), trapezoid(0, 1, 1, 2)
     energy_measure(shape_a), entropy_measure(shape_b)  # warm up
     best = min(
         _timed(lambda: (energy_measure(shape_a), entropy_measure(shape_b))) for _ in range(5)
@@ -97,7 +98,7 @@ def test_criterion_3_discrete_oracle_equivalence():
     for corners, atoms, probs, kind in cases:
         mu = trapezoid(*corners)
         dist = FutureValueDist.discrete(atoms, probs)
-        conv = convention(kind)
+        conv = CONVENTIONS[kind]
         result = profile(mu, dist, conv)
         _, _, expected, variance, energy, entropy = oracle_profile_discrete(
             corners, atoms, probs, kind
@@ -223,7 +224,7 @@ def test_criterion_7_invariant_sweep():
         profiles = []
         for _ in range(size):
             mu, dist, kind = random_security(rng)
-            result = profile(mu, dist, convention(kind), settings)
+            result = profile(mu, dist, CONVENTIONS[kind], settings)
             assert result.rho.values.min() >= 0.0
             assert result.rho.values.max() <= 1.0
             assert result.entropy <= result.energy + 1e-15

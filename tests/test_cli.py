@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import FutureValueDist, convention, profile, trapezoid
+from bpv_effect import CONVENTIONS, FutureValueDist, profile, trapezoid
 from bpv_effect.cli import _write_report, main
 from bpv_effect.returns import EngineSettings
 
@@ -354,8 +354,8 @@ class TestAnalyze:
         mu = trapezoid(90, 95, 105, 110)
         engine = EngineSettings(**settings)
         profiles = [
-            profile(mu, FutureValueDist.lognormal(4.6, 0.1, (0.005, 0.995)), convention("logarithmic"), engine),
-            profile(mu, FutureValueDist.discrete([98.0, 102.0], [0.5, 0.5]), convention("simple"), engine),
+            profile(mu, FutureValueDist.lognormal(4.6, 0.1, (0.005, 0.995)), CONVENTIONS["logarithmic"], engine),
+            profile(mu, FutureValueDist.discrete([98.0, 102.0], [0.5, 0.5]), CONVENTIONS["simple"], engine),
         ]
         assert grids.read_bytes() == legacy_grids_csv(ids, profiles, 101)
         assert grids.read_bytes().startswith(b'r,"rho_a,""b""",rho_plain\r\n')
@@ -428,6 +428,33 @@ class TestAnalyze:
             )
         assert completed.returncode == 1
         assert completed.stderr.startswith("error: cannot write <stdout>: ")
+        assert len(completed.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_exhausted_memory_exits_two_naming_the_security(self, tmp_path, command):
+        import subprocess
+        import sys
+
+        resource = pytest.importorskip("resource")
+        # 100000 nodes against 20000 knots takes the node view: 801 x 100000
+        # doubles (611 MiB) for the fuzzy return, more than the child may map
+        points = np.linspace(50.0, 150.0, 20000)
+        big = simple_security(
+            "big",
+            present_value={"type": "grid", "points": points.tolist(),
+                           "values": (1.0 - np.abs(points - 100.0) / 50.0).tolist()},
+            future_value={"family": "normal", "mean": 100, "sd": 5},
+        )
+        path = write_portfolio(tmp_path, [big], {"nodes": 100000})
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        completed = subprocess.run(
+            [sys.executable, "-m", "bpv_effect", command, path],
+            capture_output=True, text=True,
+            # as `ulimit -v 1000000`, in the child only
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, hard)),
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: security 'big': ")
         assert len(completed.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpv_effect import membership
-from bpv_effect.membership import MembershipFn, dominance, trapezoid, triangle
+from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import SecurityProfile
 from bpv_effect.effectiveness import build_report
 
-from support import candidate_dominance, direct_pareto, loop_cuts
+from support import candidate_dominance, direct_pareto, dominance, loop_cuts
 
 
 def make_profile(rho, variance, energy=0.4, entropy=0.1, expected_return=0.05):
@@ -25,7 +25,7 @@ def make_profile(rho, variance, energy=0.4, entropy=0.1, expected_return=0.05):
 
 @pytest.fixture
 def normal_profile():
-    return make_profile(triangle(0.0, 0.05, 0.10), variance=0.01)
+    return make_profile(trapezoid(0.0, 0.05, 0.05, 0.10), variance=0.01)
 
 
 def degrees(y, z):
@@ -69,8 +69,8 @@ class TestPairwiseDegrees:
             assert strict <= plain
 
     def test_degree_composes_dominance_and_gate(self):
-        low = make_profile(triangle(0.0, 0.01, 0.02), variance=0.01)
-        high = make_profile(triangle(0.01, 0.02, 0.03), variance=0.02)
+        low = make_profile(trapezoid(0.0, 0.01, 0.01, 0.02), variance=0.01)
+        high = make_profile(trapezoid(0.01, 0.02, 0.02, 0.03), variance=0.02)
         # overlapping triangles cross at membership 1/2
         assert degrees(low, high)[0] == pytest.approx(0.5, abs=1e-12)
         assert degrees(high, low)[0] == 0.0  # variance gate
@@ -83,8 +83,8 @@ class TestParetoScores:
         assert report.strict_effectiveness[0] == 1.0
 
     def test_crisp_dominance_pair(self):
-        winner = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01)
-        loser = make_profile(triangle(0.00, 0.05, 0.10), variance=0.02)
+        winner = make_profile(trapezoid(0.10, 0.15, 0.15, 0.20), variance=0.01)
+        loser = make_profile(trapezoid(0.00, 0.05, 0.05, 0.10), variance=0.02)
         report = build_report((winner, loser))
         assert report.outranking[0, 1] == 1.0
         assert report.outranking[1, 0] == 0.0
@@ -102,8 +102,8 @@ class TestParetoScores:
         assert np.array_equal(report.strict_effectiveness, report.effectiveness)
 
     def test_strictly_worse_on_every_axis_scores_zero(self):
-        strong = make_profile(triangle(0.10, 0.15, 0.20), variance=0.01, energy=0.2, entropy=0.01)
-        weak = make_profile(triangle(0.00, 0.05, 0.10), variance=0.02, energy=0.4, entropy=0.05)
+        strong = make_profile(trapezoid(0.10, 0.15, 0.15, 0.20), variance=0.01, energy=0.2, entropy=0.01)
+        weak = make_profile(trapezoid(0.00, 0.05, 0.05, 0.10), variance=0.02, energy=0.4, entropy=0.05)
         assert build_report((strong, weak)).strict_effectiveness[1] == 0.0
 
     def test_duplicate_security_leaves_other_scores_unchanged(self):
@@ -122,7 +122,7 @@ class TestParetoScores:
             base = build_report(profiles)
             # a clearly dominated newcomer: every incumbent outranks it fully
             newcomer = make_profile(
-                triangle(-10.0, -9.5, -9.0), variance=10.0, energy=0.99, entropy=0.49
+                trapezoid(-10.0, -9.5, -9.5, -9.0), variance=10.0, energy=0.99, entropy=0.49
             )
             grown = build_report(profiles + [newcomer])
             assert np.all(grown.outranking[:3, 3] == 1.0)

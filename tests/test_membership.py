@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 from bpv_effect import membership
 from bpv_effect.membership import (
     MembershipFn,
-    dominance,
     dominance_pairs,
     energy_measure,
     entropy_measure,
     trapezoid,
-    triangle,
 )
 
 from support import (
     brute_dominance,
+    dominance,
     dominance_oracle_setup,
     lattice_trapezoid_pair,
     random_membership,
@@ -97,13 +96,13 @@ class TestMeasures:
         assert energy_measure(trapezoid(0, 1, 2, 3)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_energy_triangle(self):
-        assert energy_measure(triangle(0, 1, 2)) == pytest.approx(0.5, abs=1e-12)
+        assert energy_measure(trapezoid(0, 1, 1, 2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_entropy_crisp_plateau(self):
         assert entropy_measure(trapezoid(1, 1, 2, 2)) == 0.0
 
     def test_entropy_triangle(self):
-        assert entropy_measure(triangle(0, 1, 2)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert entropy_measure(trapezoid(0, 1, 1, 2)) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_entropy_trapezoid_matches_triangle(self):
         # the plateau contributes nothing: same two ramps as the triangle
@@ -128,17 +127,17 @@ class TestMeasures:
 
 class TestDominance:
     def test_equal_triangles(self):
-        m = triangle(0, 1, 2)
+        m = trapezoid(0, 1, 1, 2)
         assert dominance(m, m) == 1.0
 
     def test_disjoint_supports_left_of_right(self):
-        assert dominance(triangle(0, 1, 2), triangle(10, 11, 12)) == 0.0
+        assert dominance(trapezoid(0, 1, 1, 2), trapezoid(10, 11, 11, 12)) == 0.0
 
     def test_disjoint_supports_right_of_left(self):
-        assert dominance(triangle(10, 11, 12), triangle(0, 1, 2)) == 1.0
+        assert dominance(trapezoid(10, 11, 11, 12), trapezoid(0, 1, 1, 2)) == 1.0
 
     def test_overlapping_triangles_cross_at_half(self):
-        assert dominance(triangle(0, 1, 2), triangle(1, 2, 3)) == pytest.approx(0.5, abs=1e-12)
+        assert dominance(trapezoid(0, 1, 1, 2), trapezoid(1, 2, 2, 3)) == pytest.approx(0.5, abs=1e-12)
 
     @given(memberships())
     def test_self_dominance_equals_peak(self, m):
@@ -209,9 +208,9 @@ class TestDominance:
 
     def test_jump_edges(self):
         # left-edge jump on k changes nothing to the right of its plateau
-        assert dominance(trapezoid(0, 0, 1, 2), triangle(1, 2, 3)) == pytest.approx(0.5, abs=1e-12)
+        assert dominance(trapezoid(0, 0, 1, 2), trapezoid(1, 2, 2, 3)) == pytest.approx(0.5, abs=1e-12)
         # right-edge jump: the sup sits exactly at the discontinuity
-        assert dominance(trapezoid(0, 1, 2, 2), triangle(1.5, 2.5, 3.5)) == pytest.approx(0.5, abs=1e-12)
+        assert dominance(trapezoid(0, 1, 2, 2), trapezoid(1.5, 2.5, 2.5, 3.5)) == pytest.approx(0.5, abs=1e-12)
         # crisp interval vs crisp interval
         assert dominance(trapezoid(0, 0, 1, 1), trapezoid(1, 1, 2, 2)) == pytest.approx(1.0, abs=1e-12)
         assert dominance(trapezoid(0, 0, 1, 1), trapezoid(1.5, 1.5, 2, 2)) == 0.0

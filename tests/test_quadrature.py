@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bpv_effect import quadrature
-from bpv_effect.membership import trapezoid, triangle
+from bpv_effect.membership import trapezoid
 
 from support import random_membership, refine, riemann
 
@@ -28,12 +28,12 @@ def test_area_refinement_invariance():
 
 
 def test_first_moment_triangle():
-    m = triangle(0, 1, 2)
+    m = trapezoid(0, 1, 1, 2)
     assert quadrature.first_moment(m.grid, m.values) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_min_complement_triangle():
-    m = triangle(0, 1, 2)
+    m = trapezoid(0, 1, 1, 2)
     assert quadrature.min_complement_area(m.grid, m.values) == pytest.approx(0.5, abs=1e-15)
 
 

@@ -4,14 +4,14 @@ from hypothesis import given, strategies as st
 
 from bpv_effect import returns
 from bpv_effect.distribution import FutureValueDist, QuadratureNodes
-from bpv_effect.membership import MembershipFn, trapezoid, triangle
+from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import (
+    CONVENTIONS,
     LOGARITHMIC,
     SIMPLE,
     DegenerateMembershipError,
     EngineSettings,
     ReturnGrid,
-    convention,
     expected_return,
     expected_return_distribution,
     profile,
@@ -29,7 +29,7 @@ class TestConventions:
            st.floats(min_value=-0.9, max_value=5.0),
            st.floats(min_value=0.1, max_value=500.0))
     def test_round_trip(self, kind, rate, future):
-        conv = convention(kind)
+        conv = CONVENTIONS[kind]
         present = conv.present_map(rate, future)
         assert present > 0.0
         assert conv.rate_map(present, future) == pytest.approx(rate, abs=1e-12)
@@ -39,10 +39,6 @@ class TestConventions:
         for conv in (SIMPLE, LOGARITHMIC):
             assert conv.rate_map(90.0, 100.0) > conv.rate_map(110.0, 100.0)
             assert conv.rate_map(100.0, 110.0) > conv.rate_map(100.0, 90.0)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            convention("continuous")
 
 
 class TestStateMembership:
@@ -146,7 +142,7 @@ class TestExpectedReturnDistribution:
 
         for _ in range(20):
             mu, dist, kind = random_security(rng)
-            conv = convention(kind)
+            conv = CONVENTIONS[kind]
             nodes = dist.make_nodes(32)
             grid = ReturnGrid.spanning(mu, nodes, conv, 201)
             rho = expected_return_distribution(mu, conv, nodes, grid)
@@ -252,7 +248,7 @@ class TestKnotView:
         rates = np.concatenate((rates, [-1.0, -1.5] if conv is SIMPLE else []))
         oracle = node_loop_state_sums(mu, conv, nodes, rates)
         knot = returns._KnotView(mu, conv, nodes).state_sum(rates)
-        node = returns._state_values(mu, conv, rates, nodes.nodes) @ nodes.weights
+        node = returns._NodeView(mu, conv, nodes).state_sum(rates)
         assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
         assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
 
@@ -267,9 +263,7 @@ class TestKnotView:
         steps = steps[steps >= 0.0]
         oracle = node_loop_kernel(mu, conv, nodes, center, steps)
         knot = returns._KnotView(mu, conv, nodes).kernel(center, steps)
-        upper = returns._state_values(mu, conv, center + steps, nodes.nodes)
-        lower = returns._state_values(mu, conv, center - steps, nodes.nodes)
-        node = np.maximum(upper, lower) @ nodes.weights
+        node = returns._NodeView(mu, conv, nodes).kernel(center, steps)
         assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
         assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
 
@@ -279,7 +273,7 @@ class TestKnotView:
 
         mu = trapezoid(85, 95, 105, 120)
         with monkeypatch.context() as patch:
-            patch.setattr(returns, "_state_values", refuse)
+            patch.setattr(returns, "_NodeView", refuse)
             profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_KnotView", refuse)
@@ -311,7 +305,7 @@ class TestKnotView:
             raise AssertionError("this view must not run")
 
         dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
-        for count, other in ((boundary, "_state_values"), (boundary - 1, "_KnotView")):
+        for count, other in ((boundary, "_NodeView"), (boundary - 1, "_KnotView")):
             assert dist.make_nodes(count).nodes.size == count
             with monkeypatch.context() as patch:
                 patch.setattr(returns, other, refuse)
@@ -337,7 +331,7 @@ class TestKnotView:
 
 class TestExpectedReturn:
     def test_symmetric_triangle(self):
-        assert expected_return(triangle(0.0, 0.05, 0.10)) == pytest.approx(0.05, abs=1e-15)
+        assert expected_return(trapezoid(0.0, 0.05, 0.05, 0.10)) == pytest.approx(0.05, abs=1e-15)
 
     def test_symmetric_trapezoid(self):
         assert expected_return(trapezoid(0.0, 0.1, 0.2, 0.3)) == pytest.approx(0.15, abs=1e-15)
@@ -438,7 +432,7 @@ class TestProfile:
 
         for _ in range(15):
             mu, dist, kind = random_security(rng)
-            result = profile(mu, dist, convention(kind), FAST)
+            result = profile(mu, dist, CONVENTIONS[kind], FAST)
             assert result.entropy <= result.energy + 1e-15
 
     def test_scale_invariance(self):
