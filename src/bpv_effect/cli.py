@@ -4,7 +4,7 @@ Input is a JSON portfolio (schema_version 1) listing securities with a
 fuzzy present value (trapezoid corners or a sampled grid), a future-value
 distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
-the file and computes each security's fuzzy return and its center.
+the file and computes each security's profile as ``analyze`` does.
 
 This module checks only the document's shape: objects, strings, numbers
 and lists of numbers where the schema puts them.  Each domain rule (corner
@@ -13,8 +13,7 @@ constructor that builds the value; its ``ValueError`` is reported prefixed
 with the JSON path and the security id.
 
 Exit codes: 0 ok, 1 an unreadable or invalid portfolio or an unwritable
-output, 2 a security whose profile (``analyze``) or expected return
-(``validate``) cannot be computed.
+output, 2 a security whose profile cannot be computed.
 """
 
 import argparse
@@ -29,7 +28,7 @@ import numpy as np
 from .distribution import FutureValueDist, truncation_levels
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
-from .returns import CONVENTIONS, EngineSettings, ReturnGrid, expected_return, expected_return_distribution, profile
+from .returns import CONVENTIONS, EngineSettings, profile
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
@@ -229,13 +228,7 @@ def cmd_validate(args) -> int:
     if parsed is None:
         return 1
     securities, settings, _ = parsed
-
-    def center(mu, dist, conv):
-        nodes = dist.make_nodes(settings.nodes)
-        grid = ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
-        return expected_return(expected_return_distribution(mu, conv, nodes, grid))
-
-    if _each_security(securities, center) is None:
+    if _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings)) is None:
         return 2
     return 0 if _write_file(None, lambda handle: print("ok", file=handle)) else 1
 
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--grids-out", default=None, help="CSV path for the fuzzy return grids")
     analyze.set_defaults(func=cmd_analyze)
 
-    validate = sub.add_parser("validate", help="check a portfolio file and each security's expected return")
+    validate = sub.add_parser("validate", help="check a portfolio file and compute each security's profile")
     validate.add_argument("portfolio", help="portfolio JSON file")
     validate.set_defaults(func=cmd_validate)
     return parser

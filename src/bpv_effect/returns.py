@@ -303,9 +303,11 @@ class ReturnGrid:
         mu: MembershipFn,
         nodes: QuadratureNodes,
         conv: ReturnConvention,
-        count: int = 801,
+        count: int,
     ) -> "ReturnGrid":
-        """Uniform grid covering every rate with positive state membership.
+        """Grid of ``count`` uniform rates covering every rate with positive
+        state membership, plus the kink rates when there are at most
+        ``count`` of them.
 
         The raw bounds, each end of the present-value support at the
         opposite extreme node, make the fuzzy expected return vanish outside
@@ -313,6 +315,12 @@ class ReturnGrid:
         vanish strictly inside the endpoints, so all knot-based integrals
         are exact over the grid.  The padded lower end is kept above the
         convention's rate limit.
+
+        The fuzzy return bends only at the kink rates ``rate_map(x_k, y_j)``
+        of knots x_k and nodes y_j, and is smooth between them.  When
+        knots * nodes <= ``count`` (discrete laws), the kinks strictly
+        inside the uniform grid join it, so linear interpolation never cuts
+        across a bend; otherwise the grid stays uniform.
         """
         s_lo, s_hi = mu.support
         if s_lo <= 0.0:
@@ -321,7 +329,14 @@ class ReturnGrid:
         r_lo, r_hi = float(conv.rate_map(s_hi, y_lo)), float(conv.rate_map(s_lo, y_hi))
         pad = (r_hi - r_lo) / (count - 1)
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
-        return cls(np.linspace(lower, r_hi + pad, count))
+        grid = cls(np.linspace(lower, r_hi + pad, count))
+        if mu.grid.size * nodes.nodes.size > count:
+            return grid
+        r = grid.r_values
+        kinks = conv.rate_map(mu.grid[:, None], nodes.nodes).ravel()
+        # sorted, then one of each run of equal rates (np.unique would import numpy.ma)
+        merged = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
+        return cls(merged[np.append(True, merged[1:] != merged[:-1])])
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, FutureValueDist, profile, trapezoid
+from bpv_effect import CONVENTIONS, FutureValueDist, profile, returns, trapezoid
 from bpv_effect.cli import _write_report, main
 from bpv_effect.returns import EngineSettings
 
@@ -40,7 +40,8 @@ def simple_security(sec_id="one", **overrides):
 
 
 # securities that parse but cannot be profiled; each fails while building its
-# quadrature nodes, return grid or fuzzy return's center, so both commands exit 2
+# quadrature nodes, return grid or fuzzy return's center, and both commands
+# profile every security, so both exit 2
 EXTREME = json.loads((FIXTURES / "extreme_range.json").read_text(encoding="utf-8"))["securities"][1]
 FLAT = json.loads((FIXTURES / "degenerate_return.json").read_text(encoding="utf-8"))["securities"][1]
 PROFILE_FAILURES = [
@@ -212,6 +213,19 @@ class TestValidate:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_variance_failure_exits_two_as_in_analyze(self, tmp_path, capsys, monkeypatch):
+        # validate computes the whole profile, so it fails where analyze fails
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate the variance kernel")
+
+        monkeypatch.setattr(returns, "return_variance", exhausted)
+        path = write_portfolio(tmp_path, [simple_security("heavy")])
+        for command in ("validate", "analyze"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: security 'heavy': Unable to allocate the variance kernel\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("overrides, top, field, names_id", BAD_INPUTS.values(), ids=BAD_INPUTS)
     def test_bad_input_exits_one_naming_field_and_id(self, tmp_path, capsys, overrides, top, field, names_id):

@@ -89,6 +89,25 @@ class TestReturnGrid:
         with pytest.raises(ValueError):
             ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
 
+    def test_kink_grid_gives_second_order_rho(self):
+        # a discrete law on a trapezoid with sloped edges: rho is smooth between
+        # the kink rates, which the grid holds, so the interpolation error falls
+        # as the squared step, and rho is exact at each kink
+        mu = trapezoid(88, 94, 104, 112)
+        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes(1)
+        for conv in (SIMPLE, LOGARITHMIC):
+            kinks = conv.rate_map(mu.grid[:, None], nodes.nodes).ravel()
+            errors = []
+            for count in (201, 401, 801):
+                grid = ReturnGrid.spanning(mu, nodes, conv, count)
+                rho = expected_return_distribution(mu, conv, nodes, grid)
+                assert np.max(np.abs(rho(kinks) - node_loop_state_sums(mu, conv, nodes, kinks))) <= 1e-14
+                r = grid.r_values
+                midpoints = (r[:-1] + r[1:]) / 2.0  # where a cell's interpolation error peaks
+                errors.append(np.max(np.abs(rho(midpoints) - node_loop_state_sums(mu, conv, nodes, midpoints))))
+            orders = np.log2(np.divide(errors[:-1], errors[1:]))
+            assert orders.min() >= 1.8, (conv.kind, errors)
+
     def test_span_limit_keeps_the_profile_finite(self):
         # a vertical left edge keeps rho near 1 across the grid, so its area is about the span
         law = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
