@@ -12,8 +12,8 @@ order, probabilities, truncation levels, resolutions) lives in the
 constructor that builds the value; its ``ValueError`` is reported prefixed
 with the JSON path and the security id.
 
-Exit codes: 0 ok, 1 an unreadable or invalid portfolio or an unwritable
-output, 2 a security whose profile cannot be computed.
+Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
+an unwritable output, 2 a security whose profile cannot be computed.
 """
 
 import argparse
@@ -118,16 +118,17 @@ def _build_distribution(entry, path, errors, truncation) -> FutureValueDist | No
     return _build(entry, path, "family", _FAMILIES, errors, truncation=truncation)
 
 
-def _resolve_settings(doc, args, errors):
-    """Engine settings and default truncation from the settings block, then
-    the command-line flags, which win.  The block's values are checked even
-    where a flag overrides them."""
+def _resolve_settings(doc, errors):
+    """Engine settings and default truncation from the settings block."""
     truncation = DEFAULT_TRUNCATION
     block = doc.get("settings", {})
     if not isinstance(block, dict):
         errors.append("settings: expected an object")
         return None, truncation
     keys = dataclasses.asdict(EngineSettings())
+    allowed = [*keys, "truncation"]
+    for key in filter(lambda key: key not in allowed, block):
+        errors.append(f"settings.{key}: unknown setting, expected one of {', '.join(allowed)}")
     values = {}
     for key in filter(block.__contains__, keys):
         if _is_integer(block[key]):
@@ -140,17 +141,14 @@ def _resolve_settings(doc, args, errors):
             truncation = truncation_levels(levels) if levels is not None else truncation
         except ValueError as exc:
             errors.append(f"settings: {exc}")
-    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
-    if getattr(args, "truncation", None) is not None:
-        truncation = args.truncation
     try:
-        return dataclasses.replace(EngineSettings(**values), **flags), truncation
+        return EngineSettings(**values), truncation
     except ValueError as exc:
         errors.append(f"settings: {exc}")
         return None, truncation
 
 
-def _parse_portfolio(doc, args, errors):
+def _parse_portfolio(doc, errors):
     """The securities as (id, convention, membership, law) sorted by id, the
     engine settings and the default truncation; problems go to ``errors``."""
     if not isinstance(doc, dict):
@@ -160,7 +158,7 @@ def _parse_portfolio(doc, args, errors):
     if not _is_integer(version) or version != SCHEMA_VERSION:  # True == 1.0 == 1 in Python
         got = f", got {version!r}" if "schema_version" in doc else ""
         errors.append(f"schema_version: expected {SCHEMA_VERSION}{got}")
-    settings, truncation = _resolve_settings(doc, args, errors)
+    settings, truncation = _resolve_settings(doc, errors)
     entries = doc.get("securities")
     if not isinstance(entries, list) or not entries:
         errors.append("securities: expected a nonempty list")
@@ -188,20 +186,20 @@ def _parse_portfolio(doc, args, errors):
     return sorted(securities, key=lambda item: item[0]), settings, truncation
 
 
-def _load(args):
-    """The parsed portfolio named by ``args.portfolio``, or None after
-    printing every error."""
+def _load(path):
+    """The parsed portfolio in the file at ``path``, or None after printing
+    every error."""
     errors: list[str] = []
     parsed = None
     try:
-        with open(args.portfolio, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        errors.append(f"cannot read {args.portfolio}: {exc}")
+        errors.append(f"cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        errors.append(f"{args.portfolio}: invalid JSON ({exc})")
+        errors.append(f"{path}: invalid JSON ({exc})")
     else:
-        parsed = _parse_portfolio(doc, args, errors)
+        parsed = _parse_portfolio(doc, errors)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     return None if errors else parsed
@@ -224,7 +222,7 @@ def _each_security(securities, work):
 
 
 def cmd_validate(args) -> int:
-    parsed = _load(args)
+    parsed = _load(args.portfolio)
     if parsed is None:
         return 1
     securities, settings, _ = parsed
@@ -234,7 +232,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    parsed = _load(args)
+    parsed = _load(args.portfolio)
     if parsed is None:
         return 1
     securities, settings, truncation = parsed
@@ -355,13 +353,6 @@ def _write_grids(handle, securities, profiles, count: int) -> None:
     handle.write("".join(row % tuple(values) for values in table))
 
 
-def _truncation_flag(text: str) -> tuple[float, float]:
-    try:
-        return truncation_levels([float(part) for part in text.split(",")])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpv-effect",
@@ -371,13 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="compute profiles and effectiveness scores")
     analyze.add_argument("portfolio", help="portfolio JSON file")
-    analyze.add_argument("--grid-points", type=int, default=None, help="return-grid resolution")
-    analyze.add_argument("--nodes", type=int, default=None, help="future-value quadrature nodes")
-    analyze.add_argument("--variance-panels", type=int, default=None, help="variance integration panels")
-    analyze.add_argument(
-        "--truncation", type=_truncation_flag, default=None, metavar="LO,HI",
-        help="quantile truncation for continuous future values",
-    )
     analyze.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     analyze.add_argument("--grids-out", default=None, help="CSV path for the fuzzy return grids")
     analyze.set_defaults(func=cmd_analyze)
@@ -389,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which here exits 1; --help exits 0
+        return 1 if exc.code else 0
     return args.func(args)
 
 
