@@ -17,7 +17,6 @@ from bpv_effect.returns import (
     expected_return,
     expected_return_distribution,
     return_variance,
-    variance_span,
 )
 
 MU = trapezoid(85, 95, 105, 120)
@@ -40,11 +39,10 @@ def panel_study(conv) -> None:
     grid = ReturnGrid.spanning(MU, nodes, conv, 801)
     rho = expected_return_distribution(MU, conv, nodes, grid)
     center = expected_return(rho)
-    span = variance_span(grid, center)
     print(f"  panels  variance        |delta vs 2x|   ({conv.kind})")
     for m in (256, 512, 1024, 2048):
-        base = return_variance(MU, conv, nodes, center, span, m)
-        refined = return_variance(MU, conv, nodes, center, span, 2 * m)
+        base = return_variance(MU, conv, nodes, center, grid, m)
+        refined = return_variance(MU, conv, nodes, center, grid, 2 * m)
         print(f"  {m:6d}  {base:.10f}  {abs(base - refined):.3e}")
 
 

@@ -128,7 +128,8 @@ def _resolve_settings(doc, errors):
     keys = dataclasses.asdict(EngineSettings())
     allowed = [*keys, "truncation"]
     for key in filter(lambda key: key not in allowed, block):
-        errors.append(f"settings.{key}: unknown setting, expected one of {', '.join(allowed)}")
+        # repr without its quotes escapes every line break that splitlines splits on
+        errors.append(f"settings.{repr(key)[1:-1]}: unknown setting, expected one of {', '.join(allowed)}")
     values = {}
     for key in filter(block.__contains__, keys):
         if _is_integer(block[key]):
@@ -205,20 +206,20 @@ def _load(path):
     return None if errors else parsed
 
 
-def _each_security(securities, work):
-    """``work(mu, dist, conv)`` for each security, with floating-point overflow,
-    division by zero and invalid operations raised.  Returns the results, or
-    None after printing the first failure, an exhausted memory included,
-    with the security's id."""
-    results = []
+def _profiles(securities, settings):
+    """Each security's ``profile``, with floating-point overflow, division by
+    zero and invalid operations raised.  Returns the profiles, or None after
+    printing the first failure, an exhausted memory included, with the
+    security's id."""
+    profiles = []
     for sec_id, conv, mu, dist in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                results.append(work(mu, dist, conv))
+                profiles.append(profile(mu, dist, conv, settings))
         except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return None
-    return results
+    return profiles
 
 
 def cmd_validate(args) -> int:
@@ -226,7 +227,7 @@ def cmd_validate(args) -> int:
     if parsed is None:
         return 1
     securities, settings, _ = parsed
-    if _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings)) is None:
+    if _profiles(securities, settings) is None:
         return 2
     return 0 if _write_file(None, lambda handle: print("ok", file=handle)) else 1
 
@@ -236,7 +237,7 @@ def cmd_analyze(args) -> int:
     if parsed is None:
         return 1
     securities, settings, truncation = parsed
-    profiles = _each_security(securities, lambda mu, dist, conv: profile(mu, dist, conv, settings))
+    profiles = _profiles(securities, settings)
     if profiles is None:
         return 2
     document = _report_document(securities, profiles, settings, truncation)

@@ -81,16 +81,12 @@ def trapezoid(a: float, b: float, c: float, d: float) -> MembershipFn:
         raise ValueError("trapezoid corners must satisfy a <= b <= c <= d")
     if a == d:
         raise ValueError("trapezoid support must have positive width (a < d)")
-    corner_values = [(a, 1.0 if a == b else 0.0), (b, 1.0), (c, 1.0), (d, 1.0 if c == d else 0.0)]
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, y in corner_values:
-        if xs and x == xs[-1]:
-            ys[-1] = max(ys[-1], y)
-        else:
-            xs.append(x)
-            ys.append(y)
-    return MembershipFn(np.array(xs), np.array(ys))
+    xs = np.array([a, b, c, d], dtype=float)
+    ys = np.array([a == b, True, True, c == d], dtype=float)
+    # the first of each run of equal corners already holds the run's largest
+    # value; ">" rather than np.diff, which warns on c == d == inf
+    keep = np.append(True, xs[1:] > xs[:-1])
+    return MembershipFn(xs[keep], ys[keep])
 
 
 def energy_measure(m: MembershipFn) -> float:

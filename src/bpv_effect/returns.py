@@ -43,7 +43,7 @@ class DegenerateMembershipError(ArithmeticError):
 class ReturnConvention:
     """A return map r(V0, Vt), increasing in Vt, decreasing in V0.
 
-    ``limit`` is the infimum of the convention's rates.  The three maps
+    ``limit`` is the infimum of the convention's rates.  The two maps
     work elementwise and check nothing: a rate at or below ``limit`` gives
     a nonpositive or infinite present value.
     """
@@ -52,7 +52,6 @@ class ReturnConvention:
     limit: float
     rate_map: Callable  # (present, future) -> rate
     present_map: Callable  # (rate, future) -> present value
-    future_map: Callable  # (rate, present) -> future value
 
 
 SIMPLE = ReturnConvention(
@@ -60,14 +59,12 @@ SIMPLE = ReturnConvention(
     -1.0,
     rate_map=lambda present, future: future / present - 1.0,
     present_map=lambda rate, future: future / (1.0 + rate),
-    future_map=lambda rate, present: present * (1.0 + rate),
 )
 LOGARITHMIC = ReturnConvention(
     "logarithmic",
     -math.inf,
     rate_map=lambda present, future: np.log(future / present),
     present_map=lambda rate, future: future * np.exp(-rate),
-    future_map=lambda rate, present: present * np.exp(rate),
 )
 CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
@@ -135,12 +132,13 @@ class _KnotView:
         """First node reaching each threshold (a row per threshold) for a row
         of valid rates.
 
-        ``searchsorted`` on the thresholds' future values gives a guess that
-        rounding can leave a few nodes off; testing the present value of the
-        neighbouring nodes walks it to the exact edge.
+        ``searchsorted`` on the thresholds' future values (each threshold
+        over the present-value scale) gives a guess that rounding can leave
+        a few nodes off; testing the present value of the neighbouring nodes
+        walks it to the exact edge.
         """
         conv, reach = self.conv, self.reach
-        e = np.searchsorted(self.y, conv.future_map(r, reach))
+        e = np.searchsorted(self.y, reach / conv.present_map(r, 1.0))
         while True:
             back = conv.present_map(r, self.padded[e]) >= reach  # node e - 1 reaches
             ahead = conv.present_map(r, self.padded[e + 1]) < reach  # node e falls short
@@ -381,17 +379,12 @@ def expected_return(rho: MembershipFn) -> float:
     return quadrature.first_moment(rho.grid, rho.values) / denominator
 
 
-def variance_span(grid: ReturnGrid, center: float) -> float:
-    """Squared-deviation bound beyond which the variance kernel vanishes."""
-    return max((float(grid.r_values[-1]) - center) ** 2, (float(grid.r_values[0]) - center) ** 2)
-
-
 def return_variance(
     mu: MembershipFn,
     conv: ReturnConvention,
     nodes: QuadratureNodes,
     center: float,
-    x_span: float,
+    grid: ReturnGrid,
     panels: int,
 ) -> float:
     """Behavioural variance of the return rate around ``center``.
@@ -402,15 +395,14 @@ def return_variance(
     nodes is exact for the polyline ``mu``, knot by knot or node by node as
     for the fuzzy return.  The x axis is
     the one place a sampled trapezoid rule is used (the kernel is not
-    piecewise linear in x); ``panels`` controls its resolution.  Any
-    ``x_span`` at or beyond ``variance_span`` gives the same result
-    because the kernel is identically zero out there.
+    piecewise linear in x); ``panels`` controls its resolution.  The axis
+    ends at the squared deviation of the farther end of ``grid``, beyond
+    which the kernel is identically zero.
     """
-    if x_span <= 0.0:
-        raise ValueError("x_span must be positive")
     if panels < 1:
         raise ValueError("panels must be a positive integer")
-    xs = np.linspace(0.0, x_span, panels + 1)
+    x_end = max((float(grid.r_values[-1]) - center) ** 2, (float(grid.r_values[0]) - center) ** 2)
+    xs = np.linspace(0.0, x_end, panels + 1)
     kernel = _view(mu, conv, nodes).kernel(center, np.sqrt(xs))
     denominator = quadrature.integrate(xs, kernel)
     if denominator == 0.0:
@@ -460,9 +452,7 @@ def profile(
     grid = ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
     rho = expected_return_distribution(mu, conv, nodes, grid)
     center = expected_return(rho)
-    variance = return_variance(
-        mu, conv, nodes, center, variance_span(grid, center), settings.variance_panels
-    )
+    variance = return_variance(mu, conv, nodes, center, grid, settings.variance_panels)
     return SecurityProfile(
         rho=rho,
         expected_return=center,

@@ -26,7 +26,6 @@ from bpv_effect.returns import (
     expected_return_distribution,
     profile,
     return_variance,
-    variance_span,
 )
 
 from support import (
@@ -260,9 +259,8 @@ def test_criterion_8_convergence():
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
         rho = expected_return_distribution(mu, conv, nodes, grid)
         center = expected_return(rho)
-        span = variance_span(grid, center)
-        base = return_variance(mu, conv, nodes, center, span, 1024)
-        refined = return_variance(mu, conv, nodes, center, span, 2048)
+        base = return_variance(mu, conv, nodes, center, grid, 1024)
+        refined = return_variance(mu, conv, nodes, center, grid, 2048)
         variance_gap = abs(base - refined)
         worst_variance = max(worst_variance, variance_gap)
         assert variance_gap < 1e-4

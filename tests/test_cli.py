@@ -91,6 +91,9 @@ BAD_INPUTS = {
     "boolean_schema_version": ({}, {"schema_version": True}, "schema_version", False),
     "float_schema_version": ({}, {"schema_version": 1.0}, "schema_version", False),
     "misspelt_setting": ({}, {"settings": {"grid_point": 2401}}, "settings.grid_point", False),
+    "line_break_setting": ({}, {"settings": {"bad\nkey": 1}}, "settings.bad\\nkey", False),
+    "infinite_plateau_end": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": float("inf"),
+                                                "d": float("inf")}}, {}, "present_value", True),
 }
 
 

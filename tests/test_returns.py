@@ -16,7 +16,6 @@ from bpv_effect.returns import (
     expected_return_distribution,
     profile,
     return_variance,
-    variance_span,
 )
 
 from support import node_loop_kernel, node_loop_state_sums, riemann
@@ -33,7 +32,6 @@ class TestConventions:
         present = conv.present_map(rate, future)
         assert present > 0.0
         assert conv.rate_map(present, future) == pytest.approx(rate, abs=1e-12)
-        assert conv.future_map(rate, present) == pytest.approx(future, rel=1e-12)
 
     def test_monotonicity(self):
         for conv in (SIMPLE, LOGARITHMIC):
@@ -224,6 +222,8 @@ def knot_view_cases(draw):
     another node, and weights may be zero.
     """
     conv = draw(st.sampled_from([SIMPLE, LOGARITHMIC]))
+    # the future value whose present value at rate r is x
+    future_map = (lambda r, x: x * (1.0 + r)) if conv is SIMPLE else (lambda r, x: x * np.exp(r))
     count = draw(st.integers(min_value=2, max_value=7))
     gaps = draw(st.lists(st.floats(0.05, 30.0), min_size=count - 1, max_size=count - 1))
     if draw(st.integers(0, 3)) == 0:  # rarely, so that most cases keep a tight tolerance
@@ -238,10 +238,10 @@ def knot_view_cases(draw):
     span = np.linspace(-0.95, 7.5, 37) if conv is SIMPLE else np.linspace(-2.8, 2.2, 37)
     rates = np.concatenate((exact, span))
     knots = st.integers(0, count - 1)
-    futures = [float(conv.future_map(exact[i], grid[k]))
+    futures = [float(future_map(exact[i], grid[k]))
                for i, k in draw(st.lists(st.tuples(st.integers(0, len(exact) - 1), knots), max_size=4))]
     for i, k in draw(st.lists(st.tuples(st.integers(0, span.size - 1), knots), max_size=4)):
-        near = conv.future_map(span[i], grid[k])
+        near = future_map(span[i], grid[k])
         futures += [float(near), float(np.nextafter(near, 0.0)), float(np.nextafter(near, np.inf))]
     futures += draw(st.lists(st.floats(min_value=20.0, max_value=320.0), min_size=1, max_size=30))
     futures += np.linspace(20.0, 320.0, draw(st.integers(0, 120))).tolist()  # long runs
@@ -395,8 +395,8 @@ class TestVariance:
         assert result.expected_return == pytest.approx(0.0, abs=1e-12)
         assert result.variance == pytest.approx(spread**2 / 2.0, abs=1e-3 * spread**2)
         # direct second-moment quadrature of the common branch on a finer axis
-        xs = np.linspace(0.0, variance_span(ReturnGrid.spanning(
-            mu, FutureValueDist.discrete([anchor], [1.0]).make_nodes(1), LOGARITHMIC, 801), 0.0), 8193)
+        r = ReturnGrid.spanning(mu, FutureValueDist.discrete([anchor], [1.0]).make_nodes(1), LOGARITHMIC, 801).r_values
+        xs = np.linspace(0.0, max(r[-1] ** 2, r[0] ** 2), 8193)
         branch = (xs <= spread**2).astype(float)
         oracle = riemann(xs * branch, xs) / riemann(branch, xs)
         assert result.variance == pytest.approx(oracle, abs=2e-3 * spread**2)
@@ -408,9 +408,11 @@ class TestVariance:
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
         rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
         center = expected_return(rho)
-        span = variance_span(grid, center)
-        base = return_variance(mu, SIMPLE, nodes, center, span, 1024)
-        doubled = return_variance(mu, SIMPLE, nodes, center, 2.0 * span, 2048)
+        base = return_variance(mu, SIMPLE, nodes, center, grid, 1024)
+        # ends at center +/- sqrt(2) times the larger half-width: twice the squared span
+        half = max(grid.r_values[-1] - center, center - grid.r_values[0])
+        wide = ReturnGrid(center + np.sqrt(2.0) * half * np.array([-1.0, -0.5, 0.5, 1.0]))
+        doubled = return_variance(mu, SIMPLE, nodes, center, wide, 2048)
         assert doubled == pytest.approx(base, abs=1e-9)
 
     def test_zero_kernel_is_degenerate(self):
@@ -418,7 +420,7 @@ class TestVariance:
         nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes(1)
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
-            return_variance(mu, SIMPLE, nodes, 50.0, 1e-4, 64)
+            return_variance(mu, SIMPLE, nodes, 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)), 64)
 
 
 class TestEngineSettings:
