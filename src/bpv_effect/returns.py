@@ -15,7 +15,8 @@ membership of rate r is ``mu`` evaluated at the unique present value that
 produces r, and rates outside a convention's domain carry membership 0.
 
 The average of the state memberships over the quadrature nodes is taken
-in one of two views, built once per security.  The node view evaluates
+in one of two views, which ``profile`` builds once per security (``_view``)
+and passes to the fuzzy return and the variance.  The node view evaluates
 ``mu`` at every (rate, node) pair (``_NodeView.values``).  The knot view
 uses that the present value is linear in the future value: the nodes on
 one linear piece of ``mu`` form a contiguous run whose sum follows from
@@ -23,7 +24,6 @@ prefix sums, at O(knots) cost per rate.  A security takes the knot view when its
 affine function of its knot count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
 """
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -259,13 +259,8 @@ class _NodeView:
         return np.maximum(self.values(center + steps), self.values(center - steps)) @ self.w
 
 
-@functools.lru_cache(maxsize=1)
 def _view(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
-    """The cheaper view of one security's state sums (see ``KNOT_VIEW_NODES``).
-
-    All three arguments hash and compare by identity, so ``profile``'s fuzzy
-    return and variance, which pass the same objects, share one view.
-    """
+    """The cheaper view of one security's state sums (see ``KNOT_VIEW_NODES``)."""
     if nodes.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size:
         return _KnotView(mu, conv, nodes)
     return _NodeView(mu, conv, nodes)
@@ -356,10 +351,9 @@ class SecurityProfile:
             raise ValueError("entropy cannot exceed energy")
 
 
-def expected_return_distribution(
-    mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes, grid: ReturnGrid
-) -> MembershipFn:
-    """Fuzzy expected return: state memberships averaged over the future-value law.
+def expected_return_distribution(view, grid: ReturnGrid) -> MembershipFn:
+    """Fuzzy expected return on ``grid``: the state memberships of one
+    security's ``view`` averaged over its future-value law.
 
     For a discrete future-value law the node weights are the exact atom
     probabilities and the result carries no quadrature error at all.  The
@@ -367,7 +361,7 @@ def expected_return_distribution(
     ``KNOT_VIEW_NODES``): knot by knot in O(rates * knots), or node by node
     in O(rates * nodes).
     """
-    values = _view(mu, conv, nodes).state_sum(grid.r_values)
+    values = view.state_sum(grid.r_values)
     return MembershipFn(grid.r_values, np.clip(values, 0.0, 1.0))
 
 
@@ -379,31 +373,24 @@ def expected_return(rho: MembershipFn) -> float:
     return quadrature.first_moment(rho.grid, rho.values) / denominator
 
 
-def return_variance(
-    mu: MembershipFn,
-    conv: ReturnConvention,
-    nodes: QuadratureNodes,
-    center: float,
-    grid: ReturnGrid,
-    panels: int,
-) -> float:
-    """Behavioural variance of the return rate around ``center``.
+def return_variance(view, center: float, grid: ReturnGrid, panels: int) -> float:
+    """Behavioural variance of the return rate around ``center``, from one
+    security's ``view``.
 
     The kernel at squared deviation x is the larger of the two state
     memberships at center +/- sqrt(x), averaged over the future-value
     law; the variance is the kernel-weighted mean of x.  The average over
     nodes is exact for the polyline ``mu``, knot by knot or node by node as
-    for the fuzzy return.  The x axis is
-    the one place a sampled trapezoid rule is used (the kernel is not
-    piecewise linear in x); ``panels`` controls its resolution.  The axis
-    ends at the squared deviation of the farther end of ``grid``, beyond
-    which the kernel is identically zero.
+    for the fuzzy return.  The x axis is sampled with a trapezoid rule (the
+    kernel is not piecewise linear in x) of ``panels`` panels.  It ends at
+    the squared deviation of the farther end of ``grid``, beyond which the
+    kernel is identically zero.
     """
     if panels < 1:
         raise ValueError("panels must be a positive integer")
     x_end = max((float(grid.r_values[-1]) - center) ** 2, (float(grid.r_values[0]) - center) ** 2)
     xs = np.linspace(0.0, x_end, panels + 1)
-    kernel = _view(mu, conv, nodes).kernel(center, np.sqrt(xs))
+    kernel = view.kernel(center, np.sqrt(xs))
     denominator = quadrature.integrate(xs, kernel)
     if denominator == 0.0:
         raise DegenerateMembershipError("degenerate membership: variance undefined")
@@ -450,9 +437,10 @@ def profile(
     """
     nodes = dist.make_nodes(settings.nodes)
     grid = ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
-    rho = expected_return_distribution(mu, conv, nodes, grid)
+    view = _view(mu, conv, nodes)
+    rho = expected_return_distribution(view, grid)
     center = expected_return(rho)
-    variance = return_variance(mu, conv, nodes, center, grid, settings.variance_panels)
+    variance = return_variance(view, center, grid, settings.variance_panels)
     return SecurityProfile(
         rho=rho,
         expected_return=center,

@@ -26,6 +26,7 @@ from bpv_effect.returns import (
     expected_return_distribution,
     profile,
     return_variance,
+    _view,
 )
 
 from support import (
@@ -247,24 +248,29 @@ def test_criterion_8_convergence():
     mu, dist = LOGNORMAL_FIXTURE
     worst_rho = 0.0
     worst_variance = 0.0
+    worst_order = math.inf
     for conv in (SIMPLE, LOGARITHMIC):
         wide_grid = ReturnGrid.spanning(mu, dist.make_nodes(512), conv, 801)
-        coarse = expected_return_distribution(mu, conv, dist.make_nodes(256), wide_grid)
-        fine = expected_return_distribution(mu, conv, dist.make_nodes(512), wide_grid)
+        coarse = expected_return_distribution(_view(mu, conv, dist.make_nodes(256)), wide_grid)
+        fine = expected_return_distribution(_view(mu, conv, dist.make_nodes(512)), wide_grid)
         rho_gap = float(np.max(np.abs(coarse.values - fine.values)))
         worst_rho = max(worst_rho, rho_gap)
         assert rho_gap < 1e-3
 
         nodes = dist.make_nodes(256)
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
-        rho = expected_return_distribution(mu, conv, nodes, grid)
-        center = expected_return(rho)
-        base = return_variance(mu, conv, nodes, center, grid, 1024)
-        refined = return_variance(mu, conv, nodes, center, grid, 2048)
-        variance_gap = abs(base - refined)
+        view = _view(mu, conv, nodes)
+        center = expected_return(expected_return_distribution(view, grid))
+        variances = {m: return_variance(view, center, grid, m) for m in (256, 512, 1024, 2048, 4096)}
+        variance_gap = abs(variances[1024] - variances[2048])
         worst_variance = max(worst_variance, variance_gap)
         assert variance_gap < 1e-4
-    note(8, f"node doubling moves rho by {worst_rho:.1e} < 1e-3; panel doubling moves variance by {worst_variance:.1e} < 1e-4")
+        # the x-axis trapezoid: the change under panel doubling falls with order >= 1.4
+        changes = np.abs(np.diff(list(variances.values())))
+        worst_order = min(worst_order, float(np.log2(changes[:-1] / changes[1:]).min()))
+    assert worst_order >= 1.4
+    note(8, f"node doubling moves rho by {worst_rho:.1e} < 1e-3; panel doubling moves variance by "
+            f"{worst_variance:.1e} < 1e-4, with order {worst_order:.2f} >= 1.4 over 256-4096 panels")
 
 
 def test_criterion_9_cli_determinism_and_diagnostics(tmp_path, capsys):

@@ -94,6 +94,14 @@ BAD_INPUTS = {
     "line_break_setting": ({}, {"settings": {"bad\nkey": 1}}, "settings.bad\\nkey", False),
     "infinite_plateau_end": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": float("inf"),
                                                 "d": float("inf")}}, {}, "present_value", True),
+    # each row names its constructor check's message, so the row fails if that check goes
+    "zero_sd": ({"future_value": {"family": "normal", "mean": 100, "sd": 0}}, {}, "needs sd > 0", True),
+    "negative_prob": ({"future_value": {"family": "discrete", "points": [98, 102], "probs": [-0.5, 1.5]}},
+                      {}, "probs must be nonnegative", True),
+    "grid_length_mismatch": ({"present_value": {"type": "grid", "points": [90, 100, 110], "values": [0, 1]}},
+                             {}, "must have matching lengths", True),
+    "three_grid_points": ({}, {"settings": {"grid_points": 3}}, "grid_points must be at least 4", False),
+    "zero_variance_panels": ({}, {"settings": {"variance_panels": 0}}, "variance_panels must be positive", False),
 }
 
 

@@ -9,6 +9,8 @@ analyze`` and shows the diff.
 - ``portfolio3``: the shipped fixture's report and ``--grids-out`` CSV.
 - ``accuracy_panel``: the 19-security portfolio that ``perfbench`` scores
   for accuracy (``portfolios.write("panel", ...)``), and its report.
+- ``scripts/screening_demo.py`` restates ``portfolio3`` through the library
+  API; its profiles must round to the same report numbers.
 
 The accuracy ratchet scores the panel's report and grids against
 ``perfbench/reference.py``: each error may fall, never rise past its
@@ -18,12 +20,16 @@ recorded value.
 import csv
 import importlib.util
 import json
+import runpy
 import shutil
 from pathlib import Path
 
 import pytest
 
+from bpv_effect import CONVENTIONS, profile
 from bpv_effect.cli import main
+
+from support import round15
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -89,3 +95,13 @@ def test_accuracy_panel_errors_do_not_rise(tmp_path):
     assert sorted(errors) == sorted(RECORDED_ERRORS)
     for name, recorded in RECORDED_ERRORS.items():
         assert errors[name] <= recorded * (1.0 + 1e-9), (name, errors[name], recorded)
+
+
+def test_screening_demo_restates_portfolio3():
+    securities = runpy.run_path(str(ROOT / "scripts" / "screening_demo.py"))["SECURITIES"]
+    expected = json.loads((EXPECTED / "portfolio3.json").read_text(encoding="utf-8"))["securities"]
+    assert [(sec_id, kind) for sec_id, kind, _, _ in securities] == [(e["id"], e["convention"]) for e in expected]
+    for (sec_id, kind, mu, dist), entry in zip(securities, expected):
+        result = profile(mu, dist, CONVENTIONS[kind])
+        for name in ("expected_return", "variance", "energy", "entropy"):
+            assert round15(getattr(result, name)) == entry[name], (sec_id, name)

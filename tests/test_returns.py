@@ -62,7 +62,7 @@ class TestReturnGrid:
             nodes = dist.make_nodes(64)
             for conv in (SIMPLE, LOGARITHMIC):
                 grid = ReturnGrid.spanning(mu, nodes, conv, 401)
-                rho = expected_return_distribution(mu, conv, nodes, grid)
+                rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
                 assert rho.values[0] == 0.0
                 assert rho.values[-1] == 0.0
 
@@ -72,7 +72,7 @@ class TestReturnGrid:
         nodes = dist.make_nodes(8)
         for conv in (SIMPLE, LOGARITHMIC):
             grid = ReturnGrid.spanning(mu, nodes, conv, 401)
-            rho = expected_return_distribution(mu, conv, nodes, grid)
+            rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
             assert rho.values[0] == 0.0 and rho.values[-1] == 0.0
 
     def test_simple_grid_stays_above_minus_one(self):
@@ -98,7 +98,7 @@ class TestReturnGrid:
             errors = []
             for count in (201, 401, 801):
                 grid = ReturnGrid.spanning(mu, nodes, conv, count)
-                rho = expected_return_distribution(mu, conv, nodes, grid)
+                rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
                 assert np.max(np.abs(rho(kinks) - node_loop_state_sums(mu, conv, nodes, kinks))) <= 1e-14
                 r = grid.r_values
                 midpoints = (r[:-1] + r[1:]) / 2.0  # where a cell's interpolation error peaks
@@ -123,7 +123,7 @@ class TestExpectedReturnDistribution:
         dist = FutureValueDist.discrete([100.0], [1.0])
         nodes = dist.make_nodes(1)
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
-        rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         # single-atom sum collapses to mu(100 / (1 + r)) exactly at the knots
         direct = mu(100.0 / (1.0 + grid.r_values))
         assert np.max(np.abs(rho.values - direct)) < 1e-15
@@ -137,7 +137,7 @@ class TestExpectedReturnDistribution:
         nodes = dist.make_nodes(2)
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
         inside = (grid.r_values > -0.4) & (grid.r_values < 0.75)
-        rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         assert np.all(rho.values[inside] == 1.0)
 
     def test_two_atom_crisp_window(self):
@@ -145,7 +145,7 @@ class TestExpectedReturnDistribution:
         dist = FutureValueDist.discrete([95.0, 105.0], [0.5, 0.5])
         nodes = dist.make_nodes(2)
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 2001)
-        rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         low_window = (95.0 / 100.5 - 1.0 + 95.0 / 100.0 - 1.0) / 2.0
         high_window = (105.0 / 100.5 - 1.0 + 105.0 / 100.0 - 1.0) / 2.0
         assert rho(low_window) == pytest.approx(0.5, abs=1e-9)
@@ -162,7 +162,7 @@ class TestExpectedReturnDistribution:
             conv = CONVENTIONS[kind]
             nodes = dist.make_nodes(32)
             grid = ReturnGrid.spanning(mu, nodes, conv, 201)
-            rho = expected_return_distribution(mu, conv, nodes, grid)
+            rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
             assert rho.values.min() >= 0.0
             assert rho.values.max() <= 1.0
 
@@ -179,23 +179,22 @@ class TestExpectedReturnDistribution:
             narrow = MembershipFn(grid_mu, narrow_vals)
             wide = MembershipFn(grid_mu, wide_vals)
             grid = ReturnGrid.spanning(narrow, nodes, SIMPLE, 201)
-            rho_narrow = expected_return_distribution(narrow, SIMPLE, nodes, grid)
-            rho_wide = expected_return_distribution(wide, SIMPLE, nodes, grid)
+            rho_narrow = expected_return_distribution(returns._view(narrow, SIMPLE, nodes), grid)
+            rho_wide = expected_return_distribution(returns._view(wide, SIMPLE, nodes), grid)
             assert np.all(rho_wide.values >= rho_narrow.values - 1e-15)
 
-    def test_node_doubling_converges_with_order_at_least_one(self):
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
+    def test_node_doubling_converges_with_order_at_least_one(self, conv):
+        # the midpoint nodes of a continuous law: the sup-change of rho under
+        # node doubling falls as about the squared node spacing
         mu = trapezoid(85, 95, 105, 120)
         dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
-        conv = SIMPLE
-        grid = ReturnGrid.spanning(mu, dist.make_nodes(512), conv, 801)
-
-        def rho_at(n):
-            return expected_return_distribution(mu, conv, dist.make_nodes(n), grid).values
-
-        r64, r128, r256 = rho_at(64), rho_at(128), rho_at(256)
-        first = np.max(np.abs(r128 - r64))
-        second = np.max(np.abs(r256 - r128))
-        assert second <= 0.75 * first
+        grid = ReturnGrid.spanning(mu, dist.make_nodes(2048), conv, 801)
+        rhos = [expected_return_distribution(returns._view(mu, conv, dist.make_nodes(n)), grid).values
+                for n in (64, 128, 256, 512, 1024)]
+        changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(rhos, rhos[1:])]
+        orders = np.log2(np.divide(changes[:-1], changes[1:]))
+        assert orders.min() >= 1.6, changes
 
     def test_discrete_path_is_exact(self):
         mu = trapezoid(88, 96, 104, 112)
@@ -204,7 +203,7 @@ class TestExpectedReturnDistribution:
         dist = FutureValueDist.discrete(points, probs)
         nodes = dist.make_nodes(999)
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
-        rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         manual = np.zeros_like(grid.r_values)
         for y, p in zip(points, probs):
             manual += p * mu(y / (1.0 + grid.r_values))
@@ -299,19 +298,29 @@ class TestKnotView:
             profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
     def test_profile_builds_one_view(self, monkeypatch):
-        built = []
+        built, used = [], []
 
         class Counted(returns._KnotView):
             def __init__(self, *args):
                 built.append(self)
                 super().__init__(*args)
 
+        def passes_view(stage):
+            def spy(view, *args):
+                used.append(view)
+                return stage(view, *args)
+            return spy
+
         monkeypatch.setattr(returns, "_KnotView", Counted)
+        monkeypatch.setattr(returns, "expected_return_distribution", passes_view(expected_return_distribution))
+        monkeypatch.setattr(returns, "return_variance", passes_view(return_variance))
         mu = trapezoid(85, 95, 105, 120)
         profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         assert len(built) == 1  # the fuzzy return and the variance kernel share it
+        assert used == [built[0], built[0]]
         profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
         assert len(built) == 1  # the node view
+        assert isinstance(used[2], returns._NodeView) and used[3] is used[2]
 
     @pytest.mark.parametrize("mu, boundary", [
         (MembershipFn([90.0, 110.0], [1.0, 0.4]), 36),
@@ -406,13 +415,13 @@ class TestVariance:
         dist = FutureValueDist.discrete([95.0, 104.0], [0.4, 0.6])
         nodes = dist.make_nodes(2)
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
-        rho = expected_return_distribution(mu, SIMPLE, nodes, grid)
-        center = expected_return(rho)
-        base = return_variance(mu, SIMPLE, nodes, center, grid, 1024)
+        view = returns._view(mu, SIMPLE, nodes)
+        center = expected_return(expected_return_distribution(view, grid))
+        base = return_variance(view, center, grid, 1024)
         # ends at center +/- sqrt(2) times the larger half-width: twice the squared span
         half = max(grid.r_values[-1] - center, center - grid.r_values[0])
         wide = ReturnGrid(center + np.sqrt(2.0) * half * np.array([-1.0, -0.5, 0.5, 1.0]))
-        doubled = return_variance(mu, SIMPLE, nodes, center, wide, 2048)
+        doubled = return_variance(view, center, wide, 2048)
         assert doubled == pytest.approx(base, abs=1e-9)
 
     def test_zero_kernel_is_degenerate(self):
@@ -420,7 +429,7 @@ class TestVariance:
         nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes(1)
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
-            return_variance(mu, SIMPLE, nodes, 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)), 64)
+            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)), 64)
 
 
 class TestEngineSettings:
