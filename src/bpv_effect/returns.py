@@ -96,9 +96,11 @@ class _KnotView:
 
     Pieces are numbered by how many run edges lie at or before a node: 0
     below the support, k + 1 on segment k, K exactly at the last of K knots,
-    K + 1 past it.  Rates whose present-value scale is not finite and
-    positive (at or below the convention's limit) sum to 0, which is the
-    node view's value for a membership with positive support.
+    K + 1 past it.  Rates whose present-value scale ``present_map(r, 1)`` is
+    not finite and positive sum to 0 (``sums``), which is the node view's
+    value for a membership with positive support: simple rates at or below
+    -1, and logarithmic rates above about 745.13 or below about -709.78,
+    where exp(-r) underflows to 0 or overflows.
 
     Every per-rate array is threshold-major: thresholds or pieces down axis
     0, rates along axis 1, so each numpy pass runs over one contiguous row of
@@ -122,23 +124,17 @@ class _KnotView:
         ])
         self.runs = self.pieces[:, 1:-1, None]  # the pieces between the first and last edge
 
-    def valid(self, rates):
-        """Rates whose present-value scale is finite and positive."""
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = self.conv.present_map(rates, 1.0)
-        return (scale > 0.0) & (scale < np.inf)
-
-    def edges(self, r):
+    def edges(self, r, scale):
         """First node reaching each threshold (a row per threshold) for a row
-        of valid rates.
+        of rates and their present-value scales ``present_map(r, 1)``.
 
         ``searchsorted`` on the thresholds' future values (each threshold
-        over the present-value scale) gives a guess that rounding can leave
-        a few nodes off; testing the present value of the neighbouring nodes
-        walks it to the exact edge.
+        over the scale) gives a guess that rounding can leave a few nodes
+        off; testing the present value of the neighbouring nodes walks it to
+        the exact edge.
         """
         conv, reach = self.conv, self.reach
-        e = np.searchsorted(self.y, reach / conv.present_map(r, 1.0))
+        e = np.searchsorted(self.y, reach / scale)
         while True:
             back = conv.present_map(r, self.padded[e]) >= reach  # node e - 1 reaches
             ahead = conv.present_map(r, self.padded[e + 1]) < reach  # node e falls short
@@ -150,55 +146,47 @@ class _KnotView:
         """Sum over a run of nodes on one piece at rate r, from its weight
         dW and weighted future value dM.  The slope term is clamped to
         [0, dx dW], so each sum stays a convex combination of the piece's
-        end values."""
+        end values; with dW = 1 and dM = y it is mu(pv(r, y)) at a node y."""
         x, dx, v, dv = piece
         offset = (self.conv.present_map(r, dM) - x * dW) / dx
         return v * dW + dv * np.clip(offset, 0.0, dW)
 
-    def value(self, r, piece, y):
-        """mu(pv(r, y)) for a node y on ``piece``."""
-        x, dx, v, dv = piece
-        return v + dv * np.clip((self.conv.present_map(r, y) - x) / dx, 0.0, 1.0)
+    def sums(self, rates):
+        """The rates as evaluated, their edges and S(r) at each, one run per piece.
 
-    def run_sums(self, r, e):
-        """S(r) for a row of valid rates, from their edges: one run per piece."""
-        W, M = self.W[e], self.M[e]
-        return self.run_sum(r, W[1:] - W[:-1], M[1:] - M[:-1], self.runs).sum(axis=0)
+        A rate whose present-value scale is not finite and positive stands
+        in as 0 with every edge past the last node, so it sums to exactly 0.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = self.conv.present_map(rates, 1.0)
+        out = ~((scale > 0.0) & (scale < np.inf))
+        r = np.where(out, 0.0, rates)
+        with np.errstate(over="ignore"):
+            e = self.edges(r, np.where(out, 1.0, scale))
+            e[:, out] = self.y.size
+            W, M = self.W[e], self.M[e]
+            return r, e, self.run_sum(r, W[1:] - W[:-1], M[1:] - M[:-1], self.runs).sum(axis=0)
 
     def state_sum(self, rates):
         """S(r) at each rate."""
-        out = np.zeros(rates.size)
-        ok = self.valid(rates)
-        r = rates[ok]
-        with np.errstate(over="ignore"):
-            out[ok] = self.run_sums(r, self.edges(r))
-        return out
+        return self.sums(rates)[2]
 
     def kernel(self, center, steps):
         """Sum of w_j max(mu(pv(center + s, y_j)), mu(pv(center - s, y_j))) per step s.
 
         Where the supports of the two copies share no node, the max is
         their sum: two state sums.  Only the other steps go through
-        ``overlap``.
+        ``overlap``; a copy out of range shares none, as its edges are past
+        every node.
         """
-        out = np.zeros(steps.size)
-        up, lo = center + steps, center - steps
-        ok = self.valid(up)
-        up, lo = up[ok], lo[ok]
-        lo_ok = self.valid(lo)
+        r, e, sums = self.sums(np.concatenate((center + steps, center - steps)))
+        k = steps.size
+        up, lo, e_up, e_lo = r[:k], r[k:], e[:, :k], e[:, k:]
+        total = sums[:k] + sums[k:]
+        both = np.flatnonzero(np.maximum(e_up[0], e_lo[0]) < np.minimum(e_up[-1], e_lo[-1]))
         with np.errstate(over="ignore"):
-            # an invalid lower rate is swapped for the upper one, then its
-            # edges are moved past every node, so its copy sums to 0
-            r = np.concatenate((up, np.where(lo_ok, lo, up)))
-            e = self.edges(r)
-            e[:, up.size + np.flatnonzero(~lo_ok)] = self.y.size
-            e_up, e_lo = e[:, :up.size], e[:, up.size:]
-            sums = self.run_sums(r, e)
-            total = sums[:up.size] + sums[up.size:]
-            both = np.flatnonzero(np.maximum(e_up[0], e_lo[0]) < np.minimum(e_up[-1], e_lo[-1]))
             total[both] = self.overlap(up[both], lo[both], e_up[:, both], e_lo[:, both])
-        out[ok] = total
-        return out
+        return total
 
     def overlap(self, up, lo, e_up, e_lo):
         """The kernel at steps whose two copies share nodes.
@@ -218,7 +206,7 @@ class _KnotView:
         lo_piece = np.arange(1, merged.shape[0])[:, None] - up_piece  # the other edges so far
         a, b = merged[:-1], merged[1:]
         ends = self.y[[np.minimum(a, n - 1), np.maximum(b - 1, 0)]]  # first and last node
-        gap = self.value(up, self.pieces[:, up_piece], ends) - self.value(lo, self.pieces[:, lo_piece], ends)
+        gap = self.run_sum(up, 1.0, ends, self.pieces[:, up_piece]) - self.run_sum(lo, 1.0, ends, self.pieces[:, lo_piece])
         up_wins = gap >= 0.0
         cross = (up_wins[0] != up_wins[1]) & (b - a > 1)
         share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
@@ -398,7 +386,7 @@ def return_variance(view, center: float, grid: ReturnGrid, panels: int) -> float
 
 
 # Upper bound on each resolution setting, far above any useful value (the
-# convergence studies stop at 2048), so that an absurd one is a validation
+# convergence tests double up to 4096), so that an absurd one is a validation
 # error naming the setting, not a failed allocation.  Work and memory grow
 # with products of the settings, so values near the bound can still be slow.
 MAX_RESOLUTION = 2**20

@@ -7,17 +7,22 @@ x-space candidate enumeration (the package works on α-cuts), α-cut tables
 are built one membership at a time (the package builds them from padded
 blocks), state sums are a loop over nodes with a scalar membership lookup
 (the package sums runs of nodes knot by knot), and the trapezoid
-membership is re-derived from its corner formulas.  The one exception is
+membership is re-derived from its corner formulas, and the center and
+area of the fuzzy return come from closed forms.  The exceptions are
 ``dominance``, a one-pair shorthand for the package's own
-``dominance_pairs`` that the tests compare against these oracles.
+``dominance_pairs`` that the tests compare against these oracles, and
+``staged_profile``, which runs the stages of ``profile`` through a chosen
+state-sum view.
 """
 
 import bisect
 import math
+from statistics import NormalDist
 
 import numpy as np
 
-from bpv_effect.membership import MembershipFn, dominance_pairs, trapezoid
+from bpv_effect import returns
+from bpv_effect.membership import MembershipFn, dominance_pairs, energy_measure, entropy_measure, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
 
@@ -194,6 +199,79 @@ def node_loop_kernel(mu: MembershipFn, conv, nodes, center, steps) -> np.ndarray
         lower = _node_memberships(mu, conv, center - steps, y)
         terms.append([w * max(u, l) for u, l in zip(upper, lower)])
     return np.array([math.fsum(column) for column in zip(*terms)])
+
+
+def staged_profile(view_class, mu: MembershipFn, dist, conv, settings) -> np.ndarray:
+    """Center, variance, energy and entropy from the stages of ``profile``,
+    with the state sums of ``view_class`` (``_KnotView`` or ``_NodeView``)."""
+    nodes = dist.make_nodes(settings.nodes)
+    grid = returns.ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
+    view = view_class(mu, conv, nodes)
+    rho = returns.expected_return_distribution(view, grid)
+    center = returns.expected_return(rho)
+    variance = returns.return_variance(view, center, grid, settings.variance_panels)
+    return np.array([center, variance, energy_measure(rho), entropy_measure(rho)])
+
+
+# ---------------------------------------------------------------------------
+# closed-form center and area of the fuzzy return
+#
+# Substituting x = pv(r, y) in each state's integral leaves integrals of mu
+# alone: I_k = int mu(x) x^-k dx and J = int mu(x) ln(x) / x dx.  Simple
+# rates give the area E[Y] I_2 and the center E[Y^2] I_3 / (E[Y] I_2) - 1;
+# logarithmic rates give the area I_1 and the center E[ln Y] - J / I_1.
+
+
+def piece_integrals(a: float, b: float, x0: float, x1: float) -> np.ndarray:
+    """I_1, I_2, I_3 and J of mu = a + b x over [x0, x1]."""
+    log_ratio = math.log(x1 / x0)
+    return np.array([
+        a * log_ratio + b * (x1 - x0),
+        a * (1.0 / x0 - 1.0 / x1) + b * log_ratio,
+        a / 2.0 * (1.0 / x0**2 - 1.0 / x1**2) + b * (1.0 / x0 - 1.0 / x1),
+        a / 2.0 * (math.log(x1) ** 2 - math.log(x0) ** 2)
+        + b * ((x1 * math.log(x1) - x1) - (x0 * math.log(x0) - x0)),
+    ])
+
+
+def membership_integrals(mu: MembershipFn) -> np.ndarray:
+    """I_1, I_2, I_3 and J of mu, piece by piece; vertical edges add nothing."""
+    totals = np.zeros(4)
+    x, v = mu.grid.tolist(), mu.values.tolist()
+    for x0, x1, v0, v1 in zip(x, x[1:], v, v[1:]):
+        if x1 > x0:
+            b = (v1 - v0) / (x1 - x0)
+            totals += piece_integrals(v0 - b * x0, b, x0, x1)
+    return totals
+
+
+def discrete_moments(points, probs) -> tuple[float, float, float]:
+    """E[Y], E[Y^2] and E[ln Y] of a discrete law."""
+    y, p = np.asarray(points, dtype=float), np.asarray(probs, dtype=float)
+    return float(p @ y), float(p @ y**2), float(p @ np.log(y))
+
+
+def lognormal_moments(log_mean: float, log_sd: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """E[Y], E[Y^2] and E[ln Y] of a lognormal law truncated at the quantile
+    levels 0 < lo < hi < 1."""
+    phi = NormalDist()
+    z_lo, z_hi = phi.inv_cdf(lo), phi.inv_cdf(hi)
+
+    def power(k):
+        spread = phi.cdf(z_hi - k * log_sd) - phi.cdf(z_lo - k * log_sd)
+        return math.exp(k * log_mean + k * k * log_sd**2 / 2.0) * spread / (hi - lo)
+
+    return power(1), power(2), log_mean + log_sd * (phi.pdf(z_lo) - phi.pdf(z_hi)) / (hi - lo)
+
+
+def closed_form_center_and_area(mu: MembershipFn, kind: str, moments) -> tuple[float, float]:
+    """Center and area of the fuzzy return under convention ``kind``, from
+    the law's ``moments`` (E[Y], E[Y^2], E[ln Y])."""
+    i1, i2, i3, j = membership_integrals(mu)
+    mean, square, log_mean = moments
+    if kind == "simple":
+        return square * i3 / (mean * i2) - 1.0, mean * i2
+    return log_mean - j / i1, i1
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpv_effect import CONVENTIONS, FutureValueDist, profile, returns, trapezoid
-from bpv_effect.cli import _write_report, main
+from bpv_effect.cli import _load, _write_report, main
 from bpv_effect.returns import EngineSettings
 
-from support import round15
+from support import round15, staged_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -300,6 +300,17 @@ class TestAnalyze:
             assert main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_variance_past_the_underflow_of_exp_matches_the_node_view(self, tmp_path):
+        # 'far' centers near 698 with a variance near 2470: the upper rates of
+        # the variance kernel pass 745.13, where exp(-r) underflows to 0
+        path = FIXTURES / "underflow_kernel.json"
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["securities"]
+        [(_, conv, mu, dist)], engine, _ = _load(path)
+        node = staged_profile(returns._NodeView, mu, dist, conv, engine)
+        assert entry["variance"] == pytest.approx(node[1], rel=1e-12, abs=0.0)
 
     def test_report_to_stdout_by_default(self, tmp_path, capsys):
         path = write_portfolio(tmp_path, [simple_security()])

@@ -1,8 +1,14 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
+from scipy.stats import norm
 
-from bpv_effect import returns
+from bpv_effect import quadrature, returns
+from bpv_effect.cli import _load
 from bpv_effect.distribution import FutureValueDist, QuadratureNodes
 from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import (
@@ -18,9 +24,19 @@ from bpv_effect.returns import (
     return_variance,
 )
 
-from support import node_loop_kernel, node_loop_state_sums, riemann
+from support import (
+    closed_form_center_and_area,
+    discrete_moments,
+    lognormal_moments,
+    node_loop_kernel,
+    node_loop_state_sums,
+    piece_integrals,
+    riemann,
+    staged_profile,
+)
 
 FAST = EngineSettings(grid_points=401, nodes=64, variance_panels=512)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestConventions:
@@ -285,6 +301,28 @@ class TestKnotView:
         assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
         assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
 
+    def test_kernel_keeps_the_lower_copy_past_the_underflow_of_the_upper(self):
+        # from s = 46 the upper rate passes 745.13, where exp(-r) is 0, while
+        # the lower copy's present values still lie on the support
+        mu = trapezoid(1e-6, 1e3, 1e10, 1e22)
+        y = np.linspace(1e300, 4e300, 64)
+        nodes = QuadratureNodes(y, np.full(y.size, 1.0 / y.size))
+        steps = np.linspace(0.0, 60.0, 61)
+        oracle = node_loop_kernel(mu, LOGARITHMIC, nodes, 700.0, steps)
+        assert oracle[46:56].min() > 0.9
+        for view in (returns._KnotView, returns._NodeView):
+            assert np.max(np.abs(view(mu, LOGARITHMIC, nodes).kernel(700.0, steps) - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["portfolio3", "accuracy_panel", "underflow_kernel"])
+    def test_views_agree_on_every_fixture_security(self, name):
+        # the hypothesis cases keep rates in [-2.8, 7.5]; the fixtures reach
+        # continuous laws, kink grids and rates past exp(-r)'s underflow
+        securities, settings, _ = _load(FIXTURES / f"{name}.json")
+        for sec_id, conv, mu, dist in securities:
+            knot = staged_profile(returns._KnotView, mu, dist, conv, settings)
+            node = staged_profile(returns._NodeView, mu, dist, conv, settings)
+            np.testing.assert_allclose(knot, node, rtol=1e-12, atol=0.0, err_msg=sec_id)
+
     def test_view_selection(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("this view must not run")
@@ -355,6 +393,58 @@ class TestKnotView:
                 assert isinstance(returns._view(mu, conv, dist.make_nodes(256)), returns._KnotView)
                 result = profile(mu, dist, conv)
                 assert result.variance > 0.0
+
+
+class TestClosedFormCenterAndArea:
+    """The sampled center and area of rho converge to their closed forms."""
+
+    @pytest.mark.parametrize("a, b, x0, x1", [
+        (-88 / 6, 1 / 6, 88.0, 94.0), (1.0, 0.0, 94.0, 104.0), (14.0, -1 / 8, 104.0, 112.0), (0.3, 2e-3, 0.5, 300.0),
+    ])
+    def test_piece_integrals_match_quad(self, a, b, x0, x1):
+        integrands = [lambda x, k=k: (a + b * x) / x**k for k in (1, 2, 3)]
+        integrands.append(lambda x: (a + b * x) * math.log(x) / x)
+        expected = [quad(f, x0, x1, epsabs=0.0, epsrel=1e-13)[0] for f in integrands]
+        np.testing.assert_allclose(piece_integrals(a, b, x0, x1), expected, rtol=1e-12, atol=0.0)
+
+    def test_lognormal_moments_match_quad(self):
+        log_mean, log_sd, lo, hi = math.log(100.0), 0.15, 0.005, 0.95
+        z_lo, z_hi = norm.ppf([lo, hi])
+        expected = [quad(lambda z: f(log_mean + log_sd * z) * norm.pdf(z) / (hi - lo), z_lo, z_hi,
+                         epsabs=0.0, epsrel=1e-13)[0]
+                    for f in (math.exp, lambda t: math.exp(2.0 * t), lambda t: t)]
+        np.testing.assert_allclose(lognormal_moments(log_mean, log_sd, lo, hi), expected, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def errors(mu, conv, nodes, count, exact):
+        grid = ReturnGrid.spanning(mu, nodes, conv, count)
+        rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+        center, area = exact
+        return abs(expected_return(rho) - center), abs(quadrature.integrate(rho.grid, rho.values) / area - 1.0)
+
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
+    def test_grid_doubling_on_a_discrete_law(self, conv):
+        mu = trapezoid(88, 94, 104, 112)
+        points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
+        nodes = FutureValueDist.discrete(points, probs).make_nodes(1)
+        exact = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
+        centers, areas = np.transpose([self.errors(mu, conv, nodes, count, exact) for count in (201, 401, 801, 1601)])
+        assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
+        if conv is SIMPLE:
+            assert np.log2(areas[:-1] / areas[1:]).min() >= 1.8, areas
+        else:  # the leading term nearly cancels, so the order wanders (1.6 to 4.1)
+            assert areas.max() <= 1e-8, areas
+
+    @pytest.mark.parametrize("conv, levels", [(SIMPLE, (0.005, 0.995)), (LOGARITHMIC, (0.005, 0.95))],
+                             ids=["simple", "logarithmic"])
+    def test_node_doubling_on_a_continuous_law(self, conv, levels):
+        # a symmetric truncation makes the midpoint nodes' E[ln Y] exact, so the
+        # logarithmic center takes its node error from an asymmetric one
+        mu = trapezoid(85, 95, 105, 120)
+        dist = FutureValueDist.lognormal(math.log(100.0), 0.15, levels)
+        exact = closed_form_center_and_area(mu, conv.kind, lognormal_moments(math.log(100.0), 0.15, *levels))
+        centers = np.array([self.errors(mu, conv, dist.make_nodes(n), 6401, exact)[0] for n in (128, 256, 512, 1024)])
+        assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
 
 
 class TestExpectedReturn:
