@@ -13,7 +13,8 @@ constructor that builds the value; its ``ValueError`` is reported prefixed
 with the JSON path and the security id.
 
 Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
-an unwritable output, 2 a security whose profile cannot be computed.
+an unwritable output, 2 a security whose profile cannot be computed or a
+screen that exhausts memory.
 """
 
 import argparse
@@ -240,13 +241,17 @@ def cmd_analyze(args) -> int:
     profiles = _profiles(securities, settings)
     if profiles is None:
         return 2
-    document = _report_document(securities, profiles, settings, truncation)
-    if not _write_file(args.out, lambda handle: _write_report(document, handle)):
-        return 1
-    if args.grids_out and not _write_file(
-        args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points), newline=""
-    ):
-        return 1
+    try:  # the n x n matrices and alpha-cut tables grow with the square of the universe
+        document = _report_document(securities, profiles, settings, truncation)
+        if not _write_file(args.out, lambda handle: _write_report(document, handle)):
+            return 1
+        if args.grids_out and not _write_file(
+            args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points), newline=""
+        ):
+            return 1
+    except MemoryError as exc:
+        print(f"error: cannot screen {len(securities)} securities: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -344,14 +349,16 @@ def _write_matrix(words: np.ndarray, handle) -> None:
 
 
 def _write_grids(handle, securities, profiles, count: int) -> None:
-    """The fuzzy returns at ``count`` common rates as CSV, to a handle opened with ``newline=""``."""
+    """The fuzzy returns at ``count`` common rates as CSV, to a handle opened
+    with ``newline=""``; one float array, formatted a row at a time."""
     lo = min(p.rho.grid[0] for p in profiles)
     hi = max(p.rho.grid[-1] for p in profiles)
     rates = np.linspace(lo, hi, count)
-    table = np.column_stack([rates] + [p.rho(rates) for p in profiles]).tolist()
+    table = np.column_stack([rates] + [p.rho(rates) for p in profiles])
     row = ",".join(["%.15g"] * (1 + len(profiles))) + "\r\n"  # csv.writer's line end
     csv.writer(handle).writerow(["r"] + [f"rho_{sec_id}" for sec_id, _, _, _ in securities])
-    handle.write("".join(row % tuple(values) for values in table))
+    for values in table:
+        handle.write(row % tuple(values.tolist()))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ from scipy.stats import norm
 from bpv_effect import quadrature, returns
 from bpv_effect.cli import _load
 from bpv_effect.distribution import FutureValueDist, QuadratureNodes
-from bpv_effect.membership import MembershipFn, trapezoid
+from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 from bpv_effect.returns import (
     CONVENTIONS,
     LOGARITHMIC,
@@ -27,6 +27,7 @@ from bpv_effect.returns import (
 from support import (
     closed_form_center_and_area,
     discrete_moments,
+    dominance,
     lognormal_moments,
     node_loop_kernel,
     node_loop_state_sums,
@@ -434,6 +435,31 @@ class TestClosedFormCenterAndArea:
             assert np.log2(areas[:-1] / areas[1:]).min() >= 1.8, areas
         else:  # the leading term nearly cancels, so the order wanders (1.6 to 4.1)
             assert areas.max() <= 1e-8, areas
+
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
+    def test_energy_entropy_and_dominance_on_a_discrete_law(self, conv):
+        points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
+        nodes = FutureValueDist.discrete(points, probs).make_nodes(1)
+        mu, cheaper = trapezoid(88, 94, 104, 112), trapezoid(80, 84, 90, 95)
+        _, area = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
+        counts = (201, 401, 801, 1601, 3201, 6401)
+
+        def sampled(m):
+            return [expected_return_distribution(returns._view(m, conv, nodes), ReturnGrid.spanning(m, nodes, conv, n))
+                    for n in counts]
+
+        rhos, others = sampled(mu), sampled(cheaper)
+        energies = np.abs([energy_measure(rho) - area / (1.0 + area) for rho in rhos])
+        entropies = np.abs(np.diff([entropy_measure(rho) for rho in rhos]))
+        degrees = np.array([dominance(rho, other) for rho, other in zip(rhos, others)])
+        if conv is SIMPLE:
+            assert np.log2(energies[:-1] / energies[1:]).min() >= 1.8, energies
+        else:  # as the logarithmic area: no steady order (1.6 to 4.1)
+            assert energies.max() <= 2e-9, energies
+        assert np.log2(entropies[:-1] / entropies[1:]).min() >= 1.8, entropies
+        # the degree has no steady order; from 801 points a doubling moves it by at most 5.5e-8
+        assert degrees[-1] == pytest.approx(0.5531984, abs=1e-7)
+        assert np.abs(np.diff(degrees[2:])).max() <= 1e-7, degrees
 
     @pytest.mark.parametrize("conv, levels", [(SIMPLE, (0.005, 0.995)), (LOGARITHMIC, (0.005, 0.95))],
                              ids=["simple", "logarithmic"])
