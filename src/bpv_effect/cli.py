@@ -18,10 +18,12 @@ screen that exhausts memory.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -257,7 +259,9 @@ def cmd_analyze(args) -> int:
 
 def _write_file(path: str | None, write, **options) -> bool:
     """``write(handle)`` into the file at ``path``, or into stdout when
-    ``path`` is empty; False after printing why it failed."""
+    ``path`` is empty; False after printing why it failed.  A ``MemoryError``
+    propagates, after removing the partly written file at ``path`` if that is
+    a regular file: a device, FIFO or link such as /dev/stdout stays."""
     try:
         if path:
             with open(path, "w", encoding="utf-8", **options) as handle:
@@ -267,6 +271,11 @@ def _write_file(path: str | None, write, **options) -> bool:
         else:
             write(sys.stdout)
             sys.stdout.flush()
+    except MemoryError:
+        with contextlib.suppress(OSError):
+            if path and stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
     except OSError as exc:
         if not path and sys.stdout is not None:  # drop what stays buffered, or the flush at exit fails again
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -316,34 +325,45 @@ def _write_report(document: dict, handle) -> None:
     through ``json.dumps``.
 
     Each distinct value of all arrays together is rounded and formatted
-    once: a 1024-security outranking matrix has about 70k distinct values
+    once: a 1024-security outranking matrix has about 66k distinct values
     among its 1M entries, and the strict matrix repeats most of them.
-    Distinct bit patterns, not values, keep -0.0 apart from 0.0.
+    Distinct bit patterns, not values, keep -0.0 apart from 0.0.  They are
+    gathered a block of rows at a time, and each row looks its words up as it
+    is written, so no temporary grows with the square of the universe.
     """
     arrays = {key: np.ascontiguousarray(value, dtype=float).view(np.uint64)
               for key, value in document.items() if isinstance(value, np.ndarray)}
-    # the distinct bit patterns, sorted (np.unique would import numpy.ma, about 2 MB, on first use)
-    bits = np.sort(np.concatenate([np.empty(0, np.uint64), *(a.ravel() for a in arrays.values())]))
-    distinct = np.ones(bits.shape, dtype=bool)
-    distinct[1:] = bits[1:] != bits[:-1]
-    bits = bits[distinct]
+    bits = np.empty(0, np.uint64)
+    for matrix in arrays.values():
+        step = max(1, 2**16 // matrix.shape[1])  # rows of about 2**16 entries, 0.5 MB of patterns
+        for start in range(0, len(matrix), step):
+            bits = _distinct(np.concatenate([bits, matrix[start:start + step].ravel()]))
     words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
     handle.write("{")
     for i, key in enumerate(sorted(document)):
         handle.write(("," if i else "") + f"\n  {json.dumps(key)}: ")
         if key in arrays:
-            _write_matrix(words[np.searchsorted(bits, arrays[key])], handle)
+            _write_matrix((words[np.searchsorted(bits, row)] for row in arrays[key]), handle)
         else:
             handle.write(json.dumps(document[key], indent=2, sort_keys=True).replace("\n", "\n  "))
     handle.write("\n}\n")
 
 
-def _write_matrix(words: np.ndarray, handle) -> None:
-    """A matrix of formatted entries, with at least one row and column, laid
-    out as ``json.dumps(indent=2)`` lays out a list of rows under a top-level
-    key."""
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of bit patterns, sorted (np.unique
+    would import numpy.ma, about 2 MB, on first use)."""
+    bits = np.sort(bits)
+    keep = np.ones(bits.shape, dtype=bool)
+    keep[1:] = bits[1:] != bits[:-1]
+    return bits[keep]
+
+
+def _write_matrix(rows, handle) -> None:
+    """Rows of formatted entries, at least one row of at least one entry,
+    laid out as ``json.dumps(indent=2)`` lays out a list of rows under a
+    top-level key."""
     handle.write("[")
-    for i, row in enumerate(words):
+    for i, row in enumerate(rows):
         handle.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(row.tolist()) + "\n    ]")
     handle.write("\n  ]")
 

@@ -15,16 +15,17 @@ membership it contributes max(1, 0) = 1 and is inert.
 ``build_report`` reads each ``SecurityProfile``'s fuzzy return, variance,
 energy and entropy, and returns both matrices and both score vectors,
 indexed in the order of the profiles it is given.  It computes dominance
-only for pairs passing the plain variance gate (about half), all in one
-batched α-cut pass: cut tables in O(knots) per security, then O(log knots)
-numpy steps over all pairs.
+only for pairs passing the plain variance gate (about half), in one batched
+α-cut pass: cut tables in O(knots) per security, then O(log knots) numpy
+steps per block of rows, whose gated pairs are generated as the block is
+solved.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .membership import dominance_pairs
+from .membership import dominance_matrix
 
 
 class EffectivenessReport(NamedTuple):
@@ -51,8 +52,6 @@ def build_report(profiles) -> EffectivenessReport:
     entropy = np.array([p.entropy for p in profiles])
     gate = variance[:, None] <= variance[None, :]
     strict_gate = gate & (energy[:, None] <= energy[None, :]) & (entropy[:, None] <= entropy[None, :])
-    outranking = np.diag([rho.peak for rho in rhos])
-    rows, cols = np.nonzero(gate & ~np.eye(len(profiles), dtype=bool))
-    outranking[rows, cols] = dominance_pairs(rhos, rows, cols)
+    outranking = dominance_matrix(rhos, gate)
     strict = np.where(strict_gate, outranking, 0.0)
     return EffectivenessReport(outranking, strict, _pareto_scores(outranking), _pareto_scores(strict))

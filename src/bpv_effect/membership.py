@@ -5,12 +5,13 @@ interpolate linearly between knots and are identically zero outside the
 knot span.  Trapezoids (triangles when b == c) embed exactly, and the
 integral-based imprecision measures and the sup-min dominance degree all
 have closed forms on this representation; dominance is solved exactly on
-α-cuts, for many pairs in one batched pass.
+α-cuts, for many pairs in one batched pass: given pairs (``dominance_pairs``)
+or the gated entries of a matrix (``dominance_matrix``).
 
 Memberships are not required to be normal (peak value 1).  Every operation
-below is well defined without normality; in particular ``dominance_pairs``
-rates m against itself at the peak of ``m`` (the diagonal of a
-``build_report`` matrix), which is 1 only for normal memberships.
+below is well defined without normality; in particular dominance rates m
+against itself at the peak of ``m`` (the diagonal of a ``build_report``
+matrix), which is 1 only for normal memberships.
 """
 
 from dataclasses import dataclass
@@ -120,11 +121,29 @@ class _Cuts:
     0 and at each knot's value that exceeds every knot to its right; below
     such a level R runs down that knot's right segment, jumping at the next
     level down unless the segment reaches it.  An entry holds a level, R
-    there and the segment's extents; level 0 sits at the span end.
+    there and the segment's extents; level 0 sits at the span end.  A table
+    is allocated at its size and filled a block of memberships at a time.
     """
 
-    def __init__(self, key, at, dx, dv):
-        self.key, self.at, self.dx, self.dv = key, at, dx, dv
+    def __init__(self, size: int):
+        self.key = np.empty(size, dtype=complex)
+        self.at, self.dx, self.dv = np.empty(size), np.empty(size), np.empty(size)
+        self.filled = 0
+
+    def fill(self, grid, values, cut, sign: float, first_row: int) -> None:
+        """Append the entries that ``cut`` marks in a block's rows, which list
+        knots from the span end back; ``first_row`` is the block's first
+        membership."""
+        rows, cols = np.nonzero(cut)  # by membership, then by rising level
+        level, x = values[rows, cols], grid[rows, cols]
+        dx, dv = grid[rows, cols - 1] - x, level - values[rows, cols - 1]
+        end = np.flatnonzero(level == 0.0)  # only the span end's entry has level 0
+        dx[end], dv[end] = 0.0, 1.0
+        part = slice(self.filled, self.filled + rows.size)
+        key = self.key[part]
+        key.real, key.imag = first_row + rows, level
+        self.at[part], self.dx[part], self.dv[part] = sign * x, sign * dx, dv
+        self.filled = part.stop
 
     def find(self, s, alpha):
         """Entry of membership s at level alpha, or topping the piece holding it."""
@@ -146,52 +165,56 @@ CUT_BLOCK = 2**14
 
 
 def _cut_tables(memberships) -> tuple[_Cuts, _Cuts]:
-    """The right and left α-cut tables of many memberships, block by block."""
+    """The right and left α-cut tables of many memberships, block by block.
+
+    A first pass marks each block's entries, so that each table is allocated
+    once at its exact size; a second pass fills both tables block by block.
+    """
     # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
     shift = max(0, 1000 - max(int(np.frexp(max(-m.grid[0], m.grid[-1]))[1]) for m in memberships))
     step = max(1, CUT_BLOCK // max(m.grid.size + 2 for m in memberships))
-    right, left = zip(*(_cut_block(memberships[i:i + step], i, shift) for i in range(0, len(memberships), step)))
-    right = _Cuts(*map(np.concatenate, zip(*right)))  # drops the right parts before the left ones are joined
-    return right, _Cuts(*map(np.concatenate, zip(*left)))
+    blocks = [memberships[i:i + step] for i in range(0, len(memberships), step)]
+    marks = [_cut_marks(*_rows(block, "values")) for block in blocks]
+    right, left = (_Cuts(sum(np.count_nonzero(cuts[side]) for cuts in marks)) for side in (0, 1))
+    for i, (block, (right_cut, left_cut)) in enumerate(zip(blocks, marks)):
+        (grid, first), (values, _) = _rows(block, "grid"), _rows(block, "values")
+        rows = np.arange(first.size)
+        grid[rows, first - 1], grid[:, -1] = grid[rows, first], grid[:, -2]  # the span ends repeat the end knots
+        np.ldexp(grid, shift, out=grid)
+        right.fill(grid[:, ::-1], values[:, ::-1], right_cut, 1.0, i * step)
+        left.fill(np.negative(grid, out=grid), values, left_cut, -1.0, i * step)
+    return right, left
 
 
-def _cut_block(memberships, first_row: int, shift: int):
-    """The right and left table entries of a block of memberships, from one array.
+def _rows(memberships, name: str):
+    """The knot arrays ``name`` ("grid" or "values") of a block of
+    memberships, one row each, and the column of each row's first knot.
 
-    Row s holds membership s's knots, right-aligned behind value-0 padding,
-    between value-0 entries at both span ends.  Read backwards, the rows list
+    Row s holds membership s's knots, right-aligned behind zero padding,
+    between zero entries at both span ends.  Read backwards, the rows list
     the knots from the span end back, which gives the right table; negated,
     the rows do the same for the mirror images, which gives the left table.
     """
     sizes = np.array([m.grid.size for m in memberships])
-    rows, first = np.arange(sizes.size), sizes.max() + 1 - sizes  # column of each first knot
+    first = sizes.max() + 1 - sizes
     knots = np.arange(sizes.max() + 2) >= first[:, None]
     knots[:, -1] = False
-    grid, values = np.zeros(knots.shape), np.zeros(knots.shape)
-    grid[knots] = np.concatenate([m.grid for m in memberships])
-    values[knots] = np.concatenate([m.values for m in memberships])
-    grid[rows, first - 1], grid[:, -1] = grid[rows, first], grid[:, -2]
-    np.ldexp(grid, shift, out=grid)
-    right = _cut_entries(grid[:, ::-1], values[:, ::-1], 0, 1.0, first_row)
-    return right, _cut_entries(np.negative(grid, out=grid), values, first - 1, -1.0, first_row)
+    rows = np.zeros(knots.shape)
+    rows[knots] = np.concatenate([getattr(m, name) for m in memberships])
+    return rows, first
 
 
-def _cut_entries(grid, values, end, sign: float, first_row: int):
-    """Key, cut end, and segment extents of each α-cut entry, from rows that
-    list knots from the span end back after a value-0 entry at column
-    ``end[s]``; the other entries have value 0, so none is a cut."""
-    width = values.shape[1]
-    cut = np.zeros(values.shape, dtype=bool)
-    cut[:, 1:] = values[:, 1:] > np.fmax.accumulate(values[:, :-1], axis=1)
-    end = np.arange(values.shape[0]) * width + end
-    cut.reshape(-1)[end] = True
-    at = np.flatnonzero(cut)  # by membership, then by rising level
-    g, v = np.ravel(grid), np.ravel(values)
-    level, x = v[at], g[at]
-    dx, dv = g[at - 1] - x, level - v[at - 1]
-    end = np.searchsorted(at, end)
-    dx[end], dv[end] = 0.0, 1.0
-    return first_row + at // width + 1j * level, sign * x, sign * dx, dv
+def _cut_marks(values, first):
+    """Where the right and left table entries of a block sit in its value
+    rows: the right ones in the rows read backwards, after the value-0 entry
+    at column 0; the left ones after the value-0 entry at column
+    ``first[s] - 1``.  The padding has value 0, so none of it is a cut."""
+    right, left = np.zeros(values.shape, dtype=bool), np.zeros(values.shape, dtype=bool)
+    for cut, levels in ((right, values[:, ::-1]), (left, values)):
+        cut[:, 1:] = levels[:, 1:] > np.fmax.accumulate(levels[:, :-1], axis=1)
+    right[:, 0] = True
+    left[np.arange(first.size), first - 1] = True
+    return right, left
 
 
 def _gap(right: _Cuts, left: _Cuts, p, q, alpha):
@@ -211,31 +234,62 @@ def _last_feasible(own: _Cuts, other: _Cuts, s, t, cap, sign: float):
     return lo
 
 
-# Pairs are solved this many at a time, which bounds the per-pair temporaries
-# of a large universe to about 5 MB.  A 128-security screen (8128 gated
-# pairs) is one block.  Each block pays the bisection's numpy call overhead:
-# at 1024 securities on 2 cores, build_report took 3% longer than in one
-# block with this size (8 blocks) and 8% longer with blocks of 8192.
+# Pairs are solved at most this many at a time, which bounds the per-pair
+# temporaries of a large universe to about 5 MB.  A 128-security screen is one
+# block.  Each block pays the bisection's numpy call overhead: at 1024
+# securities on 2 cores, build_report took 1.07 s in blocks of this size (16
+# blocks of 64 matrix rows), 1.09 s in one block and 1.31 s in blocks of 8192
+# (medians of 5).
 PAIR_BLOCK = 65536
 
 
 def dominance_pairs(memberships, rows, cols) -> np.ndarray:
-    """Degree to which memberships[rows[i]] is >= memberships[cols[i]], for all i.
+    """Degree to which memberships[rows[i]] is >= memberships[cols[i]], for
+    all i, solved ``PAIR_BLOCK`` pairs at a time."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    blocks = [slice(start, start + PAIR_BLOCK) for start in range(0, rows.size, PAIR_BLOCK)]
+    degree = np.empty(rows.size)
+    for block, solved in zip(blocks, _degrees(memberships, ((rows[b], cols[b]) for b in blocks))):
+        degree[block] = solved
+    return degree
+
+
+def dominance_matrix(memberships, gate) -> np.ndarray:
+    """The n x n matrix of the degrees to which memberships[k] is >=
+    memberships[l] where ``gate[k, l]`` holds, and of zeros elsewhere.
+
+    The gated pairs are generated and solved for ``PAIR_BLOCK // n`` rows at a
+    time (at least one), so no list of all pairs is held.
+    """
+    gate = np.asarray(gate, dtype=bool)
+    step = max(1, PAIR_BLOCK // len(memberships))
+    blocks = [slice(start, start + step) for start in range(0, len(memberships), step)]
+    degree = np.zeros(gate.shape)
+    for block, solved in zip(blocks, _degrees(memberships, (_gated_pairs(gate, b) for b in blocks))):
+        degree[block][gate[block]] = solved  # np.nonzero's order is the mask's
+    return degree
+
+
+def _gated_pairs(gate, block: slice):
+    rows, cols = np.nonzero(gate[block])
+    return rows + block.start, cols
+
+
+def _degrees(memberships, pairs):
+    """Yield the degrees of each block ``(rows, cols)`` that ``pairs`` yields.
 
     For k and l: sup over u >= v of min(k(u), l(v)), the possibility index
     PD(k >= l) = max{α <= min(peak k, peak l) : L_l(α) <= R_k(α)}.  Each pair
     tests that cap, bisects k's levels then l's down to linear pieces, and
-    solves their crossing: O(knots) per membership, O(log knots) numpy steps
-    per block of ``PAIR_BLOCK`` pairs.
+    solves their crossing: O(knots) per membership for the α-cut tables,
+    built before the first block, then O(log knots) numpy steps per block.
     """
     right, left = _cut_tables(memberships)
     peaks = np.array([m.peak for m in memberships])
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    degree = np.minimum(peaks[rows], peaks[cols])
-    for start in range(0, degree.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        _solve(right, left, rows[block], cols[block], degree[block])
-    return degree
+    for rows, cols in pairs:
+        degree = np.minimum(peaks[rows], peaks[cols])
+        _solve(right, left, rows, cols, degree)
+        yield degree
 
 
 def _solve(right: _Cuts, left: _Cuts, k, l, degree) -> None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpv_effect import CONVENTIONS, FutureValueDist, profile, returns, trapezoid
-from bpv_effect.cli import _load, _write_grids, _write_report, main
+from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
 from bpv_effect.returns import EngineSettings
 
 from support import round15, staged_profile
@@ -512,6 +512,29 @@ class TestAnalyze:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["file", "link"])
+    def test_exhausted_memory_while_writing_leaves_no_partial_report(self, tmp_path, capsys, monkeypatch, target):
+        # the matrix writer emits the first row of the outranking matrix, then runs out of memory
+        def one_row_then_exhausted(rows, handle):
+            def first_row(rows):
+                yield next(iter(rows))
+                raise MemoryError("Unable to allocate 8.00 MiB for an array with shape (1024, 1024)")
+
+            _write_matrix(first_row(rows), handle)
+
+        monkeypatch.setattr("bpv_effect.cli._write_matrix", one_row_then_exhausted)
+        out = tmp_path / "report.json"
+        if target == "link":  # a link, such as /dev/stdout, is not a regular file and stays
+            out.symlink_to(tmp_path / "target.json")
+        assert main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot screen 3 securities: Unable to allocate 8.00 MiB")
+        assert len(err.splitlines()) == 1
+        if target == "file":
+            assert not out.exists()
+        else:
+            assert out.is_symlink() and '"outranking": [' in (tmp_path / "target.json").read_text()
+
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
         # each of these fails only while profiling, after parsing succeeds
@@ -580,6 +603,28 @@ class TestReportWriter:
         buffer = io.StringIO()
         _write_report(document, buffer)
         assert buffer.getvalue() == json.dumps(round15(plain), indent=2, sort_keys=True) + "\n"
+
+    def test_writer_holds_no_square_temporary(self, tmp_path):
+        # a 512-security pair of matrices: the writer peaks below one 512 x 512 int64
+        # array (about half of it measured here); 1000 distinct entries keep the table
+        # of formatted words small
+        rng = np.random.default_rng(512)
+        n = 512
+        pool = rng.uniform(0.0, 1.0, 1000)
+        outranking = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, (n, n)), 0.0)
+        document = {"ids": [f"s{i:03d}" for i in range(n)], "outranking": outranking,
+                    "strict_outranking": np.where(rng.random((n, n)) < 0.5, outranking, 0.0)}
+        report = tmp_path / "report.json"
+        with open(report, "w", encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                _write_report(document, handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        plain = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in document.items()}
+        assert report.read_text() == json.dumps(round15(plain), indent=2, sort_keys=True) + "\n"
+        assert peak < n * n * np.dtype(np.int64).itemsize, peak
 
 
 # valid one-security portfolios, one per shape and family, that the fuzz

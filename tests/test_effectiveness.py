@@ -1,13 +1,14 @@
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import membership
+from bpv_effect import CONVENTIONS, FutureValueDist, membership, returns
 from bpv_effect.membership import MembershipFn, trapezoid
-from bpv_effect.returns import SecurityProfile
+from bpv_effect.returns import ReturnGrid, SecurityProfile, expected_return_distribution
 from bpv_effect.effectiveness import build_report
 
 from support import candidate_dominance, direct_pareto, dominance, loop_cuts
@@ -218,6 +219,30 @@ class TestBatchedDominance:
         for cuts, sign in zip(tables, (1.0, -1.0)):
             for built, looped in zip((cuts.key, cuts.at, cuts.dx, cuts.dv), loop_cuts(rhos, sign)):
                 assert built.dtype == looped.dtype and built.tobytes() == looped.tobytes()
+
+    def test_cut_tables_hold_each_table_once(self):
+        # 128 fuzzy returns of discrete laws on 801-point kink grids, as a screen has them
+        rng = np.random.default_rng(128)
+        rhos = []
+        for i in range(128):
+            center = rng.uniform(60.0, 140.0)
+            atoms = np.sort(center * rng.uniform(0.7, 1.4, int(rng.integers(3, 9))))
+            nodes = FutureValueDist.discrete(atoms, rng.dirichlet(np.ones(atoms.size))).make_nodes(256)
+            mu, conv = trapezoid(*center * np.array([0.9, 0.97, 1.03, 1.1])), CONVENTIONS[("simple", "logarithmic")[i % 2]]
+            grid = ReturnGrid.spanning(mu, nodes, conv, 801)
+            rhos.append(expected_return_distribution(returns._view(mu, conv, nodes), grid))
+        tracemalloc.start()
+        try:
+            tables = membership._cut_tables(rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for cuts in tables for a in (cuts.key, cuts.at, cuts.dx, cuts.dv))
+        # beyond the tables: the first pass's marks, a byte per padded knot and side, and
+        # one block's temporaries, its padded grid and value rows and its entries' arrays
+        # (5.0 x CUT_BLOCK doubles measured here)
+        marks = 2 * len(rhos) * (max(rho.grid.size for rho in rhos) + 2)
+        assert peak <= held + marks + 6 * membership.CUT_BLOCK * 8, (peak, held)
 
     def test_diagonal_is_peak_and_gated_entries_are_zero(self):
         rng = np.random.default_rng(31)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bpv_effect import membership
 from bpv_effect.membership import (
     MembershipFn,
+    dominance_matrix,
     dominance_pairs,
     energy_measure,
     entropy_measure,
@@ -231,6 +232,18 @@ class TestBlockedDominance:
         for block in (1, 7, 1000, rows.size - 1):
             monkeypatch.setattr(membership, "PAIR_BLOCK", block)
             assert np.array_equal(dominance_pairs(memberships, rows, cols), whole)
+
+    def test_gated_matrix_matches_the_pairs_for_blocks_of_any_size(self, monkeypatch):
+        memberships, rows, cols = self.universe(13)
+        gate = np.zeros((len(memberships), len(memberships)), dtype=bool)
+        gate[rows[:300], cols[:300]] = True
+        rows, cols = np.nonzero(gate)
+        expected = np.zeros(gate.shape)
+        expected[rows, cols] = dominance_pairs(memberships, rows, cols)
+        assert 0.0 < expected[gate].mean() < 1.0 and not gate.all()
+        for block in (1, 48, 100, membership.PAIR_BLOCK):  # 1, 2 and 4 rows of 24, then all of them
+            monkeypatch.setattr(membership, "PAIR_BLOCK", block)
+            assert dominance_matrix(memberships, gate).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_bounded_by_the_block(self):
         def peak(pairs):
