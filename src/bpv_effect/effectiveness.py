@@ -16,9 +16,9 @@ membership it contributes max(1, 0) = 1 and is inert.
 energy and entropy, and returns both matrices and both score vectors,
 indexed in the order of the profiles it is given.  It computes dominance
 only for pairs passing the plain variance gate (about half), in one batched
-α-cut pass: cut tables in O(knots) per security, then O(log knots) numpy
-steps per block of rows, whose gated pairs are generated as the block is
-solved.
+α-cut pass through ``membership.dominance_matrix``, the one dominance entry
+point: cut tables in O(knots) per security, then O(log knots) numpy steps
+per block of rows, whose gated pairs are generated as the block is solved.
 """
 
 from typing import NamedTuple

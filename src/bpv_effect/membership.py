@@ -5,8 +5,8 @@ interpolate linearly between knots and are identically zero outside the
 knot span.  Trapezoids (triangles when b == c) embed exactly, and the
 integral-based imprecision measures and the sup-min dominance degree all
 have closed forms on this representation; dominance is solved exactly on
-α-cuts, for many pairs in one batched pass: given pairs (``dominance_pairs``)
-or the gated entries of a matrix (``dominance_matrix``).
+α-cuts, for the gated entries of a matrix in one batched pass
+(``dominance_matrix``).
 
 Memberships are not required to be normal (peak value 1).  Every operation
 below is well defined without normality; in particular dominance rates m
@@ -243,53 +243,30 @@ def _last_feasible(own: _Cuts, other: _Cuts, s, t, cap, sign: float):
 PAIR_BLOCK = 65536
 
 
-def dominance_pairs(memberships, rows, cols) -> np.ndarray:
-    """Degree to which memberships[rows[i]] is >= memberships[cols[i]], for
-    all i, solved ``PAIR_BLOCK`` pairs at a time."""
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    blocks = [slice(start, start + PAIR_BLOCK) for start in range(0, rows.size, PAIR_BLOCK)]
-    degree = np.empty(rows.size)
-    for block, solved in zip(blocks, _degrees(memberships, ((rows[b], cols[b]) for b in blocks))):
-        degree[block] = solved
-    return degree
-
-
 def dominance_matrix(memberships, gate) -> np.ndarray:
     """The n x n matrix of the degrees to which memberships[k] is >=
     memberships[l] where ``gate[k, l]`` holds, and of zeros elsewhere.
-
-    The gated pairs are generated and solved for ``PAIR_BLOCK // n`` rows at a
-    time (at least one), so no list of all pairs is held.
-    """
-    gate = np.asarray(gate, dtype=bool)
-    step = max(1, PAIR_BLOCK // len(memberships))
-    blocks = [slice(start, start + step) for start in range(0, len(memberships), step)]
-    degree = np.zeros(gate.shape)
-    for block, solved in zip(blocks, _degrees(memberships, (_gated_pairs(gate, b) for b in blocks))):
-        degree[block][gate[block]] = solved  # np.nonzero's order is the mask's
-    return degree
-
-
-def _gated_pairs(gate, block: slice):
-    rows, cols = np.nonzero(gate[block])
-    return rows + block.start, cols
-
-
-def _degrees(memberships, pairs):
-    """Yield the degrees of each block ``(rows, cols)`` that ``pairs`` yields.
 
     For k and l: sup over u >= v of min(k(u), l(v)), the possibility index
     PD(k >= l) = max{α <= min(peak k, peak l) : L_l(α) <= R_k(α)}.  Each pair
     tests that cap, bisects k's levels then l's down to linear pieces, and
     solves their crossing: O(knots) per membership for the α-cut tables,
-    built before the first block, then O(log knots) numpy steps per block.
+    built once, then O(log knots) numpy steps per block.  The gated pairs are
+    generated and solved for ``PAIR_BLOCK // n`` rows at a time (at least
+    one), so no list of all pairs is held.
     """
+    gate = np.asarray(gate, dtype=bool)
     right, left = _cut_tables(memberships)
     peaks = np.array([m.peak for m in memberships])
-    for rows, cols in pairs:
-        degree = np.minimum(peaks[rows], peaks[cols])
-        _solve(right, left, rows, cols, degree)
-        yield degree
+    step = max(1, PAIR_BLOCK // len(memberships))
+    degree = np.zeros(gate.shape)
+    for start in range(0, len(memberships), step):
+        rows, cols = np.nonzero(gate[start:start + step])
+        rows += start
+        solved = np.minimum(peaks[rows], peaks[cols])
+        _solve(right, left, rows, cols, solved)
+        degree[rows, cols] = solved
+    return degree
 
 
 def _solve(right: _Cuts, left: _Cuts, k, l, degree) -> None:

@@ -307,8 +307,11 @@ class ReturnGrid:
         if s_lo <= 0.0:
             raise ValueError("present-value membership support must be positive")
         y_lo, y_hi = float(nodes.nodes[0]), float(nodes.nodes[-1])
-        r_lo, r_hi = float(conv.rate_map(s_hi, y_lo)), float(conv.rate_map(s_lo, y_hi))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r_lo, r_hi = float(conv.rate_map(s_hi, y_lo)), float(conv.rate_map(s_lo, y_hi))
         pad = (r_hi - r_lo) / (count - 1)
+        if not (math.isfinite(r_lo) and math.isfinite(r_hi + pad)):
+            raise ValueError(f"return span {r_lo:.6g} to {r_hi:.6g} is out of floating-point range")
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
         grid = cls(np.linspace(lower, r_hi + pad, count))
         if mu.grid.size * nodes.nodes.size > count:

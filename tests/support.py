@@ -10,7 +10,7 @@ blocks), state sums are a loop over nodes with a scalar membership lookup
 membership is re-derived from its corner formulas, and the center and
 area of the fuzzy return come from closed forms.  The exceptions are
 ``dominance``, a one-pair shorthand for the package's own
-``dominance_pairs`` that the tests compare against these oracles, and
+``dominance_matrix`` that the tests compare against these oracles, and
 ``staged_profile``, which runs the stages of ``profile`` through a chosen
 state-sum view.
 """
@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from bpv_effect import returns
-from bpv_effect.membership import MembershipFn, dominance_pairs, energy_measure, entropy_measure, trapezoid
+from bpv_effect.membership import MembershipFn, dominance_matrix, energy_measure, entropy_measure, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
 
@@ -46,8 +46,9 @@ def refine(m: MembershipFn) -> MembershipFn:
 
 
 def dominance(k: MembershipFn, l: MembershipFn) -> float:
-    """The package's degree to which k >= l: one pair of ``dominance_pairs``."""
-    return float(dominance_pairs((k, l), [0], [1])[0])
+    """The package's degree to which k >= l: entry [0, 1] of a two-membership
+    ``dominance_matrix`` whose gate is only that pair."""
+    return float(dominance_matrix((k, l), [[False, True], [False, False]])[0, 1])
 
 
 def lattice_trapezoid_pair(rng, n: int = ORACLE_GRID):

@@ -44,8 +44,10 @@ def simple_security(sec_id="one", **overrides):
 # securities that parse but cannot be profiled; each fails while building its
 # quadrature nodes, return grid or fuzzy return's center, and both commands
 # profile every security, so both exit 2
-EXTREME = json.loads((FIXTURES / "extreme_range.json").read_text(encoding="utf-8"))["securities"][1]
-FLAT = json.loads((FIXTURES / "degenerate_return.json").read_text(encoding="utf-8"))["securities"][1]
+EXTREME, OVERFLOW, UNDERFLOW, FLAT = (
+    json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["securities"][1]
+    for name in ("extreme_range", "overflow_span", "underflow_span", "degenerate_return")
+)
 PROFILE_FAILURES = [
     ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
      "overflow"),
@@ -59,6 +61,12 @@ PROFILE_FAILURES = [
      "return span -1 to 1.09136e+302 is wider than 2**52"),
     ("flat", {key: FLAT[key] for key in ("present_value", "future_value")},
      "degenerate membership: expected return undefined"),
+    # simple rates: 2.8e88 / 4.8e-289 overflows to inf
+    ("soaring", {key: OVERFLOW[key] for key in ("present_value", "future_value")},
+     "return span -0.666667 to inf is out of floating-point range"),
+    # logarithmic rates: 1e-114 / 3e294 underflows to 0, whose log is -inf
+    ("remote", {key: UNDERFLOW[key] for key in ("convention", "present_value", "future_value")},
+     "return span -inf to -inf is out of floating-point range"),
 ]
 
 
@@ -221,12 +229,13 @@ class TestValidate:
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_node_or_grid_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
         path = write_portfolio(tmp_path, [simple_security("fine"), simple_security(sec_id, **overrides)])
-        assert main(["validate", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: security {sec_id!r}: ")
-        assert message in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        for command in ("validate", "analyze"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: security {sec_id!r}: ")
+            assert message in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_variance_failure_exits_two_as_in_analyze(self, tmp_path, capsys, monkeypatch):
         # validate computes the whole profile, so it fails where analyze fails
@@ -714,3 +723,49 @@ class TestContractFuzz:
                 for line in lines:
                     if line.startswith(("error: securities[0]", "error: security ")) and ".id:" not in line:
                         assert repr(sec_id) in line
+
+
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def extreme_securities(draw):
+    """A valid-looking security whose corners, normal mean and sd, or atoms lie
+    anywhere from 1e-300 to 1e300."""
+    corners = sorted(draw(st.lists(magnitudes, min_size=4, max_size=4)))
+    if draw(st.booleans()):
+        atoms = sorted(set(draw(st.lists(magnitudes, min_size=1, max_size=3))))
+        law = {"family": "discrete", "points": atoms, "probs": [1.0 / len(atoms)] * len(atoms)}
+    else:
+        mean = draw(magnitudes)
+        law = {"family": "normal", "mean": mean, "sd": mean * draw(st.floats(min_value=1e-3, max_value=0.3))}
+    return {
+        "convention": draw(st.sampled_from(["simple", "logarithmic"])),
+        "present_value": dict(zip("abcd", corners), type="trapezoid"),
+        "future_value": law,
+    }
+
+
+class TestMagnitudeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(extreme_securities(), min_size=1, max_size=3))
+    def test_extreme_magnitudes_exit_cleanly_in_the_users_terms(self, tmp_path_factory, securities):
+        securities = [{"id": f"s{i}", **entry} for i, entry in enumerate(securities)]
+        path = tmp_path_factory.mktemp("magnitudes") / "portfolio.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "settings": {"grid_points": 201, "nodes": 64, "variance_panels": 256},
+            "securities": securities,
+        }), encoding="utf-8")
+        for command in ("validate", "analyze"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2)
+            lines = err.getvalue().splitlines()
+            assert all(line.startswith("error:") and "encountered" not in line for line in lines), lines
+            assert bool(lines) == (code != 0)
+            if command == "analyze" and code == 0:
+                def not_finite(constant):
+                    raise AssertionError(f"report holds {constant}")
+
+                json.loads(out.getvalue(), parse_constant=not_finite)

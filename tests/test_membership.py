@@ -9,7 +9,6 @@ from bpv_effect import membership
 from bpv_effect.membership import (
     MembershipFn,
     dominance_matrix,
-    dominance_pairs,
     energy_measure,
     entropy_measure,
     trapezoid,
@@ -17,6 +16,7 @@ from bpv_effect.membership import (
 
 from support import (
     brute_dominance,
+    candidate_dominance,
     dominance,
     dominance_oracle_setup,
     lattice_trapezoid_pair,
@@ -219,41 +219,53 @@ class TestDominance:
 
 class TestBlockedDominance:
     @staticmethod
-    def universe(seed, count=24, pairs=3000):
-        """Overlapping sampled-grid memberships and random pairs among them."""
+    def universe(seed, count=24, gated=300):
+        """Overlapping sampled-grid memberships and a gate on up to ``gated`` random pairs of them."""
         rng = np.random.default_rng(seed)
         memberships = [random_membership(rng, span=(-3.0, 3.0), max_knots=12) for _ in range(count)]
-        return memberships, rng.integers(0, count, pairs), rng.integers(0, count, pairs)
+        gate = np.zeros((count, count), dtype=bool)
+        gate[rng.integers(0, count, gated), rng.integers(0, count, gated)] = True
+        return memberships, gate
 
     def test_blocks_of_any_size_give_identical_bits(self, monkeypatch):
-        memberships, rows, cols = self.universe(11)
-        whole = dominance_pairs(memberships, rows, cols)
-        assert rows.size <= membership.PAIR_BLOCK and 0.0 < whole.mean() < 1.0
-        for block in (1, 7, 1000, rows.size - 1):
+        memberships, gate = self.universe(11)
+        whole = dominance_matrix(memberships, gate)
+        assert gate.size <= membership.PAIR_BLOCK and not gate.all() and 0.0 < whole[gate].mean() < 1.0
+        assert not whole[~gate].any()
+        for block in (1, 7, 48, 100, 1000):  # 1, 1, 2 and 4 rows of 24, then all of them
             monkeypatch.setattr(membership, "PAIR_BLOCK", block)
-            assert np.array_equal(dominance_pairs(memberships, rows, cols), whole)
+            assert dominance_matrix(memberships, gate).tobytes() == whole.tobytes()
 
-    def test_gated_matrix_matches_the_pairs_for_blocks_of_any_size(self, monkeypatch):
-        memberships, rows, cols = self.universe(13)
-        gate = np.zeros((len(memberships), len(memberships)), dtype=bool)
-        gate[rows[:300], cols[:300]] = True
-        rows, cols = np.nonzero(gate)
+    def test_gated_entries_match_the_candidate_oracle(self, monkeypatch):
+        memberships, gate = self.universe(13)
         expected = np.zeros(gate.shape)
-        expected[rows, cols] = dominance_pairs(memberships, rows, cols)
+        for k, l in zip(*np.nonzero(gate)):
+            expected[k, l] = candidate_dominance(memberships[k], memberships[l])
         assert 0.0 < expected[gate].mean() < 1.0 and not gate.all()
         for block in (1, 48, 100, membership.PAIR_BLOCK):  # 1, 2 and 4 rows of 24, then all of them
             monkeypatch.setattr(membership, "PAIR_BLOCK", block)
-            assert dominance_matrix(memberships, gate).tobytes() == expected.tobytes()
+            matrix = dominance_matrix(memberships, gate)
+            assert not matrix[~gate].any()
+            assert np.abs(matrix - expected).max() <= 1e-12
 
-    def test_peak_memory_is_bounded_by_the_block(self):
-        def peak(pairs):
-            memberships, rows, cols = self.universe(12, pairs=pairs)
+    def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        # n stays fixed, so the output matrix and the alpha-cut tables are the same in
+        # both runs; only the pairs' temporaries may grow with the number of blocks
+        count, rows = 128, 32
+        memberships, _ = self.universe(12, count=count, gated=0)
+        held = sum(a.nbytes for cuts in membership._cut_tables(memberships) for a in (cuts.key, cuts.at, cuts.dx, cuts.dv))
+        monkeypatch.setattr(membership, "PAIR_BLOCK", rows * count)
+
+        def peak_beyond_matrix_and_tables(gated_rows):
+            gate = np.zeros((count, count), dtype=bool)
+            gate[:gated_rows] = True
             tracemalloc.start()
             try:
-                dominance_pairs(memberships, rows, cols)
-                return tracemalloc.get_traced_memory()[1]
+                matrix = dominance_matrix(memberships, gate)
+                return tracemalloc.get_traced_memory()[1] - matrix.nbytes - held
             finally:
                 tracemalloc.stop()
 
-        one = peak(membership.PAIR_BLOCK)
-        assert peak(4 * membership.PAIR_BLOCK) < 2 * one
+        one = peak_beyond_matrix_and_tables(rows)  # 4096 pairs in one block
+        assert one > 0
+        assert peak_beyond_matrix_and_tables(count) < 2 * one  # 16384 pairs in four blocks
