@@ -47,26 +47,12 @@ def _require_finite(family: str, **params: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureNodes:
-    """Discretization of a future-value law: finite positive nodes with weights summing to 1."""
+    """A future-value law's quadrature rule: strictly increasing positive
+    ``nodes`` with ``weights`` summing to 1, checked where it is made, in
+    ``FutureValueDist.discrete`` or ``FutureValueDist.make_nodes``."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float, copy=True)
-        weights = np.array(self.weights, dtype=float, copy=True)
-        if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching nonempty vectors")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("nodes and weights must be finite")
-        if nodes[0] <= 0.0 or not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing and positive")
-        if weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-10:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +108,7 @@ class FutureValueDist:
             raise ValueError("probs must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs must sum to 1 (got {probs.sum():.12g})")
+        points.flags.writeable = probs.flags.writeable = False
         return cls(atoms=QuadratureNodes(points, probs))
 
     def make_nodes(self, n: int) -> QuadratureNodes:
@@ -129,10 +116,15 @@ class FutureValueDist:
 
         A discrete law returns its atoms exactly (n is ignored); a
         continuous law uses n equal-weight nodes at the probability
-        midpoints (i - 1/2)/n of its truncated law.
+        midpoints (i - 1/2)/n of its truncated law, which must come out
+        finite, positive and distinct in floating point.
         """
         if self.atoms is not None:
             return self.atoms
         if n < 2:
             raise ValueError("continuous families need at least 2 nodes")
-        return QuadratureNodes(self.value_at(_midpoint_quantiles(n, *self.levels)), np.full(n, 1.0 / n))
+        with np.errstate(over="ignore", under="ignore"):
+            nodes = self.value_at(_midpoint_quantiles(n, *self.levels))
+        if not (0.0 < nodes[0] and nodes[-1] < math.inf and np.all(np.diff(nodes) > 0.0)):
+            raise ValueError(f"quadrature nodes {nodes[0]:.6g} to {nodes[-1]:.6g} are not finite, positive and distinct")
+        return QuadratureNodes(nodes, np.full(n, 1.0 / n))

@@ -48,13 +48,15 @@ EXTREME, OVERFLOW, UNDERFLOW, FLAT = (
     json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["securities"][1]
     for name in ("extreme_range", "overflow_span", "underflow_span", "degenerate_return")
 )
+HUGE = json.loads((FIXTURES / "overflow_nodes.json").read_text(encoding="utf-8"))["securities"][0]
 PROFILE_FAILURES = [
-    ("huge", {"future_value": {"family": "lognormal", "log_mean": 800, "log_sd": 0.2}},
-     "overflow"),
+    # exp(800 + 0.2 z) overflows at every node
+    ("huge", {"future_value": HUGE["future_value"]},
+     "quadrature nodes inf to inf are not finite, positive and distinct"),
     ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
      "return grid must be strictly increasing"),
     ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
-     "nodes must be strictly increasing and positive"),
+     "quadrature nodes 100 to 100 are not finite, positive and distinct"),
     ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
      "return span"),
     ("extreme", {key: EXTREME[key] for key in ("present_value", "future_value")},
@@ -234,6 +236,7 @@ class TestValidate:
             captured = capsys.readouterr()
             assert captured.err.startswith(f"error: security {sec_id!r}: ")
             assert message in captured.err
+            assert len(captured.err.splitlines()) == 1 and "encountered" not in captured.err
             assert "Traceback" not in captured.err
             assert captured.out == ""
 
@@ -731,14 +734,20 @@ magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda exponent: 1
 @st.composite
 def extreme_securities(draw):
     """A valid-looking security whose corners, normal mean and sd, or atoms lie
-    anywhere from 1e-300 to 1e300."""
+    anywhere from 1e-300 to 1e300, or whose lognormal law has a log_mean
+    from -800 to 800, past where its nodes overflow or underflow."""
     corners = sorted(draw(st.lists(magnitudes, min_size=4, max_size=4)))
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["discrete", "normal", "lognormal"]))
+    if family == "discrete":
         atoms = sorted(set(draw(st.lists(magnitudes, min_size=1, max_size=3))))
         law = {"family": "discrete", "points": atoms, "probs": [1.0 / len(atoms)] * len(atoms)}
-    else:
+    elif family == "normal":
         mean = draw(magnitudes)
         law = {"family": "normal", "mean": mean, "sd": mean * draw(st.floats(min_value=1e-3, max_value=0.3))}
+    else:
+        # exp leaves the floating-point range past about +-709.78: draw often near it
+        log_mean = st.floats(-800.0, 800.0) | st.floats(-800.0, -700.0) | st.floats(700.0, 800.0)
+        law = {"family": "lognormal", "log_mean": draw(log_mean), "log_sd": draw(st.floats(1e-3, 2.0))}
     return {
         "convention": draw(st.sampled_from(["simple", "logarithmic"])),
         "present_value": dict(zip("abcd", corners), type="trapezoid"),

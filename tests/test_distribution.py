@@ -9,7 +9,7 @@ from scipy import stats
 
 import bpv_effect
 from bpv_effect import distribution
-from bpv_effect.distribution import FutureValueDist, QuadratureNodes
+from bpv_effect.distribution import FutureValueDist
 
 
 @pytest.fixture
@@ -68,12 +68,13 @@ class TestValidation:
             FutureValueDist.lognormal(0.0, 1.0, (0.9, 0.1))
 
     def test_node_weights_validated(self):
-        with pytest.raises(ValueError):
-            QuadratureNodes([1.0, 2.0], [0.5, 0.4])
-        with pytest.raises(ValueError):
-            QuadratureNodes([2.0, 1.0], [0.5, 0.5])
+        # a discrete law's atoms are its quadrature nodes and weights, checked only here
+        with pytest.raises(ValueError, match="sum to 1"):
+            FutureValueDist.discrete([1.0, 2.0], [0.5, 0.4])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FutureValueDist.discrete([2.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            QuadratureNodes([1.0, np.inf], [0.5, 0.5])
+            FutureValueDist.discrete([1.0, np.inf], [0.5, 0.5])
 
 
 class TestNodes:
@@ -82,6 +83,17 @@ class TestNodes:
             nodes = two_atoms.make_nodes(n)
             assert np.array_equal(nodes.nodes, [2.0, 5.0])
             assert np.array_equal(nodes.weights, [0.3, 0.7])
+            assert not (nodes.nodes.flags.writeable or nodes.weights.flags.writeable)
+
+    @pytest.mark.parametrize("law, span", [
+        (FutureValueDist.lognormal(800.0, 0.2), "inf to inf"),  # exp overflows
+        (FutureValueDist.lognormal(-800.0, 0.2), "0 to 0"),  # exp underflows
+        (FutureValueDist.normal(100.0, 1e-300, (0.005, 0.995)), "100 to 100"),  # sd * z vanishes against the mean
+    ], ids=["overflow", "underflow", "collapse"])
+    def test_nodes_out_of_range_name_their_span(self, law, span):
+        with np.errstate(all="raise"), pytest.raises(ValueError) as caught:
+            law.make_nodes(256)
+        assert str(caught.value) == f"quadrature nodes {span} are not finite, positive and distinct"
 
     @pytest.mark.parametrize("law, reference, levels", [
         (FutureValueDist.lognormal(0.0, 1.0), stats.lognorm(1.0), (0.0, 1.0)),

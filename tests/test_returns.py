@@ -267,7 +267,10 @@ def knot_view_cases(draw):
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=y.size, max_size=y.size)))
     if weights.sum() == 0.0:
         weights[:] = 1.0
-    return mu, conv, QuadratureNodes(y, weights / weights.sum()), rates
+    weights /= weights.sum()
+    # QuadratureNodes is a plain record: the rule that FutureValueDist checks is asserted here
+    assert y[0] > 0.0 and np.all(np.diff(y) > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    return mu, conv, QuadratureNodes(y, weights), rates
 
 
 class TestKnotView:
