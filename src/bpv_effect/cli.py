@@ -6,15 +6,16 @@ distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
 the file and computes each security's profile as ``analyze`` does.
 
-This module checks only the document's shape: objects, strings, numbers
-and lists of numbers where the schema puts them.  Each domain rule (corner
-order, probabilities, truncation levels, resolutions) lives in the
-constructor that builds the value; its ``ValueError`` is reported prefixed
-with the JSON path and the security id.
+This module checks only the document's shape: objects holding only their
+listed keys, strings, integers, numbers and lists of numbers where the
+schema puts them.  Each domain rule (corner order, probabilities,
+truncation levels, resolutions) lives in the constructor that builds the
+value; its ``ValueError``, like an unknown key, is reported prefixed with
+the JSON path and the security id.
 
 Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
 an unwritable output, 2 a security whose profile cannot be computed or a
-screen that exhausts memory.
+screen that exhausts memory.  A failed write removes the file it opened.
 """
 
 import argparse
@@ -36,9 +37,9 @@ from .returns import CONVENTIONS, EngineSettings, profile
 SCHEMA_VERSION = 1
 DEFAULT_TRUNCATION = (0.005, 0.995)
 
-# Each present-value type and future-value family: its constructor and the
-# JSON fields passed to it by name.  The fields in _LISTS are nonempty lists
-# of numbers; all others are numbers.
+# Each present-value type and future-value family, and the settings block:
+# its constructor and the JSON fields passed to it by name.  The fields in
+# _LISTS are nonempty lists of numbers, in _INTEGERS integers, all others numbers.
 _SHAPES = {
     "trapezoid": (trapezoid, ("a", "b", "c", "d")),
     "grid": (lambda points, values: MembershipFn(points, values), ("points", "values")),
@@ -48,7 +49,9 @@ _FAMILIES = {
     "lognormal": (FutureValueDist.lognormal, ("log_mean", "log_sd")),
     "discrete": (FutureValueDist.discrete, ("points", "probs")),
 }
+_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation_levels(truncation)), ())
 _LISTS = {"points", "values", "probs", "truncation"}
+_INTEGERS = {"grid_points", "nodes", "variance_panels"}
 
 
 def _is_number(x) -> bool:
@@ -60,17 +63,19 @@ def _is_integer(x) -> bool:
 
 
 def _field(entry, key, path, errors):
-    """``entry[key]`` as a float, or as a list of floats for the keys in
-    _LISTS; None after recording an error."""
+    """``entry[key]`` as an integer for the keys in _INTEGERS, a list of floats
+    for those in _LISTS, or else a float; None after recording an error."""
     value = entry.get(key)
     try:
-        if key not in _LISTS and _is_number(value):
-            return float(value)
+        if key in _INTEGERS and _is_integer(value):
+            return value
         if key in _LISTS and isinstance(value, list) and value and all(map(_is_number, value)):
             return [float(v) for v in value]
+        if key not in _LISTS and key not in _INTEGERS and _is_number(value):
+            return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    kind = "a nonempty list of numbers" if key in _LISTS else "a number"
+    kind = "an integer" if key in _INTEGERS else "a nonempty list of numbers" if key in _LISTS else "a number"
     errors.append(f"{path}.{key}: expected {kind}" + (f", got {value!r}" if key in entry else ""))
     return None
 
@@ -85,17 +90,30 @@ def _tag(entry, key, table, path, errors):
     return None
 
 
-def _build(entry, path, tag_key, table, errors, **optional):
-    """Construct the value a tagged JSON object describes from the fields its
-    tag reads, plus the ``optional`` keyword defaults, which the object's own
-    fields of the same name override.  Returns None after recording errors."""
+def _unknown_keys(entry, allowed, prefix, errors):
+    """Record an error for each key of the object ``entry`` outside ``allowed``,
+    named by ``prefix`` and the key's repr without its quotes, which escapes
+    every line break that splitlines splits on."""
+    for key in entry:
+        if key not in allowed:
+            errors.append(f"{prefix}{repr(key)[1:-1]}: unknown field, expected one of {', '.join(allowed)}")
+
+
+def _build(entry, path, errors, row, tag=None, **optional):
+    """The value a JSON object describes, built by ``row``: a constructor and
+    the fields passed to it by name, or a table of such rows when the
+    object's string field ``tag`` picks one.  The object's own fields override
+    the ``optional`` keyword defaults; any other key is an error.  Returns
+    None after recording errors."""
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None
-    row = _tag(entry, tag_key, table, path, errors)
-    if row is None:
-        return None
+    if tag:
+        row = _tag(entry, tag, row, path, errors)
+        if row is None:
+            return None
     make, keys = row
+    _unknown_keys(entry, ((tag,) if tag else ()) + keys + tuple(optional), f"{path}.", errors)
     keys += tuple(key for key in optional if key in entry)
     fields = {key: _field(entry, key, path, errors) for key in keys}
     if any(value is None for value in fields.values()):
@@ -108,7 +126,7 @@ def _build(entry, path, tag_key, table, errors, **optional):
 
 
 def _build_membership(entry, path, errors) -> MembershipFn | None:
-    mu = _build(entry, path, "type", _SHAPES, errors)
+    mu = _build(entry, path, errors, _SHAPES, "type")
     if mu is not None and mu.support[0] <= 0.0:
         errors.append(f"{path}: present-value support must be positive")
         return None
@@ -118,38 +136,7 @@ def _build_membership(entry, path, errors) -> MembershipFn | None:
 def _build_distribution(entry, path, errors, truncation) -> FutureValueDist | None:
     if isinstance(entry, dict) and entry.get("family") == "discrete":
         truncation = None  # the settings' truncation applies to continuous laws only
-    return _build(entry, path, "family", _FAMILIES, errors, truncation=truncation)
-
-
-def _resolve_settings(doc, errors):
-    """Engine settings and default truncation from the settings block."""
-    truncation = DEFAULT_TRUNCATION
-    block = doc.get("settings", {})
-    if not isinstance(block, dict):
-        errors.append("settings: expected an object")
-        return None, truncation
-    keys = dataclasses.asdict(EngineSettings())
-    allowed = [*keys, "truncation"]
-    for key in filter(lambda key: key not in allowed, block):
-        # repr without its quotes escapes every line break that splitlines splits on
-        errors.append(f"settings.{repr(key)[1:-1]}: unknown setting, expected one of {', '.join(allowed)}")
-    values = {}
-    for key in filter(block.__contains__, keys):
-        if _is_integer(block[key]):
-            values[key] = block[key]
-        else:
-            errors.append(f"settings.{key}: expected an integer, got {block[key]!r}")
-    if "truncation" in block:
-        levels = _field(block, "truncation", "settings", errors)
-        try:
-            truncation = truncation_levels(levels) if levels is not None else truncation
-        except ValueError as exc:
-            errors.append(f"settings: {exc}")
-    try:
-        return EngineSettings(**values), truncation
-    except ValueError as exc:
-        errors.append(f"settings: {exc}")
-        return None, truncation
+    return _build(entry, path, errors, _FAMILIES, "family", truncation=truncation)
 
 
 def _parse_portfolio(doc, errors):
@@ -162,7 +149,11 @@ def _parse_portfolio(doc, errors):
     if not _is_integer(version) or version != SCHEMA_VERSION:  # True == 1.0 == 1 in Python
         got = f", got {version!r}" if "schema_version" in doc else ""
         errors.append(f"schema_version: expected {SCHEMA_VERSION}{got}")
-    settings, truncation = _resolve_settings(doc, errors)
+    _unknown_keys(doc, ("schema_version", "settings", "securities"), "", errors)
+    settings, truncation = _build(
+        doc.get("settings", {}), "settings", errors, _SETTINGS,
+        **dataclasses.asdict(EngineSettings()), truncation=DEFAULT_TRUNCATION,
+    ) or (None, DEFAULT_TRUNCATION)
     entries = doc.get("securities")
     if not isinstance(entries, list) or not entries:
         errors.append("securities: expected a nonempty list")
@@ -183,6 +174,7 @@ def _parse_portfolio(doc, errors):
             errors.append(f"{path}: duplicate id")
             continue
         seen.add(sec_id)
+        _unknown_keys(entry, ("id", "convention", "present_value", "future_value"), f"{path}.", errors)
         conv = _tag(entry, "convention", CONVENTIONS, path, errors)
         mu = _build_membership(entry.get("present_value"), f"{path}.present_value", errors)
         dist = _build_distribution(entry.get("future_value"), f"{path}.future_value", errors, truncation)
@@ -259,24 +251,26 @@ def cmd_analyze(args) -> int:
 
 def _write_file(path: str | None, write, **options) -> bool:
     """``write(handle)`` into the file at ``path``, or into stdout when
-    ``path`` is empty; False after printing why it failed.  A ``MemoryError``
-    propagates, after removing the partly written file at ``path`` if that is
-    a regular file: a device, FIFO or link such as /dev/stdout stays."""
+    ``path`` is empty; False after printing why it failed.  A failure removes
+    the file this call opened if it is regular (a link such as /dev/stdout, a
+    device or FIFO stays); a ``MemoryError`` then propagates."""
+    opened = False
     try:
         if path:
             with open(path, "w", encoding="utf-8", **options) as handle:
+                opened = True
                 write(handle)
         elif sys.stdout is None:  # the process was started with stdout closed
             raise OSError("stdout is closed")
         else:
             write(sys.stdout)
             sys.stdout.flush()
-    except MemoryError:
+    except (MemoryError, OSError) as exc:
         with contextlib.suppress(OSError):
-            if path and stat.S_ISREG(os.lstat(path).st_mode):
+            if opened and stat.S_ISREG(os.lstat(path).st_mode):
                 os.remove(path)
-        raise
-    except OSError as exc:
+        if isinstance(exc, MemoryError):
+            raise
         if not path and sys.stdout is not None:  # drop what stays buffered, or the flush at exit fails again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

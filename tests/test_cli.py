@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import io
@@ -104,6 +105,13 @@ BAD_INPUTS = {
     "float_schema_version": ({}, {"schema_version": 1.0}, "schema_version", False),
     "misspelt_setting": ({}, {"settings": {"grid_point": 2401}}, "settings.grid_point", False),
     "line_break_setting": ({}, {"settings": {"bad\nkey": 1}}, "settings.bad\\nkey", False),
+    # every object accepts only its listed keys
+    "misspelt_top_level": ({}, {"setings": {"nodes": 16}}, "error: setings: unknown field", False),
+    "misspelt_security_key": ({"conventoin": "simple"}, {}, "securities[0] (id 'bad').conventoin: unknown", True),
+    "extra_trapezoid_corner": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": 105, "d": 110,
+                                                  "e": 115}}, {}, "(id 'bad').present_value.e: unknown", True),
+    "misspelt_truncation": ({"future_value": {**LOGNORMAL, "truncaton": [0.2, 0.8]}}, {},
+                            "(id 'bad').future_value.truncaton: unknown", True),
     "infinite_plateau_end": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": float("inf"),
                                                 "d": float("inf")}}, {}, "present_value", True),
     # each row names its constructor check's message, so the row fails if that check goes
@@ -524,13 +532,22 @@ class TestAnalyze:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("target", ["file", "link"])
-    def test_exhausted_memory_while_writing_leaves_no_partial_report(self, tmp_path, capsys, monkeypatch, target):
-        # the matrix writer emits the first row of the outranking matrix, then runs out of memory
+    @pytest.mark.parametrize("target, failure", [
+        pytest.param("file", MemoryError, id="file"),
+        pytest.param("link", MemoryError, id="link"),
+        pytest.param("file", OSError, id="file-disk_full"),
+        pytest.param("link", OSError, id="link-disk_full"),
+    ])
+    def test_exhausted_memory_while_writing_leaves_no_partial_report(
+        self, tmp_path, capsys, monkeypatch, target, failure
+    ):
+        # the matrix writer emits the first row of the outranking matrix, then runs out of memory or disk
         def one_row_then_exhausted(rows, handle):
             def first_row(rows):
                 yield next(iter(rows))
-                raise MemoryError("Unable to allocate 8.00 MiB for an array with shape (1024, 1024)")
+                if failure is MemoryError:
+                    raise MemoryError("Unable to allocate 8.00 MiB for an array with shape (1024, 1024)")
+                raise OSError(28, "No space left on device")
 
             _write_matrix(first_row(rows), handle)
 
@@ -538,14 +555,36 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         if target == "link":  # a link, such as /dev/stdout, is not a regular file and stays
             out.symlink_to(tmp_path / "target.json")
-        assert main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)]) == 2
+        code = main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot screen 3 securities: Unable to allocate 8.00 MiB")
+        if failure is MemoryError:
+            assert code == 2
+            assert err.startswith("error: cannot screen 3 securities: Unable to allocate 8.00 MiB")
+        else:
+            assert code == 1
+            assert err.startswith(f"error: cannot write {out}: [Errno 28] No space left on device")
         assert len(err.splitlines()) == 1
         if target == "file":
             assert not out.exists()
         else:
             assert out.is_symlink() and '"outranking": [' in (tmp_path / "target.json").read_text()
+
+    def test_output_that_cannot_be_opened_keeps_its_bytes(self, tmp_path, capsys, monkeypatch):
+        # the write fails before it opens the file, which is not its to remove
+        out = tmp_path / "report.json"
+
+        def refused(path, *args, **kwargs):
+            if path != str(out):  # the portfolio
+                return builtins.open(path, *args, **kwargs)
+            raise PermissionError(13, "Permission denied", path)
+
+        out.write_text("an earlier report", encoding="utf-8")
+        monkeypatch.setattr("bpv_effect.cli.open", refused, raising=False)
+        assert main(["analyze", str(FIXTURES / "portfolio3.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: [Errno 13] Permission denied")
+        assert len(err.splitlines()) == 1
+        assert out.read_text(encoding="utf-8") == "an earlier report"
 
     @pytest.mark.parametrize("sec_id, overrides, message", PROFILE_FAILURES)
     def test_profile_failure_exits_two_naming_the_security(self, tmp_path, capsys, sec_id, overrides, message):
@@ -701,6 +740,11 @@ class TestContractFuzz:
                 if isinstance(entry, dict) and isinstance(entry.get("future_value"), dict):
                     paths.append(("securities", 0, "future_value", "truncation"))
             path = data.draw(st.sampled_from(paths))
+            node = doc
+            for key in path:  # the appended truncation path may name no value
+                node = node.get(key) if isinstance(node, dict) else node[key]
+            if isinstance(node, dict) and data.draw(st.booleans()):  # insert a key, often an unknown one
+                path += (data.draw(st.sampled_from(["truncation", "nodes", "e", "id"]) | st.text(max_size=6)),)
             doc = _mutate(doc, path, data.draw(st.just(DELETE) | json_values))
         block = doc.get("settings") if isinstance(doc, dict) else None
         if isinstance(block, dict):  # huge resolutions only exhaust memory
