@@ -7,11 +7,12 @@ plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
 the file and computes each security's profile as ``analyze`` does.
 
 This module checks only the document's shape: objects holding only their
-listed keys, strings, integers, numbers and lists of numbers where the
-schema puts them.  Each domain rule (corner order, probabilities,
-truncation levels, resolutions) lives in the constructor that builds the
-value; its ``ValueError``, like an unknown key, is reported prefixed with
-the JSON path and the security id.
+listed keys, each once, strings, integers, numbers and lists of numbers
+where the schema puts them.  Each domain rule (corner order,
+probabilities, resolutions) lives in the constructor that builds the
+value; its ``ValueError``, like an unknown or repeated key, is reported
+prefixed with the JSON path and the security id.  A truncation is checked
+by ``truncation_levels`` as it is read, so its error names the field.
 
 Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
 an unwritable output, 2 a security whose profile cannot be computed or a
@@ -49,7 +50,7 @@ _FAMILIES = {
     "lognormal": (FutureValueDist.lognormal, ("log_mean", "log_sd")),
     "discrete": (FutureValueDist.discrete, ("points", "probs")),
 }
-_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation_levels(truncation)), ())
+_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation), ())
 _LISTS = {"points", "values", "probs", "truncation"}
 _INTEGERS = {"grid_points", "nodes", "variance_panels"}
 
@@ -64,17 +65,22 @@ def _is_integer(x) -> bool:
 
 def _field(entry, key, path, errors):
     """``entry[key]`` as an integer for the keys in _INTEGERS, a list of floats
-    for those in _LISTS, or else a float; None after recording an error."""
+    for those in _LISTS (a checked level pair for "truncation"), or else a
+    float; None after recording an error."""
     value = entry.get(key)
     try:
         if key in _INTEGERS and _is_integer(value):
             return value
         if key in _LISTS and isinstance(value, list) and value and all(map(_is_number, value)):
-            return [float(v) for v in value]
+            values = [float(v) for v in value]
+            return truncation_levels(values) if key == "truncation" else values
         if key not in _LISTS and key not in _INTEGERS and _is_number(value):
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
+    except ValueError as exc:  # levels outside (0, 1)
+        errors.append(f"{path}.{key}: {exc}")
+        return None
     kind = "an integer" if key in _INTEGERS else "a nonempty list of numbers" if key in _LISTS else "a number"
     errors.append(f"{path}.{key}: expected {kind}" + (f", got {value!r}" if key in entry else ""))
     return None
@@ -91,12 +97,28 @@ def _tag(entry, key, table, path, errors):
 
 
 def _unknown_keys(entry, allowed, prefix, errors):
-    """Record an error for each key of the object ``entry`` outside ``allowed``,
-    named by ``prefix`` and the key's repr without its quotes, which escapes
-    every line break that splitlines splits on."""
+    """Record an error for each key of the object ``entry`` outside ``allowed``
+    and each key it repeats, named by ``prefix`` and the key's repr without
+    its quotes, which escapes every line break that splitlines splits on."""
     for key in entry:
         if key not in allowed:
             errors.append(f"{prefix}{repr(key)[1:-1]}: unknown field, expected one of {', '.join(allowed)}")
+    for key in getattr(entry, "repeated", ()):
+        errors.append(f"{prefix}{repr(key)[1:-1]}: duplicate field")
+
+
+class _Object(dict):
+    """A JSON object that keeps the keys it repeats, in ``repeated``."""
+
+    repeated = ()
+
+
+def _object(pairs):
+    entry = _Object(pairs)
+    if len(entry) < len(pairs):
+        seen: set[str] = set()
+        entry.repeated = list(dict.fromkeys(key for key, _ in pairs if key in seen or seen.add(key)))
+    return entry
 
 
 def _build(entry, path, errors, row, tag=None, **optional):
@@ -189,7 +211,7 @@ def _load(path):
     parsed = None
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_object)
     except OSError as exc:
         errors.append(f"cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep

@@ -14,16 +14,20 @@ Both are strictly decreasing in the present value, so the per-state
 membership of rate r is ``mu`` evaluated at the unique present value that
 produces r, and rates outside a convention's domain carry membership 0.
 
-The average of the state memberships over the quadrature nodes is taken
-in one of two views, which ``profile`` builds once per security (``_view``)
-and passes to the fuzzy return and the variance.  The node view evaluates
-``mu`` at every (rate, node) pair (``_NodeView.values``).  The knot view
-uses that the present value is linear in the future value: the nodes on
-one linear piece of ``mu`` form a contiguous run whose sum follows from
-prefix sums, at O(knots) cost per rate.  A security takes the knot view when its node count reaches an
-affine function of its knot count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``).
+The average of the state memberships over the future-value law is taken
+in one of three views, which ``profile`` builds once per security
+(``_view``) and passes to the fuzzy return and the variance.  The present
+value is linear in the future value, so the states on one linear piece of
+``mu`` form a contiguous run whose sum follows from W and M, the law's
+weight and first moment below the run's edges, at O(knots) cost per rate.
+A continuous law takes W and M from their closed forms (``_LawView``).  A
+discrete law takes them from prefix sums over its atoms (``_KnotView``)
+when its atom count reaches an affine function of its knot count
+(``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``), and otherwise
+evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
 """
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .distribution import FutureValueDist, QuadratureNodes
+from .distribution import FutureValueDist, QuadratureNodes, TruncatedLaw
 from .membership import MembershipFn, energy_measure, entropy_measure
 
 
@@ -69,50 +73,52 @@ LOGARITHMIC = ReturnConvention(
 CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
 
-# A security sums its state memberships in the knot view when it has at least
-# KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * knots quadrature nodes, and node
-# by node otherwise.  Measured with whole ``profile`` calls (801 rates, 1024
-# panels, numpy 2.4, 2-core x86_64, medians of 9) over 2-101 knots and 3-512
-# nodes: the knot view costs about 1.3 ms plus 0.19 ms per knot (1.9 ms at 2
-# knots, 2.4 at 8, 4.9 at 16, 7.9 at 32, 10 at 48) whatever the node count,
-# the node view about 0.5 ms plus 0.031 ms per node (1.05 ms at 16 nodes, 2.4
-# at 64, 8.6 at 256) whatever the knot count, so the two break even at about
-# 25 + 6 * knots nodes.  A 4-knot trapezoid profiles in 2.2 ms instead of
-# 8.5 with 256 nodes, and in 0.5-0.9 ms instead of 2.1-2.5 with an 8-atom law.
+# A security with a discrete law sums its state memberships in the knot view
+# when it has at least KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * knots atoms,
+# and node by node otherwise.  Measured with whole ``profile`` calls (801 rates,
+# 1024 panels, numpy 2.4, 2-core x86_64, medians of 9) over 2-101 knots and
+# 3-512 nodes: the knot view costs about 1.3 ms plus 0.19 ms per knot (1.9 ms
+# at 2 knots, 2.4 at 8, 4.9 at 16, 7.9 at 32, 10 at 48) whatever the node
+# count, the node view about 0.5 ms plus 0.031 ms per node (1.05 ms at 16
+# nodes, 2.4 at 64, 8.6 at 256) whatever the knot count, so the two break even
+# at about 25 + 6 * knots nodes.  A 4-knot trapezoid with an 8-atom law
+# profiles in 0.5-0.9 ms in the node view instead of 2.1-2.5 in the knot view.
 KNOT_VIEW_NODES = 24
 KNOT_VIEW_NODES_PER_KNOT = 6
 
 
 class _KnotView:
-    """State-membership sums S(r) = sum_j w_j mu(pv(r, y_j)), knot by knot.
+    """State-membership sums S(r) = sum_j w_j mu(pv(r, y_j)) over a discrete
+    law's atoms, knot by knot.
 
     Present values are increasing in the node, so the nodes whose present
     value falls on one membership piece form a contiguous run, and the run's
-    contribution follows from prefix sums of w and w*y: on segment k it is
-    v_k dW + slope_k (pv(r, dM) - x_k dW), because pv is linear in y.  Runs
-    are cut exactly where ``np.interp`` on ``present_map(r, y)`` would cut
-    them, so closed support ends and vertical edges count the same nodes.
-    The cost is O(rates * knots * log nodes) instead of O(rates * nodes).
+    contribution follows from W and M, the law's weight and first moment
+    below the run's edges: on segment k it is v_k dW + slope_k (pv(r, dM) -
+    x_k dW), because pv is linear in y.  Here an edge is a position in the
+    prefix sums of w and w*y, cut exactly where ``np.interp`` on
+    ``present_map(r, y)`` would cut the runs, so closed support ends and
+    vertical edges count the same nodes.  The cost is O(rates * knots * log
+    nodes) instead of O(rates * nodes).  ``_LawView`` takes W and M from a
+    continuous law's closed forms instead.
 
     Pieces are numbered by how many run edges lie at or before a node: 0
     below the support, k + 1 on segment k, K exactly at the last of K knots,
     K + 1 past it.  Rates whose present-value scale ``present_map(r, 1)`` is
-    not finite and positive sum to 0 (``sums``), which is the node view's
-    value for a membership with positive support: simple rates at or below
-    -1, and logarithmic rates above about 745.13 or below about -709.78,
-    where exp(-r) underflows to 0 or overflows.
+    not finite and positive sum to 0, which is the node view's value for a
+    membership with positive support: simple rates at or below -1, and
+    logarithmic rates above about 745.13 or below about -709.78, where
+    exp(-r) underflows to 0 or overflows.
 
     Every per-rate array is threshold-major: thresholds or pieces down axis
-    0, rates along axis 1, so each numpy pass runs over one contiguous row of
-    rates per threshold, and the pieces of a rate add left to right.
+    0 (after a leading axis for W and M), rates along the last axis, so each
+    numpy pass runs over one contiguous row of rates per threshold, and the
+    pieces of a rate add left to right.
     """
 
-    def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
-        x, v, w = mu.grid, mu.values, nodes.weights
-        self.conv, self.y = conv, nodes.nodes
-        self.padded = np.concatenate(([-np.inf], self.y, [np.inf]))
-        self.W = np.concatenate(([0.0], np.cumsum(w)))
-        self.M = np.concatenate(([0.0], np.cumsum(w * self.y)))
+    def __init__(self, mu: MembershipFn, conv: ReturnConvention, law):
+        x, v = mu.grid, mu.values
+        self.conv, self.law, self.y = conv, law, law.nodes
         # present value reaching each knot, then strictly passing the last: a column
         self.reach = np.append(x, np.nextafter(x[-1], np.inf))[:, None]
         # per piece: left knot, width, value there, rise across
@@ -123,15 +129,21 @@ class _KnotView:
             np.concatenate(([0.0], np.diff(v), [0.0, 0.0])),
         ])
         self.runs = self.pieces[:, 1:-1, None]  # the pieces between the first and last edge
+        if isinstance(law, QuadratureNodes):
+            self.padded = np.concatenate(([-np.inf], self.y, [np.inf]))
+            # W and M below each node edge
+            self.table = np.array((np.concatenate(([0.0], np.cumsum(law.weights))),
+                                   np.concatenate(([0.0], np.cumsum(law.weights * self.y)))))
 
-    def edges(self, r, scale):
-        """First node reaching each threshold (a row per threshold) for a row
-        of rates and their present-value scales ``present_map(r, 1)``.
+    def edges(self, r, scale, out):
+        """The run edges, a row per threshold, for rows of rates and their
+        present-value scales ``present_map(r, 1)``; the rates ``out`` get
+        every edge past the last node.
 
-        ``searchsorted`` on the thresholds' future values (each threshold
-        over the scale) gives a guess that rounding can leave a few nodes
-        off; testing the present value of the neighbouring nodes walks it to
-        the exact edge.
+        An edge is the first node reaching its threshold.  ``searchsorted``
+        on the thresholds' future values (each threshold over the scale)
+        gives a guess that rounding can leave a few nodes off; testing the
+        present value of the neighbouring nodes walks it to the exact edge.
         """
         conv, reach = self.conv, self.reach
         e = np.searchsorted(self.y, reach / scale)
@@ -139,88 +151,146 @@ class _KnotView:
             back = conv.present_map(r, self.padded[e]) >= reach  # node e - 1 reaches
             ahead = conv.present_map(r, self.padded[e + 1]) < reach  # node e falls short
             if not (back.any() or ahead.any()):
-                return e
+                return np.where(out, self.y.size, e)
             e = e + ahead - back
+
+    def moments(self, e):
+        """W and M at the edges ``e``, down a leading axis of length 2."""
+        return self.table[:, e]
+
+    def ends(self, a, b):
+        """The first and last node between the edges a and b."""
+        n = self.y.size
+        return self.y[[np.minimum(a, n - 1), np.maximum(b - 1, 0)]]
+
+    def split(self, a, b, ends, gap, cross):
+        """The edge of the first node past the sign change of ``gap``
+        between the edges a and b, or b where it does not change sign."""
+        cross &= b - a > 1
+        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
+        at = np.searchsorted(self.y, ends[0] + share * (ends[1] - ends[0]))
+        return np.where(cross, np.clip(at, a + 1, b - 1), b)
 
     def run_sum(self, r, dW, dM, piece):
         """Sum over a run of nodes on one piece at rate r, from its weight
         dW and weighted future value dM.  The slope term is clamped to
         [0, dx dW], so each sum stays a convex combination of the piece's
-        end values; with dW = 1 and dM = y it is mu(pv(r, y)) at a node y."""
+        end values."""
         x, dx, v, dv = piece
         offset = (self.conv.present_map(r, dM) - x * dW) / dx
-        return v * dW + dv * np.clip(offset, 0.0, dW)
+        return v * dW + dv * np.minimum(np.maximum(offset, 0.0), dW)
 
-    def sums(self, rates):
-        """The rates as evaluated, their edges and S(r) at each, one run per piece.
+    def membership(self, r, y, piece):
+        """mu(pv(r, y)) on one piece at rate r: ``run_sum`` of a single
+        future value y of weight 1."""
+        x, dx, v, dv = piece
+        offset = (self.conv.present_map(r, y) - x) / dx
+        return v + dv * np.minimum(np.maximum(offset, 0.0), 1.0)
 
-        A rate whose present-value scale is not finite and positive stands
-        in as 0 with every edge past the last node, so it sums to exactly 0.
-        """
+    def _edges(self, rates):
+        """The rates as evaluated, with an axis for the thresholds before
+        their last, and their run edges.  A rate whose present-value scale
+        is not finite and positive stands in as 0 with every edge past the
+        last node, so it sums to exactly 0."""
         with np.errstate(divide="ignore", over="ignore"):
-            scale = self.conv.present_map(rates, 1.0)
+            scale = self.conv.present_map(rates, 1.0)[..., None, :]
         out = ~((scale > 0.0) & (scale < np.inf))
-        r = np.where(out, 0.0, rates)
-        with np.errstate(over="ignore"):
-            e = self.edges(r, np.where(out, 1.0, scale))
-            e[:, out] = self.y.size
-            W, M = self.W[e], self.M[e]
-            return r, e, self.run_sum(r, W[1:] - W[:-1], M[1:] - M[:-1], self.runs).sum(axis=0)
+        r = np.where(out, 0.0, rates[..., None, :])
+        return r, self.edges(r, np.where(out, 1.0, scale), out)
+
+    def _run_sums(self, r, moments):
+        """S(r) at each rate, one run per piece, from W and M at its edges."""
+        return self.run_sum(r, *(moments[..., 1:, :] - moments[..., :-1, :]), self.runs).sum(axis=-2)
 
     def state_sum(self, rates):
         """S(r) at each rate."""
-        return self.sums(rates)[2]
+        with np.errstate(over="ignore"):
+            r, e = self._edges(rates)
+            return self._run_sums(r, self.moments(e))
 
     def kernel(self, center, steps):
         """Sum of w_j max(mu(pv(center + s, y_j)), mu(pv(center - s, y_j))) per step s.
 
         Where the supports of the two copies share no node, the max is
-        their sum: two state sums.  Only the other steps go through
-        ``overlap``; a copy out of range shares none, as its edges are past
-        every node.
+        their sum: two state sums.  At the other steps the edges of both
+        copies are merged in one sort per step.  Between merged edges each
+        copy stays on one piece, so the difference of the two copies is
+        linear in y there: it changes sign at most once, at a point found
+        from its values at the interval's ends (``split``), and each side
+        sums the larger copy.  A copy out of range shares no node, as its
+        edges are past every node.  W and M are taken at every edge and split
+        point in one pass (``moments``).
         """
-        r, e, sums = self.sums(np.concatenate((center + steps, center - steps)))
-        k = steps.size
-        up, lo, e_up, e_lo = r[:k], r[k:], e[:, :k], e[:, k:]
-        total = sums[:k] + sums[k:]
-        both = np.flatnonzero(np.maximum(e_up[0], e_lo[0]) < np.minimum(e_up[-1], e_lo[-1]))
         with np.errstate(over="ignore"):
-            total[both] = self.overlap(up[both], lo[both], e_up[:, both], e_lo[:, both])
-        return total
-
-    def overlap(self, up, lo, e_up, e_lo):
-        """The kernel at steps whose two copies share nodes.
-
-        The edges of both copies are merged in one sort per step.  Between
-        merged edges each copy stays on one piece, so the difference of the
-        two copies is linear in y there: it changes sign at most once, at a
-        node found from its values on the interval's first and last nodes,
-        and each side sums the larger copy.  Both ends of an interval are
-        evaluated in one pass, down a leading axis of length 2.
-        """
-        n = self.y.size
-        merged = np.concatenate((e_up, e_lo))
-        order = np.argsort(merged, axis=0, kind="stable")
-        merged = np.sort(merged, axis=0)
-        up_piece = np.cumsum(order < e_up.shape[0], axis=0)[:-1]
-        lo_piece = np.arange(1, merged.shape[0])[:, None] - up_piece  # the other edges so far
-        a, b = merged[:-1], merged[1:]
-        ends = self.y[[np.minimum(a, n - 1), np.maximum(b - 1, 0)]]  # first and last node
-        gap = self.run_sum(up, 1.0, ends, self.pieces[:, up_piece]) - self.run_sum(lo, 1.0, ends, self.pieces[:, lo_piece])
-        up_wins = gap >= 0.0
-        cross = (up_wins[0] != up_wins[1]) & (b - a > 1)
-        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
-        at = np.searchsorted(self.y, ends[0] + share * (ends[1] - ends[0]))
-        split = np.where(cross, np.clip(at, a + 1, b - 1), b)
-        W, M = self.W[[a, split, b]], self.M[[a, split, b]]
-        halves = self.run_sum(
-            np.where(up_wins, up, lo), np.diff(W, axis=0), np.diff(M, axis=0),
-            self.pieces[:, np.where(up_wins, up_piece, lo_piece)],
-        )
+            r, e = self._edges(np.array((center + steps, center - steps)))  # copy, threshold, step
+            n, k = e.shape[1:]
+            paired = e.reshape(2 * n, k)  # each step's edges, the upper copy's then the lower copy's
+            both = np.flatnonzero(np.maximum(paired[0], paired[n]) < np.minimum(paired[n - 1], paired[-1]))
+            order = np.argsort(paired[:, both], axis=0, kind="stable")
+            merged = np.sort(paired[:, both], axis=0)
+            up_piece = np.cumsum(order < n, axis=0)[:-1]
+            lo_piece = np.arange(1, 2 * n)[:, None] - up_piece  # the other edges so far
+            rates = r[:, None, :, both]  # copy, 1, 1, step
+            pieces = np.take(self.pieces, np.array((up_piece, lo_piece)), axis=1)  # per copy and interval
+            a, b = merged[:-1], merged[1:]
+            ends = self.ends(a, b)
+            # both copies at both ends of each interval: copy, end, interval, step
+            values = self.membership(rates, ends, pieces[:, :, None])
+            gap = values[0] - values[1]
+            up_wins = gap >= 0.0
+            split = self.split(a, b, ends, gap, up_wins[0] != up_wins[1])
+            moments = self.moments(np.concatenate((e.ravel(), split.ravel())))
+            at_edges = moments[:, :e.size].reshape(2, 2, n, k)
+            total = self._run_sums(r, at_edges).sum(axis=0)
+            at_edges = np.take(at_edges.reshape(2, -1), order * k + both, axis=1)  # at the merged edges
+            at_split = moments[:, e.size:].reshape(2, *split.shape)
+            halves = self.run_sum(
+                np.where(up_wins, rates[0, 0], rates[1, 0]),
+                *np.array((at_split - at_edges[:, :-1], at_edges[:, 1:] - at_split)).swapaxes(0, 1),
+                np.take(self.pieces, np.where(up_wins, up_piece, lo_piece), axis=1),
+            )
         # each step sums its intervals along one contiguous row: from 8 intervals
         # (4 knots) on, numpy adds such a row pairwise, the order of every
         # earlier report, where a sum down axis 0 would add left to right
-        return np.ascontiguousarray((halves[0] + halves[1]).T).sum(axis=1)
+        total[both] = np.ascontiguousarray((halves[0] + halves[1]).T).sum(axis=1)
+        return total
+
+
+class _LawView(_KnotView):
+    """The sums of ``_KnotView`` for a continuous law, from the closed forms
+    of W and M (``TruncatedLaw.below``): each run's edge is its threshold's
+    future value itself, clipped to the support, and the kernel splits an
+    interval exactly where the two copies cross.  A threshold's future value
+    has no weight of its own, so the runs end at the last knot: the piece
+    exactly there is dropped."""
+
+    def __init__(self, mu: MembershipFn, conv: ReturnConvention, law: TruncatedLaw):
+        super().__init__(mu, conv, law)
+        self.reach = self.reach[:-1]
+        self.pieces = np.concatenate((self.pieces[:, :-2], self.pieces[:, -1:]), axis=1)
+        self.runs = self.pieces[:, 1:-1, None]
+
+    def edges(self, r, scale, out):
+        lo, hi = self.y
+        e = self.reach / scale
+        np.maximum(e, lo, out=e)
+        return np.where(out, hi, np.minimum(e, hi, out=e))
+
+    def moments(self, e):
+        return self.law.below(e)
+
+    def ends(self, a, b):
+        return np.array((a, b))
+
+    def split(self, a, b, ends, gap, cross):
+        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
+        return np.where(cross, a + share * (b - a), b)
+
+    def run_sum(self, r, dW, dM, piece):
+        """``_KnotView.run_sum`` with dM a first moment about the law's
+        shift, which moves back by shift * dW only after the moments at a
+        run's two edges are subtracted."""
+        return super().run_sum(r, dW, dM + self.law.shift * dW, piece)
 
 
 class _NodeView:
@@ -247,11 +317,15 @@ class _NodeView:
         return np.maximum(self.values(center + steps), self.values(center - steps)) @ self.w
 
 
-def _view(mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
-    """The cheaper view of one security's state sums (see ``KNOT_VIEW_NODES``)."""
-    if nodes.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size:
-        return _KnotView(mu, conv, nodes)
-    return _NodeView(mu, conv, nodes)
+def _view(mu: MembershipFn, conv: ReturnConvention, law):
+    """The view of one security's state sums: the closed forms of a
+    continuous law, or the cheaper of the two for a discrete one (see
+    ``KNOT_VIEW_NODES``)."""
+    if isinstance(law, TruncatedLaw):
+        return _LawView(mu, conv, law)
+    if law.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size:
+        return _KnotView(mu, conv, law)
+    return _NodeView(mu, conv, law)
 
 
 # Widest return grid.  The area A under the fuzzy return is at most its span,
@@ -262,9 +336,12 @@ MAX_RETURN_SPAN = 2.0**52
 
 @dataclass(frozen=True, eq=False)
 class ReturnGrid:
-    """Return-rate abscissae on which the fuzzy expected return is sampled."""
+    """Return-rate abscissae on which the fuzzy expected return is sampled,
+    and the ends of its ``support``, the rates outside which it vanishes
+    (the grid's ends unless given)."""
 
     r_values: np.ndarray
+    support: tuple[float, float] | None = None
 
     def __post_init__(self):
         r_values = np.array(self.r_values, dtype=float, copy=True)
@@ -277,12 +354,14 @@ class ReturnGrid:
                              "where the energy can round to 1")
         r_values.flags.writeable = False
         object.__setattr__(self, "r_values", r_values)
+        if self.support is None:
+            object.__setattr__(self, "support", (float(r_values[0]), float(r_values[-1])))
 
     @classmethod
     def spanning(
         cls,
         mu: MembershipFn,
-        nodes: QuadratureNodes,
+        law: QuadratureNodes | TruncatedLaw,
         conv: ReturnConvention,
         count: int,
     ) -> "ReturnGrid":
@@ -291,36 +370,39 @@ class ReturnGrid:
         ``count`` of them.
 
         The raw bounds, each end of the present-value support at the
-        opposite extreme node, make the fuzzy expected return vanish outside
-        the closed interval; one extra grid step of padding makes it
-        vanish strictly inside the endpoints, so all knot-based integrals
-        are exact over the grid.  The padded lower end is kept above the
-        convention's rate limit.
+        opposite end of the law's support (its extreme atom, or the
+        quantile at a truncation level), make the fuzzy expected return
+        vanish outside the closed interval; one extra grid step of padding
+        makes it vanish strictly inside the endpoints, so all knot-based
+        integrals are exact over the grid.  The padded lower end is kept
+        above the convention's rate limit.
 
         The fuzzy return bends only at the kink rates ``rate_map(x_k, y_j)``
-        of knots x_k and nodes y_j, and is smooth between them.  When
-        knots * nodes <= ``count`` (discrete laws), the kinks strictly
-        inside the uniform grid join it, so linear interpolation never cuts
-        across a bend; otherwise the grid stays uniform.
+        of knots x_k and the law's ``nodes`` y_j, and is smooth between
+        them: a discrete law's atoms, or a continuous law's support ends,
+        where a truncated law's fuzzy return can rise almost as a step under
+        a narrow membership.  When knots * nodes <= ``count``, the kinks
+        strictly inside the uniform grid join it, so linear interpolation
+        never cuts across a bend; otherwise the grid stays uniform.
         """
         s_lo, s_hi = mu.support
         if s_lo <= 0.0:
             raise ValueError("present-value membership support must be positive")
-        y_lo, y_hi = float(nodes.nodes[0]), float(nodes.nodes[-1])
+        y_lo, y_hi = float(law.nodes[0]), float(law.nodes[-1])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r_lo, r_hi = float(conv.rate_map(s_hi, y_lo)), float(conv.rate_map(s_lo, y_hi))
         pad = (r_hi - r_lo) / (count - 1)
         if not (math.isfinite(r_lo) and math.isfinite(r_hi + pad)):
             raise ValueError(f"return span {r_lo:.6g} to {r_hi:.6g} is out of floating-point range")
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
-        grid = cls(np.linspace(lower, r_hi + pad, count))
-        if mu.grid.size * nodes.nodes.size > count:
+        grid = cls(np.linspace(lower, r_hi + pad, count), (r_lo, r_hi))
+        if mu.grid.size * law.nodes.size > count:
             return grid
         r = grid.r_values
-        kinks = conv.rate_map(mu.grid[:, None], nodes.nodes).ravel()
+        kinks = conv.rate_map(mu.grid[:, None], law.nodes).ravel()
         # sorted, then one of each run of equal rates (np.unique would import numpy.ma)
         merged = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
-        return cls(merged[np.append(True, merged[1:] != merged[:-1])])
+        return cls(merged[np.append(True, merged[1:] != merged[:-1])], (r_lo, r_hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,11 +428,9 @@ def expected_return_distribution(view, grid: ReturnGrid) -> MembershipFn:
     """Fuzzy expected return on ``grid``: the state memberships of one
     security's ``view`` averaged over its future-value law.
 
-    For a discrete future-value law the node weights are the exact atom
-    probabilities and the result carries no quadrature error at all.  The
-    sum over nodes is exact for the polyline ``mu`` in either view (see
-    ``KNOT_VIEW_NODES``): knot by knot in O(rates * knots), or node by node
-    in O(rates * nodes).
+    The average is exact for the polyline ``mu`` in every view: over a
+    discrete law's atoms knot by knot in O(rates * knots) or atom by atom in
+    O(rates * atoms), and over a continuous law in closed form.
     """
     values = view.state_sum(grid.r_values)
     return MembershipFn(grid.r_values, np.clip(values, 0.0, 1.0))
@@ -364,21 +444,60 @@ def expected_return(rho: MembershipFn) -> float:
     return quadrature.first_moment(rho.grid, rho.values) / denominator
 
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """Nodes on (-1, 1) and weights of the n-point Gauss-Legendre rule, by
+    Newton's method on the Legendre recurrence from Tricomi's first guess."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):  # four steps reach the rounding level at n = 64
+        below, legendre = np.ones(n), x
+        for k in range(2, n + 1):
+            below, legendre = legendre, ((2 * k - 1) * x * legendre - (k - 1) * below) / k
+        slope = n * (x * legendre - below) / (x * x - 1.0)
+        step = legendre / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+# Gauss-Legendre points on each side of the nearer support end's deviation
+# in a continuous law's variance rule
+GAUSS_POINTS = 64
+
+
 def return_variance(view, center: float, grid: ReturnGrid, panels: int) -> float:
     """Behavioural variance of the return rate around ``center``, from one
     security's ``view``.
 
-    The kernel at squared deviation x is the larger of the two state
-    memberships at center +/- sqrt(x), averaged over the future-value
-    law; the variance is the kernel-weighted mean of x.  The average over
-    nodes is exact for the polyline ``mu``, knot by knot or node by node as
-    for the fuzzy return.  The x axis is sampled with a trapezoid rule (the
-    kernel is not piecewise linear in x) of ``panels`` panels.  It ends at
-    the squared deviation of the farther end of ``grid``, beyond which the
-    kernel is identically zero.
+    The kernel K at deviation s is the larger of the two state memberships
+    at center +/- s, averaged over the future-value law; the variance is
+    V = int 2 s^3 K ds / int 2 s K ds, the K-weighted mean of the squared
+    deviation.  The average over the law is exact for the polyline ``mu``.
+    The kernel vanishes past the deviation of the farther end of the
+    fuzzy return's support.
+
+    For a continuous law, V is integrated in s by Gauss-Legendre with
+    ``GAUSS_POINTS`` points on each side of the nearer support end's
+    deviation, where one copy leaves the support: the kernel is smooth
+    between the two ends' deviations, but a truncated law's fuzzy return
+    can jump at its support ends.  A discrete law's kernel bends at many
+    deviations, and its squared-deviation axis x = s^2 is sampled with a
+    trapezoid rule of ``panels`` panels up to the farther grid end.
     """
     if panels < 1:
         raise ValueError("panels must be a positive integer")
+    if isinstance(view, _LawView):
+        near, far = sorted((center - grid.support[0], grid.support[1] - center))
+        nodes, weights = _gauss_legendre(GAUSS_POINTS)
+        half = np.array([[near], [far - near]]) / 2.0
+        steps = (np.array([[0.0], [near]]) + half * (nodes + 1.0)).ravel()
+        weights = (half * weights).ravel() * steps
+        kernel = view.kernel(center, steps)
+        denominator = weights @ kernel
+        if denominator == 0.0:
+            raise DegenerateMembershipError("degenerate membership: variance undefined")
+        return float((weights * steps * steps) @ kernel / denominator)
     x_end = max((float(grid.r_values[-1]) - center) ** 2, (float(grid.r_values[0]) - center) ** 2)
     xs = np.linspace(0.0, x_end, panels + 1)
     kernel = view.kernel(center, np.sqrt(xs))
@@ -397,7 +516,10 @@ MAX_RESOLUTION = 2**20
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Resolution knobs for profile computation."""
+    """Resolution knobs for profile computation: the return grid's point
+    count, and the variance panels of a discrete law.  ``nodes`` is checked
+    and reported but changes no result, since continuous laws are summed in
+    closed form."""
 
     grid_points: int = 801
     nodes: int = 256
@@ -406,7 +528,7 @@ class EngineSettings:
     def __post_init__(self):
         if self.grid_points < 4:
             raise ValueError("grid_points must be at least 4")
-        if self.nodes < 2:  # continuous laws need two; discrete laws ignore the count
+        if self.nodes < 2:
             raise ValueError("nodes must be at least 2")
         if self.variance_panels < 1:
             raise ValueError("variance_panels must be positive")
@@ -426,9 +548,9 @@ def profile(
     Raises DegenerateMembershipError when the fuzzy expected return is
     identically zero (e.g. an all-zero present-value membership).
     """
-    nodes = dist.make_nodes(settings.nodes)
-    grid = ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
-    view = _view(mu, conv, nodes)
+    law = dist.make_nodes()
+    grid = ReturnGrid.spanning(mu, law, conv, settings.grid_points)
+    view = _view(mu, conv, law)
     rho = expected_return_distribution(view, grid)
     center = expected_return(rho)
     variance = return_variance(view, center, grid, settings.variance_panels)

@@ -12,7 +12,8 @@ area of the fuzzy return come from closed forms.  The exceptions are
 ``dominance``, a one-pair shorthand for the package's own
 ``dominance_matrix`` that the tests compare against these oracles, and
 ``staged_profile``, which runs the stages of ``profile`` through a chosen
-state-sum view.
+state-sum view, and ``midpoint_nodes``, which stands a continuous law's
+closed forms in for a rule of equal-weight nodes.
 """
 
 import bisect
@@ -20,8 +21,10 @@ import math
 from statistics import NormalDist
 
 import numpy as np
+from scipy import stats
 
 from bpv_effect import returns
+from bpv_effect.distribution import QuadratureNodes
 from bpv_effect.membership import MembershipFn, dominance_matrix, energy_measure, entropy_measure, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
@@ -202,12 +205,21 @@ def node_loop_kernel(mu: MembershipFn, conv, nodes, center, steps) -> np.ndarray
     return np.array([math.fsum(column) for column in zip(*terms)])
 
 
-def staged_profile(view_class, mu: MembershipFn, dist, conv, settings) -> np.ndarray:
+def midpoint_nodes(dist, n: int) -> QuadratureNodes:
+    """A continuous law as n equal-weight nodes at the probability midpoints
+    (i - 1/2)/n of its truncation, from scipy's normal quantiles."""
+    lo, hi = dist.levels
+    z = stats.norm.ppf(lo + (np.arange(n) + 0.5) / n * (hi - lo))
+    values = dist.mean + dist.sd * z
+    return QuadratureNodes(np.exp(values) if dist.log else values, np.full(n, 1.0 / n))
+
+
+def staged_profile(view_class, mu: MembershipFn, law, conv, settings) -> np.ndarray:
     """Center, variance, energy and entropy from the stages of ``profile``,
-    with the state sums of ``view_class`` (``_KnotView`` or ``_NodeView``)."""
-    nodes = dist.make_nodes(settings.nodes)
-    grid = returns.ReturnGrid.spanning(mu, nodes, conv, settings.grid_points)
-    view = view_class(mu, conv, nodes)
+    with the state sums of ``view_class`` (``_KnotView`` or ``_NodeView``
+    over a discrete ``law``)."""
+    grid = returns.ReturnGrid.spanning(mu, law, conv, settings.grid_points)
+    view = view_class(mu, conv, law)
     rho = returns.expected_return_distribution(view, grid)
     center = returns.expected_return(rho)
     variance = returns.return_variance(view, center, grid, settings.variance_panels)
@@ -223,15 +235,19 @@ def staged_profile(view_class, mu: MembershipFn, dist, conv, settings) -> np.nda
 # logarithmic rates give the area I_1 and the center E[ln Y] - J / I_1.
 
 
-def piece_integrals(a: float, b: float, x0: float, x1: float) -> np.ndarray:
-    """I_1, I_2, I_3 and J of mu = a + b x over [x0, x1]."""
-    log_ratio = math.log(x1 / x0)
+def piece_integrals(v0: float, b: float, x0: float, x1: float) -> np.ndarray:
+    """I_1, I_2, I_3 and J of mu = v0 + b (x - x0) over [x0, x1], each
+    written without a difference of large terms, so that a piece far
+    narrower than x0 keeps its digits."""
+    width, l0, l1 = x1 - x0, math.log(x0), math.log(x1)
+    log_ratio = math.log1p(width / x0)  # ln(x1 / x0)
+    inverse = width / (x0 * x1)  # 1/x0 - 1/x1
     return np.array([
-        a * log_ratio + b * (x1 - x0),
-        a * (1.0 / x0 - 1.0 / x1) + b * log_ratio,
-        a / 2.0 * (1.0 / x0**2 - 1.0 / x1**2) + b * (1.0 / x0 - 1.0 / x1),
-        a / 2.0 * (math.log(x1) ** 2 - math.log(x0) ** 2)
-        + b * ((x1 * math.log(x1) - x1) - (x0 * math.log(x0) - x0)),
+        v0 * log_ratio + b * (width - x0 * log_ratio),
+        v0 * inverse + b * (log_ratio - width / x1),
+        v0 * inverse * (x0 + x1) / (2.0 * x0 * x1) + b * width * width / (2.0 * x0 * x1 * x1),
+        v0 * log_ratio * (l0 + l1) / 2.0
+        + b * ((x1 * l1 - x1) - (x0 * l0 - x0) - x0 * log_ratio * (l0 + l1) / 2.0),
     ])
 
 
@@ -241,8 +257,7 @@ def membership_integrals(mu: MembershipFn) -> np.ndarray:
     x, v = mu.grid.tolist(), mu.values.tolist()
     for x0, x1, v0, v1 in zip(x, x[1:], v, v[1:]):
         if x1 > x0:
-            b = (v1 - v0) / (x1 - x0)
-            totals += piece_integrals(v0 - b * x0, b, x0, x1)
+            totals += piece_integrals(v0, (v1 - v0) / (x1 - x0), x0, x1)
     return totals
 
 
@@ -263,6 +278,16 @@ def lognormal_moments(log_mean: float, log_sd: float, lo: float, hi: float) -> t
         return math.exp(k * log_mean + k * k * log_sd**2 / 2.0) * spread / (hi - lo)
 
     return power(1), power(2), log_mean + log_sd * (phi.pdf(z_lo) - phi.pdf(z_hi)) / (hi - lo)
+
+
+def normal_moments(mean: float, sd: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """E[Y] and E[Y^2] of a normal law truncated at the quantile levels
+    0 < lo < hi < 1; its E[ln Y] has no closed form and is nan."""
+    phi = NormalDist()
+    (z_lo, z_hi), mass = (phi.inv_cdf(lo), phi.inv_cdf(hi)), hi - lo
+    first = (phi.pdf(z_lo) - phi.pdf(z_hi)) / mass
+    second = 1.0 + (z_lo * phi.pdf(z_lo) - z_hi * phi.pdf(z_hi)) / mass
+    return mean + sd * first, mean**2 + 2.0 * mean * sd * first + sd**2 * second, math.nan
 
 
 def closed_form_center_and_area(mu: MembershipFn, kind: str, moments) -> tuple[float, float]:

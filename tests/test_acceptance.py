@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bpv_effect import returns
 from bpv_effect.cli import main
 from bpv_effect.distribution import FutureValueDist
 from bpv_effect.effectiveness import build_report
@@ -35,6 +36,7 @@ from support import (
     dominance,
     dominance_oracle_setup,
     lattice_trapezoid_pair,
+    midpoint_nodes,
     oracle_profile_discrete,
     random_security,
 )
@@ -244,33 +246,44 @@ def test_criterion_7_invariant_sweep():
     note(7, f"500 randomized portfolios, zero invariant violations in {elapsed:.1f} s")
 
 
-def test_criterion_8_convergence():
+def test_criterion_8_convergence(monkeypatch):
     mu, dist = LOGNORMAL_FIXTURE
+    law = dist.make_nodes()
     worst_rho = 0.0
     worst_variance = 0.0
     worst_order = math.inf
     for conv in (SIMPLE, LOGARITHMIC):
-        wide_grid = ReturnGrid.spanning(mu, dist.make_nodes(512), conv, 801)
-        coarse = expected_return_distribution(_view(mu, conv, dist.make_nodes(256)), wide_grid)
-        fine = expected_return_distribution(_view(mu, conv, dist.make_nodes(512)), wide_grid)
-        rho_gap = float(np.max(np.abs(coarse.values - fine.values)))
+        # the closed-form law against sums over 16384 midpoint nodes
+        grid = ReturnGrid.spanning(mu, law, conv, 801)
+        view = _view(mu, conv, law)
+        rho = expected_return_distribution(view, grid)
+        sampled = expected_return_distribution(_view(mu, conv, midpoint_nodes(dist, 16384)), grid)
+        rho_gap = float(np.max(np.abs(rho.values - sampled.values)))
         worst_rho = max(worst_rho, rho_gap)
-        assert rho_gap < 1e-3
+        assert rho_gap < 1e-6
 
-        nodes = dist.make_nodes(256)
+        # its variance: Gauss-Legendre on s, against twice the points
+        center = expected_return(rho)
+        variance = return_variance(view, center, grid, 1)
+        monkeypatch.setattr(returns, "GAUSS_POINTS", 2 * returns.GAUSS_POINTS)
+        variance_gap = abs(return_variance(view, center, grid, 1) - variance)
+        monkeypatch.undo()
+        worst_variance = max(worst_variance, variance_gap)
+        assert variance_gap < 1e-6
+
+        # a discrete law's x-axis trapezoid, on the law's 256 midpoint nodes as
+        # atoms: the change under panel doubling falls with order >= 1.4
+        nodes = midpoint_nodes(dist, 256)
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
         view = _view(mu, conv, nodes)
         center = expected_return(expected_return_distribution(view, grid))
-        variances = {m: return_variance(view, center, grid, m) for m in (256, 512, 1024, 2048, 4096)}
-        variance_gap = abs(variances[1024] - variances[2048])
-        worst_variance = max(worst_variance, variance_gap)
-        assert variance_gap < 1e-4
-        # the x-axis trapezoid: the change under panel doubling falls with order >= 1.4
-        changes = np.abs(np.diff(list(variances.values())))
+        variances = [return_variance(view, center, grid, m) for m in (256, 512, 1024, 2048, 4096)]
+        changes = np.abs(np.diff(variances))
         worst_order = min(worst_order, float(np.log2(changes[:-1] / changes[1:]).min()))
     assert worst_order >= 1.4
-    note(8, f"node doubling moves rho by {worst_rho:.1e} < 1e-3; panel doubling moves variance by "
-            f"{worst_variance:.1e} < 1e-4, with order {worst_order:.2f} >= 1.4 over 256-4096 panels")
+    note(8, f"closed-form rho within {worst_rho:.1e} < 1e-6 of 16384 nodes; doubling the Gauss-Legendre points "
+            f"moves the variance by {worst_variance:.1e} < 1e-6; a discrete law's panel doubling has order "
+            f"{worst_order:.2f} >= 1.4 over 256-4096 panels")
 
 
 def test_criterion_9_cli_determinism_and_diagnostics(tmp_path, capsys):

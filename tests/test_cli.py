@@ -15,7 +15,7 @@ from bpv_effect import CONVENTIONS, FutureValueDist, profile, returns, trapezoid
 from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
 from bpv_effect.returns import EngineSettings
 
-from support import round15, staged_profile
+from support import midpoint_nodes, round15
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,7 +43,7 @@ def simple_security(sec_id="one", **overrides):
 
 
 # securities that parse but cannot be profiled; each fails while building its
-# quadrature nodes, return grid or fuzzy return's center, and both commands
+# law's support ends, return grid or fuzzy return's center, and both commands
 # profile every security, so both exit 2
 EXTREME, OVERFLOW, UNDERFLOW, FLAT = (
     json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["securities"][1]
@@ -51,13 +51,13 @@ EXTREME, OVERFLOW, UNDERFLOW, FLAT = (
 )
 HUGE = json.loads((FIXTURES / "overflow_nodes.json").read_text(encoding="utf-8"))["securities"][0]
 PROFILE_FAILURES = [
-    # exp(800 + 0.2 z) overflows at every node
+    # exp(800 + 0.2 z) overflows at both support ends
     ("huge", {"future_value": HUGE["future_value"]},
-     "quadrature nodes inf to inf are not finite, positive and distinct"),
+     "support ends inf to inf are not finite, positive and distinct"),
     ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
      "return grid must be strictly increasing"),
     ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
-     "quadrature nodes 100 to 100 are not finite, positive and distinct"),
+     "support ends 100 to 100 are not finite, positive and distinct"),
     ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
      "return span"),
     ("extreme", {key: EXTREME[key] for key in ("present_value", "future_value")},
@@ -71,6 +71,17 @@ PROFILE_FAILURES = [
     ("remote", {key: UNDERFLOW[key] for key in ("convention", "present_value", "future_value")},
      "return span -inf to -inf is out of floating-point range"),
 ]
+
+
+class Repeated(dict):
+    """A JSON object that ``json.dumps`` writes from ``pairs``, keys repeated."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
 
 
 # inputs that fail validation: (security overrides, top-level document
@@ -94,6 +105,12 @@ BAD_INPUTS = {
                                               "truncation": [0.01, 0.99]}}, {}, "truncation", True),
     "reversed_truncation": ({"future_value": {**LOGNORMAL, "truncation": [0.99, 0.01]}}, {}, "truncation", True),
     "reversed_settings_truncation": ({}, {"settings": {"truncation": [0.99, 0.01]}}, "settings", False),
+    # a continuous law's support must be bounded
+    "full_range_truncation": ({"future_value": {**LOGNORMAL, "truncation": [0, 0.9]}}, {},
+                              "(id 'bad').future_value.truncation: truncation must be a pair", True),
+    "duplicate_key": ({"present_value": Repeated([("type", "trapezoid"), ("a", 88), ("a", 89), ("b", 95),
+                                                   ("c", 105), ("d", 110)])}, {},
+                      "(id 'bad').present_value.a: duplicate field", True),
     "string_number": ({"future_value": {"family": "normal", "mean": 100, "sd": "ten"}}, {}, "sd", True),
     "non_object_present_value": ({"present_value": [90, 95, 105, 110]}, {}, "present_value", True),
     "boolean_nodes": ({}, {"settings": {"nodes": True}}, "settings.nodes", False),
@@ -331,8 +348,36 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(out)]) == 0
         (entry,) = json.loads(out.read_text())["securities"]
         [(_, conv, mu, dist)], engine, _ = _load(path)
-        node = staged_profile(returns._NodeView, mu, dist, conv, engine)
-        assert entry["variance"] == pytest.approx(node[1], rel=1e-12, abs=0.0)
+        result = profile(mu, dist, conv, engine)
+        assert entry["variance"] == round15(result.variance)
+        # at the variance rule's steps, the kernel against sums over 65536 midpoint
+        # nodes, which the vertical edge at the first knot leaves off by up to 1e-5;
+        # past 745.13 the upper copy weighs nothing and the lower copy is kept
+        center = result.expected_return
+        half = max(center - result.rho.grid[0], result.rho.grid[-1] - center) / 2.0
+        steps = half * (returns._gauss_legendre(returns.GAUSS_POINTS)[0] + 1.0)
+        view = returns._view(mu, conv, dist.make_nodes())
+        exact = view.kernel(center, steps)
+        sampled = returns._KnotView(mu, conv, midpoint_nodes(dist, 65536)).kernel(center, steps)
+        assert np.max(np.abs(exact - sampled)) <= 2e-5
+        far = center + steps > 745.2
+        assert far.sum() >= 10 and exact[far].max() > 0.005
+        np.testing.assert_allclose(exact[far], view.state_sum(center - steps[far]), rtol=1e-15, atol=0.0)
+
+    def test_node_count_moves_no_report_number(self, tmp_path):
+        # continuous laws are summed in closed form and discrete laws at their atoms
+        doc = json.loads((FIXTURES / "portfolio3.json").read_text(encoding="utf-8"))
+        outputs = []
+        for nodes in (2, 256, 4096):
+            doc["settings"] = {"nodes": nodes}
+            path = tmp_path / f"nodes{nodes}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out, grids = tmp_path / f"report{nodes}.json", tmp_path / f"grids{nodes}.csv"
+            assert main(["analyze", str(path), "--out", str(out), "--grids-out", str(grids)]) == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["settings"].pop("nodes") == nodes
+            outputs.append((report, grids.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_report_to_stdout_by_default(self, tmp_path, capsys):
         path = write_portfolio(tmp_path, [simple_security()])
@@ -499,16 +544,17 @@ class TestAnalyze:
         import sys
 
         resource = pytest.importorskip("resource")
-        # 100000 nodes against 20000 knots takes the node view: 801 x 100000
+        # 100000 atoms against 20000 knots takes the node view: 801 x 100000
         # doubles (611 MiB) for the fuzzy return, more than the child may map
         points = np.linspace(50.0, 150.0, 20000)
         big = simple_security(
             "big",
             present_value={"type": "grid", "points": points.tolist(),
                            "values": (1.0 - np.abs(points - 100.0) / 50.0).tolist()},
-            future_value={"family": "normal", "mean": 100, "sd": 5},
+            future_value={"family": "discrete", "points": np.linspace(80.0, 120.0, 100000).tolist(),
+                          "probs": [1e-5] * 100000},
         )
-        path = write_portfolio(tmp_path, [big], {"nodes": 100000})
+        path = write_portfolio(tmp_path, [big])
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         completed = subprocess.run(
             [sys.executable, "-m", "bpv_effect", command, path],

@@ -227,7 +227,7 @@ class TestBatchedDominance:
         for i in range(128):
             center = rng.uniform(60.0, 140.0)
             atoms = np.sort(center * rng.uniform(0.7, 1.4, int(rng.integers(3, 9))))
-            nodes = FutureValueDist.discrete(atoms, rng.dirichlet(np.ones(atoms.size))).make_nodes(256)
+            nodes = FutureValueDist.discrete(atoms, rng.dirichlet(np.ones(atoms.size))).make_nodes()
             mu, conv = trapezoid(*center * np.array([0.9, 0.97, 1.03, 1.1])), CONVENTIONS[("simple", "logarithmic")[i % 2]]
             grid = ReturnGrid.spanning(mu, nodes, conv, 801)
             rhos.append(expected_return_distribution(returns._view(mu, conv, nodes), grid))

@@ -29,8 +29,10 @@ from support import (
     discrete_moments,
     dominance,
     lognormal_moments,
+    midpoint_nodes,
     node_loop_kernel,
     node_loop_state_sums,
+    normal_moments,
     piece_integrals,
     riemann,
     staged_profile,
@@ -76,7 +78,7 @@ class TestReturnGrid:
             FutureValueDist.discrete([95.0, 105.0], [0.5, 0.5]),
             FutureValueDist.lognormal(np.log(100), 0.2, (0.005, 0.995)),
         ):
-            nodes = dist.make_nodes(64)
+            nodes = dist.make_nodes()
             for conv in (SIMPLE, LOGARITHMIC):
                 grid = ReturnGrid.spanning(mu, nodes, conv, 401)
                 rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
@@ -86,7 +88,7 @@ class TestReturnGrid:
     def test_membership_with_edge_jumps_still_vanishes(self):
         mu = MembershipFn([90.0, 110.0], [1.0, 1.0])  # crisp interval, jumps at both edges
         dist = FutureValueDist.discrete([100.0], [1.0])
-        nodes = dist.make_nodes(8)
+        nodes = dist.make_nodes()
         for conv in (SIMPLE, LOGARITHMIC):
             grid = ReturnGrid.spanning(mu, nodes, conv, 401)
             rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
@@ -94,13 +96,13 @@ class TestReturnGrid:
 
     def test_simple_grid_stays_above_minus_one(self):
         mu = trapezoid(1.0, 40.0, 60.0, 1000.0)
-        nodes = FutureValueDist.discrete([1.0, 2.0], [0.5, 0.5]).make_nodes(2)
+        nodes = FutureValueDist.discrete([1.0, 2.0], [0.5, 0.5]).make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
         assert grid.r_values[0] > -1.0
 
     def test_requires_positive_support(self):
         mu = MembershipFn([0.0, 1.0], [1.0, 1.0])
-        nodes = FutureValueDist.discrete([1.0], [1.0]).make_nodes(1)
+        nodes = FutureValueDist.discrete([1.0], [1.0]).make_nodes()
         with pytest.raises(ValueError):
             ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
 
@@ -109,7 +111,7 @@ class TestReturnGrid:
         # the kink rates, which the grid holds, so the interpolation error falls
         # as the squared step, and rho is exact at each kink
         mu = trapezoid(88, 94, 104, 112)
-        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes(1)
+        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes()
         for conv in (SIMPLE, LOGARITHMIC):
             kinks = conv.rate_map(mu.grid[:, None], nodes.nodes).ravel()
             errors = []
@@ -138,7 +140,7 @@ class TestExpectedReturnDistribution:
     def test_dirac_future_value_reduces_to_membership(self):
         mu = trapezoid(90, 95, 105, 110)
         dist = FutureValueDist.discrete([100.0], [1.0])
-        nodes = dist.make_nodes(1)
+        nodes = dist.make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
         rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         # single-atom sum collapses to mu(100 / (1 + r)) exactly at the knots
@@ -151,7 +153,7 @@ class TestExpectedReturnDistribution:
     def test_saturated_plateau_gives_one(self):
         mu = trapezoid(10, 50, 200, 400)
         dist = FutureValueDist.discrete([90.0, 110.0], [0.5, 0.5])
-        nodes = dist.make_nodes(2)
+        nodes = dist.make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
         inside = (grid.r_values > -0.4) & (grid.r_values < 0.75)
         rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
@@ -160,7 +162,7 @@ class TestExpectedReturnDistribution:
     def test_two_atom_crisp_window(self):
         mu = MembershipFn([100.0, 100.5], [1.0, 1.0])
         dist = FutureValueDist.discrete([95.0, 105.0], [0.5, 0.5])
-        nodes = dist.make_nodes(2)
+        nodes = dist.make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 2001)
         rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         low_window = (95.0 / 100.5 - 1.0 + 95.0 / 100.0 - 1.0) / 2.0
@@ -177,7 +179,7 @@ class TestExpectedReturnDistribution:
         for _ in range(20):
             mu, dist, kind = random_security(rng)
             conv = CONVENTIONS[kind]
-            nodes = dist.make_nodes(32)
+            nodes = dist.make_nodes()
             grid = ReturnGrid.spanning(mu, nodes, conv, 201)
             rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
             assert rho.values.min() >= 0.0
@@ -186,7 +188,7 @@ class TestExpectedReturnDistribution:
     def test_widening_membership_never_lowers_rho(self):
         rng = np.random.default_rng(37)
         dist = FutureValueDist.discrete([95.0, 100.0, 110.0], [0.3, 0.4, 0.3])
-        nodes = dist.make_nodes(3)
+        nodes = dist.make_nodes()
         for _ in range(10):
             grid_mu = np.sort(rng.uniform(80, 120, 6))
             if np.any(np.diff(grid_mu) < 1e-6):
@@ -202,23 +204,25 @@ class TestExpectedReturnDistribution:
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
     def test_node_doubling_converges_with_order_at_least_one(self, conv):
-        # the midpoint nodes of a continuous law: the sup-change of rho under
-        # node doubling falls as about the squared node spacing
+        # sums over a continuous law's midpoint nodes approach its closed-form
+        # fuzzy return as about the squared node spacing (1.67 to 2.07 measured)
         mu = trapezoid(85, 95, 105, 120)
         dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
-        grid = ReturnGrid.spanning(mu, dist.make_nodes(2048), conv, 801)
-        rhos = [expected_return_distribution(returns._view(mu, conv, dist.make_nodes(n)), grid).values
-                for n in (64, 128, 256, 512, 1024)]
-        changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(rhos, rhos[1:])]
-        orders = np.log2(np.divide(changes[:-1], changes[1:]))
-        assert orders.min() >= 1.6, changes
+        law = dist.make_nodes()
+        grid = ReturnGrid.spanning(mu, law, conv, 801)
+        exact = expected_return_distribution(returns._view(mu, conv, law), grid).values
+        errors = [np.max(np.abs(expected_return_distribution(returns._view(mu, conv, midpoint_nodes(dist, n)), grid).values
+                                - exact)) for n in (64, 128, 256, 512, 1024)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert orders.min() >= 1.6, errors
+        assert errors[-1] <= 1e-5, errors
 
     def test_discrete_path_is_exact(self):
         mu = trapezoid(88, 96, 104, 112)
         points = np.array([92.0, 99.0, 103.0, 111.0])
         probs = np.array([0.2, 0.3, 0.4, 0.1])
         dist = FutureValueDist.discrete(points, probs)
-        nodes = dist.make_nodes(999)
+        nodes = dist.make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
         rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
         manual = np.zeros_like(grid.r_values)
@@ -320,29 +324,36 @@ class TestKnotView:
     @pytest.mark.parametrize("name", ["portfolio3", "accuracy_panel", "underflow_kernel"])
     def test_views_agree_on_every_fixture_security(self, name):
         # the hypothesis cases keep rates in [-2.8, 7.5]; the fixtures reach
-        # continuous laws, kink grids and rates past exp(-r)'s underflow
+        # kink grids and rates past exp(-r)'s underflow.  A discrete law takes
+        # both views of its atoms, a continuous law those of 4096 midpoint nodes
         securities, settings, _ = _load(FIXTURES / f"{name}.json")
         for sec_id, conv, mu, dist in securities:
-            knot = staged_profile(returns._KnotView, mu, dist, conv, settings)
-            node = staged_profile(returns._NodeView, mu, dist, conv, settings)
+            law = dist.make_nodes() if dist.atoms is not None else midpoint_nodes(dist, 4096)
+            knot = staged_profile(returns._KnotView, mu, law, conv, settings)
+            node = staged_profile(returns._NodeView, mu, law, conv, settings)
             np.testing.assert_allclose(knot, node, rtol=1e-12, atol=0.0, err_msg=sec_id)
 
     def test_view_selection(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("this view must not run")
 
+        class Refused(returns._LawView):  # return_variance tests views against this class
+            __init__ = refuse
+
         mu = trapezoid(85, 95, 105, 120)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_NodeView", refuse)
+            patch.setattr(returns, "_KnotView", refuse)
             profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_KnotView", refuse)
+            patch.setattr(returns, "_LawView", Refused)
             profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
     def test_profile_builds_one_view(self, monkeypatch):
         built, used = [], []
 
-        class Counted(returns._KnotView):
+        class Counted(returns._LawView):
             def __init__(self, *args):
                 built.append(self)
                 super().__init__(*args)
@@ -353,7 +364,7 @@ class TestKnotView:
                 return stage(view, *args)
             return spy
 
-        monkeypatch.setattr(returns, "_KnotView", Counted)
+        monkeypatch.setattr(returns, "_LawView", Counted)
         monkeypatch.setattr(returns, "expected_return_distribution", passes_view(expected_return_distribution))
         monkeypatch.setattr(returns, "return_variance", passes_view(return_variance))
         mu = trapezoid(85, 95, 105, 120)
@@ -370,16 +381,15 @@ class TestKnotView:
         (MembershipFn(np.linspace(80.0, 120.0, 16), np.linspace(0.0, 1.0, 16)), 120),
     ])
     def test_view_boundary_is_affine_in_the_knot_count(self, monkeypatch, mu, boundary):
-        # the knot view from 24 + 6 * knots nodes, the node view below
+        # a discrete law takes the knot view from 24 + 6 * knots atoms, the node view below
         def refuse(*args, **kwargs):
             raise AssertionError("this view must not run")
 
-        dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
         for count, other in ((boundary, "_NodeView"), (boundary - 1, "_KnotView")):
-            assert dist.make_nodes(count).nodes.size == count
+            dist = FutureValueDist.discrete(np.linspace(90.0, 115.0, count), np.full(count, 1.0 / count))
             with monkeypatch.context() as patch:
                 patch.setattr(returns, other, refuse)
-                profile(mu, dist, SIMPLE, EngineSettings(nodes=count))
+                profile(mu, dist, SIMPLE)
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
     def test_profile_edge_cases_raise_no_floating_point_exception(self, conv):
@@ -394,7 +404,7 @@ class TestKnotView:
         cases = [(edges, discrete), (edges, lognormal), (wide, lognormal), (trapezoid(90, 90, 110, 110), lognormal)]
         with np.errstate(all="raise"):
             for mu, dist in cases:
-                assert isinstance(returns._view(mu, conv, dist.make_nodes(256)), returns._KnotView)
+                assert isinstance(returns._view(mu, conv, dist.make_nodes()), returns._KnotView)
                 result = profile(mu, dist, conv)
                 assert result.variance > 0.0
 
@@ -409,7 +419,7 @@ class TestClosedFormCenterAndArea:
         integrands = [lambda x, k=k: (a + b * x) / x**k for k in (1, 2, 3)]
         integrands.append(lambda x: (a + b * x) * math.log(x) / x)
         expected = [quad(f, x0, x1, epsabs=0.0, epsrel=1e-13)[0] for f in integrands]
-        np.testing.assert_allclose(piece_integrals(a, b, x0, x1), expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(piece_integrals(a + b * x0, b, x0, x1), expected, rtol=1e-12, atol=0.0)
 
     def test_lognormal_moments_match_quad(self):
         log_mean, log_sd, lo, hi = math.log(100.0), 0.15, 0.005, 0.95
@@ -430,7 +440,7 @@ class TestClosedFormCenterAndArea:
     def test_grid_doubling_on_a_discrete_law(self, conv):
         mu = trapezoid(88, 94, 104, 112)
         points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
-        nodes = FutureValueDist.discrete(points, probs).make_nodes(1)
+        nodes = FutureValueDist.discrete(points, probs).make_nodes()
         exact = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
         centers, areas = np.transpose([self.errors(mu, conv, nodes, count, exact) for count in (201, 401, 801, 1601)])
         assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
@@ -442,7 +452,7 @@ class TestClosedFormCenterAndArea:
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
     def test_energy_entropy_and_dominance_on_a_discrete_law(self, conv):
         points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
-        nodes = FutureValueDist.discrete(points, probs).make_nodes(1)
+        nodes = FutureValueDist.discrete(points, probs).make_nodes()
         mu, cheaper = trapezoid(88, 94, 104, 112), trapezoid(80, 84, 90, 95)
         _, area = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
         counts = (201, 401, 801, 1601, 3201, 6401)
@@ -467,40 +477,44 @@ class TestClosedFormCenterAndArea:
     @pytest.mark.parametrize("conv, levels", [(SIMPLE, (0.005, 0.995)), (LOGARITHMIC, (0.005, 0.95))],
                              ids=["simple", "logarithmic"])
     def test_node_doubling_on_a_continuous_law(self, conv, levels):
-        # a symmetric truncation makes the midpoint nodes' E[ln Y] exact, so the
-        # logarithmic center takes its node error from an asymmetric one
+        # at 6401 points the closed-form law's center misses by the grid's error
+        # alone (1.2e-11 simple, 3.6e-13 logarithmic measured), and the centers of
+        # its midpoint nodes approach it at order 2 in the node count.  A symmetric
+        # truncation makes the midpoint nodes' E[ln Y] exact, so the logarithmic
+        # center takes its node error from an asymmetric one
         mu = trapezoid(85, 95, 105, 120)
         dist = FutureValueDist.lognormal(math.log(100.0), 0.15, levels)
         exact = closed_form_center_and_area(mu, conv.kind, lognormal_moments(math.log(100.0), 0.15, *levels))
-        centers = np.array([self.errors(mu, conv, dist.make_nodes(n), 6401, exact)[0] for n in (128, 256, 512, 1024)])
+        assert self.errors(mu, conv, dist.make_nodes(), 6401, exact)[0] <= 5e-11
+        centers = np.array([self.errors(mu, conv, midpoint_nodes(dist, n), 6401, exact)[0] for n in (128, 256, 512, 1024)])
         assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
 
-    @pytest.mark.parametrize("conv, levels, degree", [(SIMPLE, (0.005, 0.995), 0.3136824),
-                                                      (LOGARITHMIC, (0.005, 0.95), 0.3286193)],
+    @pytest.mark.parametrize("conv, levels, degree", [(SIMPLE, (0.005, 0.995), 0.3136812),
+                                                      (LOGARITHMIC, (0.005, 0.95), 0.3286184)],
                              ids=["simple", "logarithmic"])
     def test_energy_entropy_and_dominance_on_a_continuous_law(self, conv, levels, degree):
-        # the law and truncations of the node-doubling test, at 6401 points over 128-1024 nodes
-        dist = FutureValueDist.lognormal(math.log(100.0), 0.15, levels)
+        # the law and truncations of the node-doubling test, in closed form, over 801-6401 points
+        law = FutureValueDist.lognormal(math.log(100.0), 0.15, levels).make_nodes()
         mu, cheaper = trapezoid(85, 95, 105, 120), trapezoid(80, 84, 90, 95)
         _, area = closed_form_center_and_area(mu, conv.kind, lognormal_moments(math.log(100.0), 0.15, *levels))
-        rules = [dist.make_nodes(n) for n in (128, 256, 512, 1024)]
+        counts = (801, 1601, 3201, 6401)
 
         def sampled(m):
-            return [expected_return_distribution(returns._view(m, conv, nodes), ReturnGrid.spanning(m, nodes, conv, 6401))
-                    for nodes in rules]
+            return [expected_return_distribution(returns._view(m, conv, law), ReturnGrid.spanning(m, law, conv, n))
+                    for n in counts]
 
         rhos, others = sampled(mu), sampled(cheaper)
         energies = np.abs([energy_measure(rho) - area / (1.0 + area) for rho in rhos])
         entropies = np.abs(np.diff([entropy_measure(rho) for rho in rhos]))
         degrees = np.array([dominance(rho, other) for rho, other in zip(rhos, others)])
         moves = np.abs(np.diff(degrees))
-        if conv is SIMPLE:
-            assert np.log2(energies[:-1] / energies[1:]).min() >= 1.8, energies
-        else:  # the logarithmic area does not depend on the law, so only the grid's error is left
-            assert energies.max() <= 2e-11, energies
+        # the energy misses by the grid's error alone, with no steady order near
+        # the rounding level: 2.9e-9 to 6.8e-12 (simple) and 1.1e-9 to 4.4e-12
+        # (logarithmic) measured
+        assert energies.max() <= 5e-9 and energies[-1] <= 2e-11, energies
         assert np.log2(entropies[:-1] / entropies[1:]).min() >= 1.8, entropies
-        # the degree has no steady order per doubling (0.67 to 2.44 measured), but over the
-        # last two doublings together it falls at order 1.52 (simple) and 2.00 (logarithmic)
+        # the degree has no steady order per doubling, but over the last two
+        # doublings together it falls at order 1.77 (simple) and 2.11 (logarithmic)
         assert np.log2(moves[0] / moves[-1]) / 2 >= 1.4, moves
         assert degrees[-1] == pytest.approx(degree, abs=1e-7)
 
@@ -552,7 +566,7 @@ class TestVariance:
         assert result.expected_return == pytest.approx(0.0, abs=1e-12)
         assert result.variance == pytest.approx(spread**2 / 2.0, abs=1e-3 * spread**2)
         # direct second-moment quadrature of the common branch on a finer axis
-        r = ReturnGrid.spanning(mu, FutureValueDist.discrete([anchor], [1.0]).make_nodes(1), LOGARITHMIC, 801).r_values
+        r = ReturnGrid.spanning(mu, FutureValueDist.discrete([anchor], [1.0]).make_nodes(), LOGARITHMIC, 801).r_values
         xs = np.linspace(0.0, max(r[-1] ** 2, r[0] ** 2), 8193)
         branch = (xs <= spread**2).astype(float)
         oracle = riemann(xs * branch, xs) / riemann(branch, xs)
@@ -561,7 +575,7 @@ class TestVariance:
     def test_span_doubling_with_fixed_step_changes_nothing(self):
         mu = trapezoid(90, 95, 105, 110)
         dist = FutureValueDist.discrete([95.0, 104.0], [0.4, 0.6])
-        nodes = dist.make_nodes(2)
+        nodes = dist.make_nodes()
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
         view = returns._view(mu, SIMPLE, nodes)
         center = expected_return(expected_return_distribution(view, grid))
@@ -574,10 +588,69 @@ class TestVariance:
 
     def test_zero_kernel_is_degenerate(self):
         mu = trapezoid(90, 95, 105, 110)
-        nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes(1)
+        nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes()
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
             return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)), 64)
+
+
+class TestLawView:
+    """The closed-form state sums and kernel against quadrature over the law."""
+
+    @staticmethod
+    def quadrature(mu, conv, dist, rates):
+        """The average over the truncated law of the largest of mu(pv(r, Y))
+        over the given rates, with the integrand's breaks given to quad."""
+        lo, hi = dist.levels
+        z_lo, z_hi = norm.ppf([lo, hi])
+        value = (lambda z: math.exp(dist.mean + dist.sd * z)) if dist.log else (lambda z: dist.mean + dist.sd * z)
+        to_z = (lambda y: (math.log(y) - dist.mean) / dist.sd) if dist.log else (lambda y: (y - dist.mean) / dist.sd)
+        breaks = [z for z in (to_z(x / float(conv.present_map(r, 1.0))) for x in mu.grid for r in rates) if z_lo < z < z_hi]
+
+        def integrand(z):
+            return max(float(mu(conv.present_map(r, value(z)))) for r in rates) * norm.pdf(z)
+
+        total = quad(integrand, z_lo, z_hi, points=sorted(breaks) or None, limit=400, epsabs=1e-14, epsrel=1e-12)[0]
+        return total / (hi - lo)
+
+    @pytest.mark.parametrize("dist", [FutureValueDist.normal(100.0, 8.0, (0.01, 0.98)),
+                                      FutureValueDist.lognormal(math.log(100.0), 0.12, (0.002, 0.995))],
+                             ids=["normal", "lognormal"])
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
+    def test_state_sums_and_kernel_match_quadrature(self, dist, conv):
+        # a membership that is not unimodal, with a vertical edge at each end
+        mu = MembershipFn([84.0, 90.0, 97.0, 101.0, 104.0, 116.0], [0.3, 1.0, 0.2, 0.7, 0.6, 0.4])
+        view = returns._view(mu, conv, dist.make_nodes())
+        assert isinstance(view, returns._LawView)
+        rates = np.linspace(-0.2, 0.25, 7)
+        expected = [self.quadrature(mu, conv, dist, [r]) for r in rates]
+        np.testing.assert_allclose(view.state_sum(rates), expected, rtol=0.0, atol=1e-10)
+        center, steps = 0.02, np.array([0.0, 0.004, 0.03, 0.07, 0.12, 0.3])
+        expected = [self.quadrature(mu, conv, dist, [center + s, center - s]) for s in steps]
+        np.testing.assert_allclose(view.kernel(center, steps), expected, rtol=0.0, atol=1e-10)
+
+
+class TestContinuousVarianceRule:
+    def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self):
+        nodes, weights = returns._gauss_legendre(returns.GAUSS_POINTS)
+        assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+        for degree in range(0, 2 * returns.GAUSS_POINTS, 7):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert weights @ nodes**degree == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("delta", [0.1, 1e-2, 1e-3, 1e-4, 1e-5])
+    def test_narrow_membership_keeps_variance_and_center(self, delta):
+        # trapezoid(100 +/- delta) under normal(100, 5) truncated at (0.005, 0.995):
+        # as delta falls, the fuzzy return tends to the size-biased law of the rate
+        # and the variance to 4.3671e-3 (4.369e-3 to four digits).  Measured over
+        # delta from 0.1 to 1e-5: the variance within 4.3e-4 of 4.369e-3 and
+        # 8.3e-5 of 4.3671e-3, the center within 5.9e-7 of its closed form
+        mu = trapezoid(100.0 - delta, 100.0, 100.0, 100.0 + delta)
+        result = profile(mu, FutureValueDist.normal(100.0, 5.0, (0.005, 0.995)), SIMPLE)
+        assert result.variance == pytest.approx(4.369e-3, rel=1e-3)
+        assert result.variance == pytest.approx(4.3671046e-3, rel=2e-4)
+        center, _ = closed_form_center_and_area(mu, "simple", normal_moments(100.0, 5.0, 0.005, 0.995))
+        assert result.expected_return == pytest.approx(center, abs=2e-6)
 
 
 class TestEngineSettings:
