@@ -62,6 +62,17 @@ class MembershipFn:
                 x = np.ldexp(x, self._shift)
         return np.interp(x, self._abscissas, self.values, left=0.0, right=0.0)
 
+    def lines(self, x) -> np.ndarray:
+        """Intercept and slope of the piece of the interpolant that holds
+        each x, down a leading axis of length 2: (0, 0) off the knot span,
+        and at the last knot.  A knot spacing below the normal range
+        overflows its slope."""
+        x0, v0 = self.grid[:-1], self.values[:-1]
+        lines = np.zeros((2, self.grid.size + 1))
+        lines[1, 1:-1] = (self.values[1:] - v0) / (self.grid[1:] - x0)
+        lines[0, 1:-1] = v0 - lines[1, 1:-1] * x0
+        return lines[:, np.searchsorted(self.grid, x, side="right")]
+
     @property
     def support(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])

@@ -1,9 +1,11 @@
-"""Closed-form integrals of piecewise-linear functions given by knot arrays.
+"""Closed-form integrals of piecewise-linear functions given by knot arrays,
+and the Gauss-Legendre rule.
 
-Everything here is exact for the polyline through the knots; sampled
-integrands (anything that is not piecewise linear) go through
-``integrate`` applied to their samples, which is the plain trapezoid rule.
+The polyline integrals are exact for the polyline through the knots.
+Smooth integrands sampled between cuts go through ``gauss_legendre_rule``.
 """
+
+import functools
 
 import numpy as np
 
@@ -42,3 +44,28 @@ def min_complement_area(x, y) -> float:
     t = np.where(crosses, (0.5 - y0) / dy, 0.0)
     split = ((w0 + 0.5) / 2.0) * t * dx + ((0.5 + w1) / 2.0) * (1.0 - t) * dx
     return float(np.sum(np.where(crosses, split, plain)))
+
+
+@functools.cache
+def gauss_legendre(n: int):
+    """Nodes on (-1, 1) and weights of the n-point Gauss-Legendre rule, by
+    Newton's method on the Legendre recurrence from Tricomi's first guess."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):  # four steps reach the rounding level at n = 64
+        below, legendre = np.ones(n), x
+        for k in range(2, n + 1):
+            below, legendre = legendre, ((2 * k - 1) * x * legendre - (k - 1) * below) / k
+        slope = n * (x * legendre - below) / (x * x - 1.0)
+        step = legendre / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def gauss_legendre_rule(cuts, points: int):
+    """Abscissas and weights of the ``points``-point Gauss-Legendre rule on
+    each interval between the sorted ``cuts``, as flat arrays."""
+    nodes, weights = gauss_legendre(points)
+    half = np.diff(cuts)[:, None] / 2.0
+    return (cuts[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()

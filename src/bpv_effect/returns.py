@@ -27,7 +27,6 @@ when its atom count reaches an affine function of its knot count
 evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
 """
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -47,15 +46,19 @@ class DegenerateMembershipError(ArithmeticError):
 class ReturnConvention:
     """A return map r(V0, Vt), increasing in Vt, decreasing in V0.
 
-    ``limit`` is the infimum of the convention's rates.  The two maps
-    work elementwise and check nothing: a rate at or below ``limit`` gives
-    a nonpositive or infinite present value.
+    ``limit`` is the infimum of the convention's rates.  The maps work
+    elementwise and check nothing: a rate at or below ``limit`` gives a
+    nonpositive or infinite present value.  ``crossing(center, gap, up,
+    down)`` gives the coefficients (of u^2, u and 1) of a quadratic whose
+    roots are the scales u = ``present_map(center + s, 1)`` at which
+    gap + up u = down u', with u' = ``present_map(center - s, 1)``.
     """
 
     kind: str
     limit: float
     rate_map: Callable  # (present, future) -> rate
     present_map: Callable  # (rate, future) -> present value
+    crossing: Callable  # (center, gap, up, down) -> quadratic coefficients
 
 
 SIMPLE = ReturnConvention(
@@ -63,12 +66,16 @@ SIMPLE = ReturnConvention(
     -1.0,
     rate_map=lambda present, future: future / present - 1.0,
     present_map=lambda rate, future: future / (1.0 + rate),
+    # u' = 1 / (2 (1 + center) - 1 / u)
+    crossing=lambda center, gap, up, down: (2.0 * (1.0 + center) * up, 2.0 * (1.0 + center) * gap - up - down, -gap),
 )
 LOGARITHMIC = ReturnConvention(
     "logarithmic",
     -math.inf,
     rate_map=lambda present, future: np.log(future / present),
     present_map=lambda rate, future: future * np.exp(-rate),
+    # u' = exp(-2 center) / u
+    crossing=lambda center, gap, up, down: (up, gap, -down * np.exp(-2.0 * center)),
 )
 CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
@@ -118,7 +125,7 @@ class _KnotView:
 
     def __init__(self, mu: MembershipFn, conv: ReturnConvention, law):
         x, v = mu.grid, mu.values
-        self.conv, self.law, self.y = conv, law, law.nodes
+        self.mu, self.conv, self.law, self.y = mu, conv, law, law.nodes
         # present value reaching each knot, then strictly passing the last: a column
         self.reach = np.append(x, np.nextafter(x[-1], np.inf))[:, None]
         # per piece: left knot, width, value there, rise across
@@ -328,9 +335,16 @@ def _view(mu: MembershipFn, conv: ReturnConvention, law):
     return _NodeView(mu, conv, law)
 
 
+def _kink_rates(mu: MembershipFn, nodes, conv: ReturnConvention) -> np.ndarray:
+    """The rates ``rate_map(x_k, y_j)`` of the knots x_k of ``mu`` at the
+    law's ``nodes`` y_j, knots down, nodes across: the fuzzy return and the
+    variance kernel are smooth between them."""
+    return conv.rate_map(mu.grid[:, None], nodes)
+
+
 # Widest return grid.  The area A under the fuzzy return is at most its span,
-# and the energy A / (1 + A) rounds to 1 from A = 2**53 on; the squared span
-# bounding the variance's x axis stays far below overflow up to here.
+# and the energy A / (1 + A) rounds to 1 from A = 2**53 on; the cubed
+# deviations of the variance integral stay far below overflow up to here.
 MAX_RETURN_SPAN = 2.0**52
 
 
@@ -395,14 +409,15 @@ class ReturnGrid:
         if not (math.isfinite(r_lo) and math.isfinite(r_hi + pad)):
             raise ValueError(f"return span {r_lo:.6g} to {r_hi:.6g} is out of floating-point range")
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
-        grid = cls(np.linspace(lower, r_hi + pad, count), (r_lo, r_hi))
-        if mu.grid.size * law.nodes.size > count:
-            return grid
-        r = grid.r_values
-        kinks = conv.rate_map(mu.grid[:, None], law.nodes).ravel()
-        # sorted, then one of each run of equal rates (np.unique would import numpy.ma)
-        merged = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
-        return cls(merged[np.append(True, merged[1:] != merged[:-1])], (r_lo, r_hi))
+        r = np.linspace(lower, r_hi + pad, count)
+        if mu.grid.size * law.nodes.size <= count:
+            kinks = np.sort(_kink_rates(mu, law.nodes, conv).ravel())
+            # one of each run of equal kinks strictly inside the uniform grid and
+            # off it (np.unique would import numpy.ma); the grid keeps any equal
+            # rates of its own for the check to name
+            kinks = kinks[np.append(True, kinks[1:] != kinks[:-1]) & (kinks > r[0]) & (kinks < r[-1])]
+            r = np.sort(np.concatenate((r, kinks[r[np.searchsorted(r, kinks)] != kinks])))
+        return cls(r, (r_lo, r_hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,29 +459,66 @@ def expected_return(rho: MembershipFn) -> float:
     return quadrature.first_moment(rho.grid, rho.values) / denominator
 
 
-@functools.cache
-def _gauss_legendre(n: int):
-    """Nodes on (-1, 1) and weights of the n-point Gauss-Legendre rule, by
-    Newton's method on the Legendre recurrence from Tricomi's first guess."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(10):  # four steps reach the rounding level at n = 64
-        below, legendre = np.ones(n), x
-        for k in range(2, n + 1):
-            below, legendre = legendre, ((2 * k - 1) * x * legendre - (k - 1) * below) / k
-        slope = n * (x * legendre - below) / (x * x - 1.0)
-        step = legendre / slope
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
-
-
 # Gauss-Legendre points on each side of the nearer support end's deviation
 # in a continuous law's variance rule
 GAUSS_POINTS = 64
+# Gauss-Legendre points on each interval between a discrete law's variance
+# breakpoints, and the most such intervals: a law with more knots x atoms, or
+# more breakpoints, takes that many intervals uniform in s^2 instead
+BREAKPOINT_GAUSS_POINTS = 8
+MAX_BREAKPOINT_INTERVALS = 128
 
 
-def return_variance(view, center: float, grid: ReturnGrid, panels: int) -> float:
+def _crossings(view, center: float, cuts: np.ndarray) -> np.ndarray:
+    """Deviations at which the two copies of one atom y, mu(pv(center + s,
+    y)) and mu(pv(center - s, y)), cross, strictly between consecutive
+    ``cuts`` of the atom's column: 0, its sorted kink deviations, far.
+
+    Between cuts each copy stays on one piece of ``mu``, the one it takes
+    at the interval's midpoint (``MembershipFn.lines``), where mu is linear
+    in the present value y u at the rate's scale u = ``present_map(r, 1)``,
+    so the copies meet at the roots of a quadratic in the upper copy's
+    scale (``ReturnConvention.crossing``): in s for simple rates and in e^s
+    for logarithmic ones.  The copies also meet at many cuts
+    (at s = 0, or where both reach 0 or 1), and rounding can leave such a
+    root just inside its interval, so a root counts only farther than
+    sqrt(eps) of the interval's width from both cuts: a kink that close
+    to a cut moves the interval's Gauss-Legendre sum by about eps.
+    """
+    a, b = cuts[:-1], cuts[1:]  # interval, atom
+    with np.errstate(all="ignore"):  # a slope or a root may overflow, or a root leave the domain
+        # the line of each copy, the upper first, at each interval's midpoint
+        rates = center + (a + b) * np.array((0.5, -0.5))[:, None, None]
+        level, rise = view.mu.lines(view.conv.present_map(rates, view.y))
+        q2, q1, q0 = view.conv.crossing(center, level[0] - level[1], *(rise * view.y))
+        half = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1))
+        roots = view.conv.rate_map(np.array((half / q2, q0 / half)), 1.0) - center
+        margin = (b - a) * 2.0**-26
+        return roots[(roots > a + margin) & (roots < b - margin)]
+
+
+def _breakpoints(view, center: float, far: float) -> np.ndarray:
+    """Cuts of [0, far] between which a discrete law's variance kernel is
+    smooth: 0, ``far``, the kink deviations |``rate_map(x_k, y_j)`` -
+    center| at which a copy of an atom meets a knot (``_kink_rates``, as in
+    ``ReturnGrid.spanning``), and the deviations at which the two copies of
+    one atom cross (``_crossings``).  A law with more than
+    ``MAX_BREAKPOINT_INTERVALS`` knots x atoms, or more intervals between
+    these cuts, takes that many intervals uniform in s^2 instead: the
+    integrands grow with s, and on a many-atom law the copies' shared
+    atoms, which cost the knot view's kernel the most, lie at small s."""
+    if view.mu.grid.size * view.y.size <= MAX_BREAKPOINT_INTERVALS:
+        kinks = np.abs(_kink_rates(view.mu, view.y, view.conv) - center)  # knot, atom
+        own = np.sort(np.minimum(kinks, far), axis=0)
+        own = np.concatenate((np.zeros_like(own[:1]), own, np.full_like(own[:1], far)))
+        # equal cuts leave empty intervals, which weigh nothing
+        cuts = np.concatenate(((0.0, far), kinks[kinks < far], _crossings(view, center, own)))
+        if cuts.size <= MAX_BREAKPOINT_INTERVALS + 1:
+            return np.sort(cuts)
+    return far * np.sqrt(np.linspace(0.0, 1.0, MAX_BREAKPOINT_INTERVALS + 1))
+
+
+def return_variance(view, center: float, grid: ReturnGrid) -> float:
     """Behavioural variance of the return rate around ``center``, from one
     security's ``view``.
 
@@ -475,36 +527,28 @@ def return_variance(view, center: float, grid: ReturnGrid, panels: int) -> float
     V = int 2 s^3 K ds / int 2 s K ds, the K-weighted mean of the squared
     deviation.  The average over the law is exact for the polyline ``mu``.
     The kernel vanishes past the deviation of the farther end of the
-    fuzzy return's support.
+    fuzzy return's support, so both integrals run from 0 to there, by
+    Gauss-Legendre on each interval between cuts.
 
-    For a continuous law, V is integrated in s by Gauss-Legendre with
-    ``GAUSS_POINTS`` points on each side of the nearer support end's
-    deviation, where one copy leaves the support: the kernel is smooth
-    between the two ends' deviations, but a truncated law's fuzzy return
-    can jump at its support ends.  A discrete law's kernel bends at many
-    deviations, and its squared-deviation axis x = s^2 is sampled with a
-    trapezoid rule of ``panels`` panels up to the farther grid end.
+    A continuous law's kernel is smooth between the two support ends'
+    deviations, but a truncated law's fuzzy return can jump at its support
+    ends, so the cuts are those deviations and each side takes
+    ``GAUSS_POINTS`` points.  A discrete law's kernel is smooth between
+    its breakpoints (``_breakpoints``), which are the cuts, with
+    ``BREAKPOINT_GAUSS_POINTS`` points each.
     """
-    if panels < 1:
-        raise ValueError("panels must be a positive integer")
+    near, far = sorted((center - grid.support[0], grid.support[1] - center))
     if isinstance(view, _LawView):
-        near, far = sorted((center - grid.support[0], grid.support[1] - center))
-        nodes, weights = _gauss_legendre(GAUSS_POINTS)
-        half = np.array([[near], [far - near]]) / 2.0
-        steps = (np.array([[0.0], [near]]) + half * (nodes + 1.0)).ravel()
-        weights = (half * weights).ravel() * steps
-        kernel = view.kernel(center, steps)
-        denominator = weights @ kernel
-        if denominator == 0.0:
-            raise DegenerateMembershipError("degenerate membership: variance undefined")
-        return float((weights * steps * steps) @ kernel / denominator)
-    x_end = max((float(grid.r_values[-1]) - center) ** 2, (float(grid.r_values[0]) - center) ** 2)
-    xs = np.linspace(0.0, x_end, panels + 1)
-    kernel = view.kernel(center, np.sqrt(xs))
-    denominator = quadrature.integrate(xs, kernel)
+        cuts, points = np.array((0.0, near, far)), GAUSS_POINTS
+    else:
+        cuts, points = _breakpoints(view, center, far), BREAKPOINT_GAUSS_POINTS
+    steps, weights = quadrature.gauss_legendre_rule(cuts, points)
+    weights = weights * steps
+    kernel = view.kernel(center, steps)
+    denominator = weights @ kernel
     if denominator == 0.0:
         raise DegenerateMembershipError("degenerate membership: variance undefined")
-    return quadrature.integrate(xs, xs * kernel) / denominator
+    return float((weights * steps * steps) @ kernel / denominator)
 
 
 # Upper bound on each resolution setting, far above any useful value (the
@@ -517,9 +561,9 @@ MAX_RESOLUTION = 2**20
 @dataclass(frozen=True)
 class EngineSettings:
     """Resolution knobs for profile computation: the return grid's point
-    count, and the variance panels of a discrete law.  ``nodes`` is checked
-    and reported but changes no result, since continuous laws are summed in
-    closed form."""
+    count.  ``nodes`` and ``variance_panels`` are checked and reported but
+    change no result, since continuous laws are summed in closed form and
+    every variance is integrated by Gauss-Legendre between fixed cuts."""
 
     grid_points: int = 801
     nodes: int = 256
@@ -553,7 +597,7 @@ def profile(
     view = _view(mu, conv, law)
     rho = expected_return_distribution(view, grid)
     center = expected_return(rho)
-    variance = return_variance(view, center, grid, settings.variance_panels)
+    variance = return_variance(view, center, grid)
     return SecurityProfile(
         rho=rho,
         expected_return=center,

@@ -12,8 +12,10 @@ area of the fuzzy return come from closed forms.  The exceptions are
 ``dominance``, a one-pair shorthand for the package's own
 ``dominance_matrix`` that the tests compare against these oracles, and
 ``staged_profile``, which runs the stages of ``profile`` through a chosen
-state-sum view, and ``midpoint_nodes``, which stands a continuous law's
-closed forms in for a rule of equal-weight nodes.
+state-sum view, ``midpoint_nodes``, which stands a continuous law's
+closed forms in for a rule of equal-weight nodes, and
+``gauss_legendre_variance``, which integrates the package's variance
+kernel (itself checked against the node loop) on a fine rule of its own.
 """
 
 import bisect
@@ -222,8 +224,72 @@ def staged_profile(view_class, mu: MembershipFn, law, conv, settings) -> np.ndar
     view = view_class(mu, conv, law)
     rho = returns.expected_return_distribution(view, grid)
     center = returns.expected_return(rho)
-    variance = returns.return_variance(view, center, grid, settings.variance_panels)
+    variance = returns.return_variance(view, center, grid)
     return np.array([center, variance, energy_measure(rho), entropy_measure(rho)])
+
+
+def gauss_legendre_variance(view, center: float, cuts, points: int = 64) -> float:
+    """V = int s^3 K ds / int s K ds by ``points``-point Gauss-Legendre
+    (numpy's ``leggauss``) on each interval between the sorted ``cuts``,
+    with the kernel K of ``view``, 256 intervals at a time."""
+    cuts = np.asarray(cuts, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    numerator = denominator = 0.0
+    for start in range(0, cuts.size - 1, 256):
+        ends = cuts[start:start + 257]
+        half = np.diff(ends)[:, None] / 2.0
+        steps = (ends[:-1, None] + half * (nodes + 1.0)).ravel()
+        measure = (half * weights).ravel() * steps
+        kernel = view.kernel(center, steps)
+        numerator += (measure * steps * steps) @ kernel
+        denominator += measure @ kernel
+    return numerator / denominator
+
+
+def kink_deviations(mu: MembershipFn, conv, nodes, center: float, far: float) -> np.ndarray:
+    """The deviations |rate_map(x_k, y_j) - center| below ``far`` at which
+    a copy of an atom y_j meets a knot x_k."""
+    kinks = np.abs(conv.rate_map(mu.grid[:, None], nodes.nodes) - center).ravel()
+    return kinks[kinks < far]
+
+
+def copy_crossings(mu: MembershipFn, conv, nodes, center: float, far: float) -> np.ndarray:
+    """Deviations s in [0, far] at which the two copies mu(pv(center + s, y))
+    and mu(pv(center - s, y)) of one atom y swap which is larger, found by
+    bisection wherever their difference changes sign between consecutive
+    points of 4096 uniform intervals and the kink deviations."""
+    scan = np.unique(np.concatenate((np.linspace(0.0, far, 4097), kink_deviations(mu, conv, nodes, center, far))))
+    found = []
+    for y in nodes.nodes.tolist():
+        def gap(s):
+            s = np.asarray(s, dtype=float)
+            return (np.array(_node_memberships(mu, conv, center + s, y))
+                    - np.array(_node_memberships(mu, conv, center - s, y)))
+
+        values = gap(scan)
+        for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
+            low, high = float(scan[i]), float(scan[i + 1])
+            while low < (low + high) / 2.0 < high:
+                middle = (low + high) / 2.0
+                if (gap([middle])[0] > 0.0) == (values[i] > 0.0):
+                    low = middle
+                else:
+                    high = middle
+            found.append(low)
+    return np.array(found)
+
+
+def reference_variance(view, mu: MembershipFn, conv, nodes, center: float, far: float,
+                       breakpoints: bool = True) -> float:
+    """The variance of a discrete law by Gauss-Legendre with 64 points on
+    each of 4096 uniform intervals of [0, far], and with ``breakpoints``
+    also split at the kink deviations and the copies' crossings, where the
+    kernel bends."""
+    edges = np.linspace(0.0, far, 4097)
+    if breakpoints:
+        edges = np.unique(np.concatenate((edges, kink_deviations(mu, conv, nodes, center, far),
+                                          copy_crossings(mu, conv, nodes, center, far))))
+    return gauss_legendre_variance(view, center, edges)
 
 
 # ---------------------------------------------------------------------------

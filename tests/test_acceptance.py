@@ -39,6 +39,7 @@ from support import (
     midpoint_nodes,
     oracle_profile_discrete,
     random_security,
+    reference_variance,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -251,7 +252,7 @@ def test_criterion_8_convergence(monkeypatch):
     law = dist.make_nodes()
     worst_rho = 0.0
     worst_variance = 0.0
-    worst_order = math.inf
+    worst_discrete = 0.0
     for conv in (SIMPLE, LOGARITHMIC):
         # the closed-form law against sums over 16384 midpoint nodes
         grid = ReturnGrid.spanning(mu, law, conv, 801)
@@ -264,26 +265,28 @@ def test_criterion_8_convergence(monkeypatch):
 
         # its variance: Gauss-Legendre on s, against twice the points
         center = expected_return(rho)
-        variance = return_variance(view, center, grid, 1)
+        variance = return_variance(view, center, grid)
         monkeypatch.setattr(returns, "GAUSS_POINTS", 2 * returns.GAUSS_POINTS)
-        variance_gap = abs(return_variance(view, center, grid, 1) - variance)
+        variance_gap = abs(return_variance(view, center, grid) - variance)
         monkeypatch.undo()
         worst_variance = max(worst_variance, variance_gap)
         assert variance_gap < 1e-6
 
-        # a discrete law's x-axis trapezoid, on the law's 256 midpoint nodes as
-        # atoms: the change under panel doubling falls with order >= 1.4
+        # a discrete law on the law's 256 midpoint nodes as atoms, whose 1024
+        # kinks exceed 128 intervals, so it takes 128 intervals uniform in
+        # s^2: against 64 points on each of 4096 uniform intervals
         nodes = midpoint_nodes(dist, 256)
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
         view = _view(mu, conv, nodes)
         center = expected_return(expected_return_distribution(view, grid))
-        variances = [return_variance(view, center, grid, m) for m in (256, 512, 1024, 2048, 4096)]
-        changes = np.abs(np.diff(variances))
-        worst_order = min(worst_order, float(np.log2(changes[:-1] / changes[1:]).min()))
-    assert worst_order >= 1.4
+        far = max(center - grid.support[0], grid.support[1] - center)
+        reference = reference_variance(view, mu, conv, nodes, center, far, breakpoints=False)
+        discrete_gap = abs(return_variance(view, center, grid) / reference - 1.0)
+        worst_discrete = max(worst_discrete, discrete_gap)
+        assert discrete_gap < 1e-6
     note(8, f"closed-form rho within {worst_rho:.1e} < 1e-6 of 16384 nodes; doubling the Gauss-Legendre points "
-            f"moves the variance by {worst_variance:.1e} < 1e-6; a discrete law's panel doubling has order "
-            f"{worst_order:.2f} >= 1.4 over 256-4096 panels")
+            f"moves the variance by {worst_variance:.1e} < 1e-6; a 256-atom law's variance is within "
+            f"{worst_discrete:.1e} < 1e-6 relative of 64 points on 4096 uniform intervals")
 
 
 def test_criterion_9_cli_determinism_and_diagnostics(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, FutureValueDist, profile, returns, trapezoid
+from bpv_effect import CONVENTIONS, FutureValueDist, profile, quadrature, returns, trapezoid
 from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
 from bpv_effect.returns import EngineSettings
 
@@ -355,7 +355,7 @@ class TestAnalyze:
         # past 745.13 the upper copy weighs nothing and the lower copy is kept
         center = result.expected_return
         half = max(center - result.rho.grid[0], result.rho.grid[-1] - center) / 2.0
-        steps = half * (returns._gauss_legendre(returns.GAUSS_POINTS)[0] + 1.0)
+        steps = half * (quadrature.gauss_legendre(returns.GAUSS_POINTS)[0] + 1.0)
         view = returns._view(mu, conv, dist.make_nodes())
         exact = view.kernel(center, steps)
         sampled = returns._KnotView(mu, conv, midpoint_nodes(dist, 65536)).kernel(center, steps)

@@ -26,6 +26,7 @@ from bpv_effect.returns import (
 
 from support import (
     closed_form_center_and_area,
+    copy_crossings,
     discrete_moments,
     dominance,
     lognormal_moments,
@@ -34,6 +35,7 @@ from support import (
     node_loop_state_sums,
     normal_moments,
     piece_integrals,
+    reference_variance,
     riemann,
     staged_profile,
 )
@@ -105,6 +107,15 @@ class TestReturnGrid:
         nodes = FutureValueDist.discrete([1.0], [1.0]).make_nodes()
         with pytest.raises(ValueError):
             ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
+
+    def test_kink_grid_is_built_and_checked_once(self, monkeypatch):
+        built = []
+        check = ReturnGrid.__post_init__
+        monkeypatch.setattr(ReturnGrid, "__post_init__", lambda grid: built.append(grid) or check(grid))
+        mu = trapezoid(88, 94, 104, 112)
+        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes()
+        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
+        assert built == [grid] and grid.r_values.size == 801 + 12  # every kink joins the grid
 
     def test_kink_grid_gives_second_order_rho(self):
         # a discrete law on a trapezoid with sloped edges: rho is smooth between
@@ -579,19 +590,87 @@ class TestVariance:
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
         view = returns._view(mu, SIMPLE, nodes)
         center = expected_return(expected_return_distribution(view, grid))
-        base = return_variance(view, center, grid, 1024)
-        # ends at center +/- sqrt(2) times the larger half-width: twice the squared span
+        base = return_variance(view, center, grid)
+        # ends at center +/- sqrt(2) times the larger half-width: the kernel is
+        # 0 past the true support, which the kink deviations still cut off
         half = max(grid.r_values[-1] - center, center - grid.r_values[0])
         wide = ReturnGrid(center + np.sqrt(2.0) * half * np.array([-1.0, -0.5, 0.5, 1.0]))
-        doubled = return_variance(view, center, wide, 2048)
-        assert doubled == pytest.approx(base, abs=1e-9)
+        assert return_variance(view, center, wide) == pytest.approx(base, rel=1e-15)
 
     def test_zero_kernel_is_degenerate(self):
         mu = trapezoid(90, 95, 105, 110)
         nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes()
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
-            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)), 64)
+            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)))
+
+
+# seed 1 of perfbench's screen-pairwise securities s124 and s050, each with a
+# kernel whose copies of one atom cross between kinks
+CROSSING_LAWS = {
+    "simple": (trapezoid(120.36, 126.51, 139.553, 145.582), FutureValueDist.discrete(
+        [103.052, 124.803, 137.627, 139.263, 144.482, 167.165],
+        [0.22942627960328313, 0.21391194639711558, 0.10202926429268132, 0.09547506526686214,
+         0.11902164338870042, 0.24013580105135746])),
+    "logarithmic": (trapezoid(120.544, 122.866, 131.269, 132.843), FutureValueDist.discrete(
+        [99.9129, 104.632, 134.369, 139.115, 149.774, 157.09],
+        [0.08249912671658902, 0.17085529007703343, 0.21577814049304256, 0.08675334201101581,
+         0.09896277816657963, 0.34515132253573955])),
+}
+
+
+class TestDiscreteVarianceRule:
+    """A discrete law's variance by Gauss-Legendre between its kernel's
+    breakpoints, against 64 points on 4096 uniform intervals, split also
+    at the kink deviations and at the crossings found by bisection."""
+
+    @staticmethod
+    def stages(mu, dist, conv):
+        """The law's atoms, view, return grid and center, and the farther
+        support end's deviation."""
+        nodes = dist.make_nodes()
+        grid = ReturnGrid.spanning(mu, nodes, conv, 801)
+        view = returns._view(mu, conv, nodes)
+        center = expected_return(expected_return_distribution(view, grid))
+        return nodes, view, grid, center, max(center - grid.support[0], grid.support[1] - center)
+
+    @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
+    @pytest.mark.parametrize("mu, dist", [
+        (trapezoid(88, 94, 104, 112), FutureValueDist.discrete([92, 101, 109], [0.25, 0.5, 0.25])),
+        (trapezoid(85, 97, 103, 120), FutureValueDist.discrete(np.linspace(80.0, 125.0, 8), np.full(8, 0.125))),
+    ])
+    def test_few_atoms_are_exact_to_rounding(self, mu, dist, conv):
+        nodes, view, grid, center, far = self.stages(mu, dist, conv)
+        reference = reference_variance(view, mu, conv, nodes, center, far)
+        assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(CROSSING_LAWS))
+    def test_crossing_copies_are_cut(self, kind):
+        # measured without the crossings: 5.5e-9 (simple) and 4.5e-6 (logarithmic)
+        mu, dist = CROSSING_LAWS[kind]
+        conv = CONVENTIONS[kind]
+        nodes, view, grid, center, far = self.stages(mu, dist, conv)
+        assert copy_crossings(mu, conv, nodes, center, far).size == 1
+        reference = reference_variance(view, mu, conv, nodes, center, far)
+        assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
+
+    def test_many_atoms_take_uniform_intervals(self, monkeypatch):
+        # 4 knots x 64 atoms give 256 kink deviations, more than 128 intervals
+        mu = trapezoid(85, 97, 103, 120)
+        dist = FutureValueDist.discrete(np.linspace(80.0, 125.0, 64), np.full(64, 1.0 / 64))
+        nodes, view, grid, center, far = self.stages(mu, dist, SIMPLE)
+        steps = []
+        kernel = view.kernel
+        monkeypatch.setattr(view, "kernel", lambda center, s: steps.append(s.size) or kernel(center, s))
+        engine = return_variance(view, center, grid)
+        assert steps == [1024]
+        monkeypatch.undo()
+        reference = reference_variance(view, mu, SIMPLE, nodes, center, far, breakpoints=False)
+        # the earlier rule: a trapezoid of 1024 panels on the squared deviation x = s^2
+        xs = np.linspace(0.0, max(grid.r_values[-1] - center, center - grid.r_values[0]) ** 2, 1025)
+        kernel = view.kernel(center, np.sqrt(xs))
+        trapezoid_rule = quadrature.integrate(xs, xs * kernel) / quadrature.integrate(xs, kernel)
+        assert abs(engine - reference) * 10.0 <= abs(trapezoid_rule - reference)
 
 
 class TestLawView:
@@ -632,7 +711,7 @@ class TestLawView:
 
 class TestContinuousVarianceRule:
     def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self):
-        nodes, weights = returns._gauss_legendre(returns.GAUSS_POINTS)
+        nodes, weights = quadrature.gauss_legendre(returns.GAUSS_POINTS)
         assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
         for degree in range(0, 2 * returns.GAUSS_POINTS, 7):
             exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
