@@ -8,8 +8,9 @@ import numpy as np
 
 from bpv_effect import (
     CONVENTIONS,
-    FutureValueDist,
+    DiscreteLaw,
     MembershipFn,
+    TruncatedLaw,
     build_report,
     profile,
     trapezoid,
@@ -20,27 +21,27 @@ SECURITIES = [
         "alpha",
         "simple",
         trapezoid(88, 94, 104, 112),
-        FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]),
+        DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]),
     ),
     (
         "beta",
         "logarithmic",
         trapezoid(90, 97, 103, 110),
-        FutureValueDist.lognormal(4.615, 0.08, (0.005, 0.995)),
+        TruncatedLaw.lognormal(4.615, 0.08, (0.005, 0.995)),
     ),
     (
         "gamma",
         "simple",
         MembershipFn([85, 95, 100, 108, 118], [0.0, 0.7, 1.0, 0.7, 0.0]),
-        FutureValueDist.normal(103.0, 6.0, (0.01, 0.99)),
+        TruncatedLaw.normal(103.0, 6.0, (0.01, 0.99)),
     ),
 ]
 
 
 def main() -> None:
     ids, profiles = [], []
-    for sec_id, kind, mu, dist in SECURITIES:
-        profiles.append(profile(mu, dist, CONVENTIONS[kind]))
+    for sec_id, kind, mu, law in SECURITIES:
+        profiles.append(profile(mu, law, CONVENTIONS[kind]))
         ids.append(sec_id)
 
     print(f"{'id':<8} {'E[r]':>9} {'variance':>10} {'energy':>8} {'entropy':>8}")

@@ -7,18 +7,19 @@ effectiveness scores over a finite universe.  The package exports what a
 screen needs; the submodules hold the rest.
 """
 
-from .distribution import FutureValueDist
+from .distribution import DiscreteLaw, TruncatedLaw
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
 from .returns import CONVENTIONS, LOGARITHMIC, SIMPLE, EngineSettings, profile
 
 __all__ = [
     "CONVENTIONS",
+    "DiscreteLaw",
     "EngineSettings",
-    "FutureValueDist",
     "LOGARITHMIC",
     "MembershipFn",
     "SIMPLE",
+    "TruncatedLaw",
     "build_report",
     "profile",
     "trapezoid",

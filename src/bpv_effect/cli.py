@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .distribution import FutureValueDist, truncation_levels
+from .distribution import DiscreteLaw, TruncatedLaw, truncation_levels
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
 from .returns import CONVENTIONS, EngineSettings, profile
@@ -40,17 +40,19 @@ DEFAULT_TRUNCATION = (0.005, 0.995)
 
 # Each present-value type and future-value family, and the settings block:
 # its constructor and the JSON fields passed to it by name.  The fields in
-# _LISTS are nonempty lists of numbers, in _INTEGERS integers, all others numbers.
+# _LISTS are nonempty lists of numbers, in _INTEGERS integers, all others
+# numbers.  A continuous law's truncation and every setting have a default.
 _SHAPES = {
     "trapezoid": (trapezoid, ("a", "b", "c", "d")),
     "grid": (lambda points, values: MembershipFn(points, values), ("points", "values")),
 }
 _FAMILIES = {
-    "normal": (FutureValueDist.normal, ("mean", "sd")),
-    "lognormal": (FutureValueDist.lognormal, ("log_mean", "log_sd")),
-    "discrete": (FutureValueDist.discrete, ("points", "probs")),
+    "normal": (TruncatedLaw.normal, ("mean", "sd", "truncation")),
+    "lognormal": (TruncatedLaw.lognormal, ("log_mean", "log_sd", "truncation")),
+    "discrete": (DiscreteLaw, ("points", "probs")),
 }
-_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation), ())
+_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation),
+             ("grid_points", "nodes", "variance_panels", "truncation"))
 _LISTS = {"points", "values", "probs", "truncation"}
 _INTEGERS = {"grid_points", "nodes", "variance_panels"}
 
@@ -121,12 +123,12 @@ def _object(pairs):
     return entry
 
 
-def _build(entry, path, errors, row, tag=None, **optional):
+def _build(entry, path, errors, row, tag=None, **defaults):
     """The value a JSON object describes, built by ``row``: a constructor and
     the fields passed to it by name, or a table of such rows when the
-    object's string field ``tag`` picks one.  The object's own fields override
-    the ``optional`` keyword defaults; any other key is an error.  Returns
-    None after recording errors."""
+    object's string field ``tag`` picks one.  A field the object leaves out
+    takes its value from the keyword ``defaults`` if it has one there; a key
+    outside the row is an error.  Returns None after recording errors."""
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None
@@ -135,13 +137,13 @@ def _build(entry, path, errors, row, tag=None, **optional):
         if row is None:
             return None
     make, keys = row
-    _unknown_keys(entry, ((tag,) if tag else ()) + keys + tuple(optional), f"{path}.", errors)
-    keys += tuple(key for key in optional if key in entry)
-    fields = {key: _field(entry, key, path, errors) for key in keys}
+    _unknown_keys(entry, ((tag,) if tag else ()) + keys, f"{path}.", errors)
+    fields = {key: defaults[key] if key in defaults and key not in entry else _field(entry, key, path, errors)
+              for key in keys}
     if any(value is None for value in fields.values()):
         return None
     try:
-        return make(**{**optional, **fields})
+        return make(**fields)
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
@@ -153,12 +155,6 @@ def _build_membership(entry, path, errors) -> MembershipFn | None:
         errors.append(f"{path}: present-value support must be positive")
         return None
     return mu
-
-
-def _build_distribution(entry, path, errors, truncation) -> FutureValueDist | None:
-    if isinstance(entry, dict) and entry.get("family") == "discrete":
-        truncation = None  # the settings' truncation applies to continuous laws only
-    return _build(entry, path, errors, _FAMILIES, "family", truncation=truncation)
 
 
 def _parse_portfolio(doc, errors):
@@ -199,8 +195,9 @@ def _parse_portfolio(doc, errors):
         _unknown_keys(entry, ("id", "convention", "present_value", "future_value"), f"{path}.", errors)
         conv = _tag(entry, "convention", CONVENTIONS, path, errors)
         mu = _build_membership(entry.get("present_value"), f"{path}.present_value", errors)
-        dist = _build_distribution(entry.get("future_value"), f"{path}.future_value", errors, truncation)
-        securities.append((sec_id, conv, mu, dist))
+        law = _build(entry.get("future_value"), f"{path}.future_value", errors, _FAMILIES, "family",
+                     truncation=truncation)
+        securities.append((sec_id, conv, mu, law))
     return sorted(securities, key=lambda item: item[0]), settings, truncation
 
 
@@ -229,10 +226,10 @@ def _profiles(securities, settings):
     printing the first failure, an exhausted memory included, with the
     security's id."""
     profiles = []
-    for sec_id, conv, mu, dist in securities:
+    for sec_id, conv, mu, law in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                profiles.append(profile(mu, dist, conv, settings))
+                profiles.append(profile(mu, law, conv, settings))
         except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return None

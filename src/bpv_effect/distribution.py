@@ -1,17 +1,16 @@
 """Probability distributions of future security value on the positive reals.
 
-A law is held as what a profile sums over.  A discrete law (finite atoms)
-holds its atoms and probabilities and admits no truncation.  A normal or
-lognormal law is truncated at two quantile levels 0 < lo < hi < 1: the
-truncated law is the image of a uniform draw on (lo, hi) under the base
-quantile function, so its support is bounded, and its weight and first
-moment below any value are closed forms in the standard-normal
-distribution function.  A normal law must be truncated so that its support
-stays positive.
+A law is built once, as the object a profile sums over, and checked as it
+is made.  A ``DiscreteLaw`` holds finite atoms and their probabilities.  A
+``TruncatedLaw`` is a normal or lognormal law truncated at two quantile
+levels 0 < lo < hi < 1: the truncated law is the image of a uniform draw on
+(lo, hi) under the base quantile function, so its support is bounded, and
+its weight and first moment below any value are closed forms in the
+standard-normal distribution function.  A normal law must be truncated so
+that its support stays positive.
 """
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -58,26 +57,31 @@ def truncation_levels(levels) -> tuple[float, float]:
     return float(levels[0]), float(levels[1])
 
 
-def _require_finite(family: str, **params: float) -> None:
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{family} family needs a finite {name} (got {value!r})")
+class DiscreteLaw:
+    """A discrete law: atoms ``nodes``, strictly increasing and positive,
+    with probabilities ``weights`` summing to 1, checked as it is made."""
 
-
-@dataclass(frozen=True, eq=False)
-class QuadratureNodes:
-    """A discrete law's atoms ``nodes``, strictly increasing and positive,
-    with probabilities ``weights`` summing to 1, checked where it is made, in
-    ``FutureValueDist.discrete``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
+    def __init__(self, points, probs):
+        points = np.array(points, dtype=float)
+        probs = np.array(probs, dtype=float)
+        if points.ndim != 1 or points.size == 0 or points.shape != probs.shape:
+            raise ValueError("points and probs must be matching nonempty vectors")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(probs))):
+            raise ValueError("points and probs must be finite")
+        if points[0] <= 0.0 or not np.all(np.diff(points) > 0.0):
+            raise ValueError("points must be strictly increasing and positive")
+        if probs.min() < 0.0:
+            raise ValueError("probs must be nonnegative")
+        if abs(probs.sum() - 1.0) > 1e-12:
+            raise ValueError(f"probs must sum to 1 (got {probs.sum():.12g})")
+        points.flags.writeable = probs.flags.writeable = False
+        self.nodes, self.weights = points, probs
 
 
 class TruncatedLaw:
     """A normal law, or the exponential of one (``log``), with mean and sd
     ``mean`` and ``sd``, truncated to the quantile ``levels`` (lo, hi), in
-    closed form.
+    closed form.  Build it with ``normal`` or ``lognormal``.
 
     ``nodes`` holds its support ends, the two future values where its
     distribution function bends; they must come out finite, positive and
@@ -87,12 +91,24 @@ class TruncatedLaw:
     accurate, and about 0 for a lognormal law.
     """
 
-    def __init__(self, log: bool, mean: float, sd: float, levels: tuple[float, float]):
+    def __init__(self, log: bool, mean: float, sd: float, truncation: tuple[float, float]):
+        family, names = ("lognormal", ("log_mean", "log_sd")) if log else ("normal", ("mean", "sd"))
+        mean, sd = float(mean), float(sd)
+        levels = truncation_levels(truncation) if truncation is not None else None
+        for name, value in zip(names, (mean, sd)):
+            if not math.isfinite(value):
+                raise ValueError(f"{family} family needs a finite {name} (got {value!r})")
+        if sd <= 0.0:
+            raise ValueError(f"{family} family needs {names[1]} > 0")
+        if levels is None:
+            raise ValueError(f"{family} future values must be truncated to keep the support bounded")
         self.log, self.mean, self.sd, self.levels = log, mean, sd, levels
         self.shift = 0.0 if log else mean
         self.z = z_lo, _ = tuple(map(_STANDARD_NORMAL.inv_cdf, levels))
         with np.errstate(over="ignore", under="ignore"):
             nodes = mean + sd * np.array(self.z)
+            if not log and nodes[0] <= 0.0:
+                raise ValueError("normal truncation must give a positive lower support bound")
             if log:
                 nodes = np.exp(nodes)
                 # the untruncated mean: used only where z >= sd, where it is below the value
@@ -106,6 +122,14 @@ class TruncatedLaw:
         if log:
             tail = float(nodes[0]) * self.start * float(_scaled_tail(abs(sd - z_lo)))
             self.start = tail if sd > z_lo else self.untruncated_mean - tail
+
+    @classmethod
+    def normal(cls, mean: float, sd: float, truncation: tuple[float, float]) -> "TruncatedLaw":
+        return cls(False, mean, sd, truncation)
+
+    @classmethod
+    def lognormal(cls, log_mean: float, log_sd: float, truncation: tuple[float, float]) -> "TruncatedLaw":
+        return cls(True, log_mean, log_sd, truncation)
 
     def below(self, y):
         """W(y) and M(y), the law's weight and first moment about ``shift``
@@ -142,67 +166,3 @@ class TruncatedLaw:
         moments = np.array((weight, term))
         moments /= self.levels[1] - self.levels[0]
         return moments
-
-
-@dataclass(frozen=True, eq=False)
-class FutureValueDist:
-    """A future-value law: the ``atoms`` of a discrete law, or for a
-    continuous one, a normal law (the law of the logarithm when ``log``)
-    with ``mean`` and ``sd``, truncated at quantile ``levels``.  Build it
-    with ``normal``, ``lognormal`` or ``discrete``."""
-
-    atoms: QuadratureNodes | None = None
-    log: bool = False
-    mean: float = 0.0
-    sd: float = 1.0
-    levels: tuple[float, float] | None = None
-
-    @classmethod
-    def normal(cls, mean: float, sd: float, truncation: tuple[float, float]) -> "FutureValueDist":
-        return cls._continuous("normal", False, mean, sd, truncation)
-
-    @classmethod
-    def lognormal(cls, log_mean: float, log_sd: float, truncation: tuple[float, float]) -> "FutureValueDist":
-        return cls._continuous("lognormal", True, log_mean, log_sd, truncation)
-
-    @classmethod
-    def _continuous(cls, family, log, mean, sd, truncation) -> "FutureValueDist":
-        mean, sd = float(mean), float(sd)
-        levels = truncation_levels(truncation) if truncation is not None else None
-        names = ("log_mean", "log_sd") if log else ("mean", "sd")
-        _require_finite(family, **dict(zip(names, (mean, sd))))
-        if sd <= 0.0:
-            raise ValueError(f"{family} family needs {names[1]} > 0")
-        if levels is None:
-            raise ValueError(f"{family} future values must be truncated to keep the support bounded")
-        if not log and mean + sd * _STANDARD_NORMAL.inv_cdf(levels[0]) <= 0.0:
-            raise ValueError("normal truncation must give a positive lower support bound")
-        return cls(log=log, mean=mean, sd=sd, levels=levels)
-
-    @classmethod
-    def discrete(cls, points, probs, truncation=None) -> "FutureValueDist":
-        """A discrete law admits no truncation: anything but None is rejected."""
-        if truncation is not None:
-            truncation_levels(truncation)
-            raise ValueError("truncation is not supported for discrete future values")
-        points = np.array(points, dtype=float)
-        probs = np.array(probs, dtype=float)
-        if points.ndim != 1 or points.size == 0 or points.shape != probs.shape:
-            raise ValueError("points and probs must be matching nonempty vectors")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(probs))):
-            raise ValueError("points and probs must be finite")
-        if points[0] <= 0.0 or not np.all(np.diff(points) > 0.0):
-            raise ValueError("points must be strictly increasing and positive")
-        if probs.min() < 0.0:
-            raise ValueError("probs must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1 (got {probs.sum():.12g})")
-        points.flags.writeable = probs.flags.writeable = False
-        return cls(atoms=QuadratureNodes(points, probs))
-
-    def make_nodes(self) -> QuadratureNodes | TruncatedLaw:
-        """What a profile sums over: a discrete law's atoms, or a continuous
-        law's closed forms, whose support ends are checked here."""
-        if self.atoms is not None:
-            return self.atoms
-        return TruncatedLaw(self.log, self.mean, self.sd, self.levels)

@@ -15,16 +15,16 @@ membership of rate r is ``mu`` evaluated at the unique present value that
 produces r, and rates outside a convention's domain carry membership 0.
 
 The average of the state memberships over the future-value law is taken
-in one of three views, which ``profile`` builds once per security
-(``_view``) and passes to the fuzzy return and the variance.  The present
-value is linear in the future value, so the states on one linear piece of
-``mu`` form a contiguous run whose sum follows from W and M, the law's
-weight and first moment below the run's edges, at O(knots) cost per rate.
-A continuous law takes W and M from their closed forms (``_LawView``).  A
-discrete law takes them from prefix sums over its atoms (``_KnotView``)
-when its atom count reaches an affine function of its knot count
-(``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``), and otherwise
-evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
+in one of three views, which ``profile`` builds once per security from its
+law (``_view``) and passes to the fuzzy return and the variance.  The
+present value is linear in the future value, so the states on one linear
+piece of ``mu`` form a contiguous run whose sum follows from W and M, the
+law's weight and first moment below the run's edges, at O(knots) cost per
+rate.  A ``TruncatedLaw`` takes W and M from their closed forms
+(``_LawView``).  A ``DiscreteLaw`` takes them from prefix sums over its
+atoms (``_KnotView``) when its atom count reaches an affine function of
+its knot count (``KNOT_VIEW_NODES`` and ``KNOT_VIEW_NODES_PER_KNOT``), and
+otherwise evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
 """
 
 import math
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .distribution import FutureValueDist, QuadratureNodes, TruncatedLaw
+from .distribution import DiscreteLaw, TruncatedLaw
 from .membership import MembershipFn, energy_measure, entropy_measure
 
 
@@ -136,7 +136,7 @@ class _KnotView:
             np.concatenate(([0.0], np.diff(v), [0.0, 0.0])),
         ])
         self.runs = self.pieces[:, 1:-1, None]  # the pieces between the first and last edge
-        if isinstance(law, QuadratureNodes):
+        if isinstance(law, DiscreteLaw):
             self.padded = np.concatenate(([-np.inf], self.y, [np.inf]))
             # W and M below each node edge
             self.table = np.array((np.concatenate(([0.0], np.cumsum(law.weights))),
@@ -304,7 +304,7 @@ class _NodeView:
     """The sums of ``_KnotView`` node by node: ``mu`` at every (rate, node)
     pair, in O(rates * nodes)."""
 
-    def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: QuadratureNodes):
+    def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: DiscreteLaw):
         self.mu, self.conv, self.y, self.w = mu, conv, nodes.nodes, nodes.weights
 
     def values(self, rates) -> np.ndarray:
@@ -375,7 +375,7 @@ class ReturnGrid:
     def spanning(
         cls,
         mu: MembershipFn,
-        law: QuadratureNodes | TruncatedLaw,
+        law: DiscreteLaw | TruncatedLaw,
         conv: ReturnConvention,
         count: int,
     ) -> "ReturnGrid":
@@ -583,7 +583,7 @@ class EngineSettings:
 
 def profile(
     mu: MembershipFn,
-    dist: FutureValueDist,
+    law: DiscreteLaw | TruncatedLaw,
     conv: ReturnConvention,
     settings: EngineSettings = EngineSettings(),
 ) -> SecurityProfile:
@@ -592,7 +592,6 @@ def profile(
     Raises DegenerateMembershipError when the fuzzy expected return is
     identically zero (e.g. an all-zero present-value membership).
     """
-    law = dist.make_nodes()
     grid = ReturnGrid.spanning(mu, law, conv, settings.grid_points)
     view = _view(mu, conv, law)
     rho = expected_return_distribution(view, grid)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from bpv_effect import returns
-from bpv_effect.distribution import QuadratureNodes
+from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.membership import MembershipFn, dominance_matrix, energy_measure, entropy_measure, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
@@ -207,13 +207,13 @@ def node_loop_kernel(mu: MembershipFn, conv, nodes, center, steps) -> np.ndarray
     return np.array([math.fsum(column) for column in zip(*terms)])
 
 
-def midpoint_nodes(dist, n: int) -> QuadratureNodes:
+def midpoint_nodes(dist, n: int) -> DiscreteLaw:
     """A continuous law as n equal-weight nodes at the probability midpoints
     (i - 1/2)/n of its truncation, from scipy's normal quantiles."""
     lo, hi = dist.levels
     z = stats.norm.ppf(lo + (np.arange(n) + 0.5) / n * (hi - lo))
     values = dist.mean + dist.sd * z
-    return QuadratureNodes(np.exp(values) if dist.log else values, np.full(n, 1.0 / n))
+    return DiscreteLaw(np.exp(values) if dist.log else values, np.full(n, 1.0 / n))
 
 
 def staged_profile(view_class, mu: MembershipFn, law, conv, settings) -> np.ndarray:
@@ -445,8 +445,6 @@ def direct_pareto(matrix) -> list[float]:
 
 def random_security(rng):
     """Random (membership, distribution, convention-name) triple."""
-    from bpv_effect.distribution import FutureValueDist
-
     center = float(rng.uniform(60, 140))
     half = float(rng.uniform(3, 18))
     left = float(rng.uniform(0.1, 0.9)) * half
@@ -458,9 +456,9 @@ def random_security(rng):
         points = np.sort(rng.uniform(0.7 * center, 1.4 * center, count))
         while np.any(np.diff(points) <= 1e-9):
             points = np.sort(rng.uniform(0.7 * center, 1.4 * center, count))
-        dist = FutureValueDist.discrete(points, rng.dirichlet(np.ones(count)))
+        dist = DiscreteLaw(points, rng.dirichlet(np.ones(count)))
     else:
-        dist = FutureValueDist.lognormal(
+        dist = TruncatedLaw.lognormal(
             float(np.log(center) + rng.uniform(-0.1, 0.15)),
             float(rng.uniform(0.05, 0.3)),
             (0.005, 0.995),

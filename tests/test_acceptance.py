@@ -14,7 +14,7 @@ import pytest
 
 from bpv_effect import returns
 from bpv_effect.cli import main
-from bpv_effect.distribution import FutureValueDist
+from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.effectiveness import build_report
 from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 from bpv_effect.returns import (
@@ -46,7 +46,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 LOGNORMAL_FIXTURE = (
     trapezoid(85, 95, 105, 120),
-    FutureValueDist.lognormal(float(np.log(100.0)), 0.15, (0.005, 0.995)),
+    TruncatedLaw.lognormal(float(np.log(100.0)), 0.15, (0.005, 0.995)),
 )
 
 
@@ -100,7 +100,7 @@ def test_criterion_3_discrete_oracle_equivalence():
     worst = 0.0
     for corners, atoms, probs, kind in cases:
         mu = trapezoid(*corners)
-        dist = FutureValueDist.discrete(atoms, probs)
+        dist = DiscreteLaw(atoms, probs)
         conv = CONVENTIONS[kind]
         result = profile(mu, dist, conv)
         _, _, expected, variance, energy, entropy = oracle_profile_discrete(
@@ -130,8 +130,8 @@ def test_criterion_3_discrete_oracle_equivalence():
 
 # the discrete law and the lognormal fixture's law of factor * V, built from their parameters
 SCALED_LAWS = (
-    lambda factor: FutureValueDist.discrete(np.array([90.0, 100.0, 115.0]) * factor, [0.3, 0.5, 0.2]),
-    lambda factor: FutureValueDist.lognormal(float(np.log(100.0)) + math.log(factor), 0.15, (0.005, 0.995)),
+    lambda factor: DiscreteLaw(np.array([90.0, 100.0, 115.0]) * factor, [0.3, 0.5, 0.2]),
+    lambda factor: TruncatedLaw.lognormal(float(np.log(100.0)) + math.log(factor), 0.15, (0.005, 0.995)),
 )
 
 
@@ -248,8 +248,7 @@ def test_criterion_7_invariant_sweep():
 
 
 def test_criterion_8_convergence(monkeypatch):
-    mu, dist = LOGNORMAL_FIXTURE
-    law = dist.make_nodes()
+    mu, law = LOGNORMAL_FIXTURE
     worst_rho = 0.0
     worst_variance = 0.0
     worst_discrete = 0.0
@@ -258,7 +257,7 @@ def test_criterion_8_convergence(monkeypatch):
         grid = ReturnGrid.spanning(mu, law, conv, 801)
         view = _view(mu, conv, law)
         rho = expected_return_distribution(view, grid)
-        sampled = expected_return_distribution(_view(mu, conv, midpoint_nodes(dist, 16384)), grid)
+        sampled = expected_return_distribution(_view(mu, conv, midpoint_nodes(law, 16384)), grid)
         rho_gap = float(np.max(np.abs(rho.values - sampled.values)))
         worst_rho = max(worst_rho, rho_gap)
         assert rho_gap < 1e-6
@@ -275,7 +274,7 @@ def test_criterion_8_convergence(monkeypatch):
         # a discrete law on the law's 256 midpoint nodes as atoms, whose 1024
         # kinks exceed 128 intervals, so it takes 128 intervals uniform in
         # s^2: against 64 points on each of 4096 uniform intervals
-        nodes = midpoint_nodes(dist, 256)
+        nodes = midpoint_nodes(law, 256)
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
         view = _view(mu, conv, nodes)
         center = expected_return(expected_return_distribution(view, grid))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, FutureValueDist, profile, quadrature, returns, trapezoid
+from bpv_effect import CONVENTIONS, DiscreteLaw, TruncatedLaw, profile, quadrature, returns, trapezoid
 from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
 from bpv_effect.returns import EngineSettings
 
@@ -43,21 +43,26 @@ def simple_security(sec_id="one", **overrides):
 
 
 # securities that parse but cannot be profiled; each fails while building its
-# law's support ends, return grid or fuzzy return's center, and both commands
-# profile every security, so both exit 2
+# return grid or fuzzy return's center, and both commands profile every
+# security, so both exit 2.  A law's support ends are checked as the
+# portfolio is read (the *_support rows of BAD_INPUTS)
 EXTREME, OVERFLOW, UNDERFLOW, FLAT = (
     json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["securities"][1]
     for name in ("extreme_range", "overflow_span", "underflow_span", "degenerate_return")
 )
 HUGE = json.loads((FIXTURES / "overflow_nodes.json").read_text(encoding="utf-8"))["securities"][0]
 PROFILE_FAILURES = [
-    # exp(800 + 0.2 z) overflows at both support ends
-    ("huge", {"future_value": HUGE["future_value"]},
-     "support ends inf to inf are not finite, positive and distinct"),
+    # a law whose support ends are positive subnormals passes its own check,
+    # but its simple rates all round to -1
+    ("faint", {"future_value": {"family": "lognormal", "log_mean": -740, "log_sd": 0.1}},
+     "return grid must be strictly increasing"),
     ("tiny", {"future_value": {"family": "lognormal", "log_mean": -50, "log_sd": 0.2}},
      "return grid must be strictly increasing"),
-    ("pinned", {"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}},
-     "support ends 100 to 100 are not finite, positive and distinct"),
+    # a discrete law has no support-end check: over subnormal atoms, every
+    # logarithmic rate's present value y e^-r overflows, so rho is 0
+    ("dust", {"convention": "logarithmic",
+              "future_value": {"family": "discrete", "points": [1e-320, 2e-320], "probs": [0.5, 0.5]}},
+     "degenerate membership: expected return undefined"),
     ("vast", {"present_value": {"type": "trapezoid", "a": 1e-300, "b": 1e-300, "c": 1e300, "d": 1e300}},
      "return span"),
     ("extreme", {key: EXTREME[key] for key in ("present_value", "future_value")},
@@ -129,6 +134,15 @@ BAD_INPUTS = {
                                                   "e": 115}}, {}, "(id 'bad').present_value.e: unknown", True),
     "misspelt_truncation": ({"future_value": {**LOGNORMAL, "truncaton": [0.2, 0.8]}}, {},
                             "(id 'bad').future_value.truncaton: unknown", True),
+    # a law's support ends are checked as it is built: they overflow (exp(800 + 0.2 z)),
+    # collapse (sd * z vanishes against the mean) or underflow
+    "huge_support": ({"future_value": HUGE["future_value"]}, {},
+                     "(id 'bad').future_value: support ends inf to inf are not finite, positive and distinct", True),
+    "pinned_support": ({"future_value": {"family": "normal", "mean": 100, "sd": 1e-300}}, {},
+                       "(id 'bad').future_value: support ends 100 to 100 are not finite, positive and distinct", True),
+    "vanishing_support": ({"future_value": {"family": "lognormal", "log_mean": -745, "log_sd": 0.1}}, {},
+                          "(id 'bad').future_value: support ends 0 to 4.94066e-324 are not finite, positive and "
+                          "distinct", True),
     "infinite_plateau_end": ({"present_value": {"type": "trapezoid", "a": 90, "b": 95, "c": float("inf"),
                                                 "d": float("inf")}}, {}, "present_value", True),
     # each row names its constructor check's message, so the row fails if that check goes
@@ -305,6 +319,26 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "'a'" in err and "'b'" in err
 
+    def test_misspelt_key_and_overflowing_law_are_reported_together(self, tmp_path, capsys, monkeypatch):
+        # the law's support ends fail while the portfolio is read, so both
+        # errors come at once and no security is profiled
+        def refuse(*args):
+            raise AssertionError("no security may be profiled")
+
+        monkeypatch.setattr("bpv_effect.cli.profile", refuse)
+        securities = [simple_security("fine"), simple_security("huge", future_value=HUGE["future_value"])]
+        path = write_portfolio(tmp_path, securities, settings={"grid_point": 2401})
+        for command in ("validate", "analyze"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: settings.grid_point: unknown field, expected one of grid_points, nodes, variance_panels, "
+                "truncation",
+                "error: securities[1] (id 'huge').future_value: support ends inf to inf are not finite, positive "
+                "and distinct",
+            ]
+
 
 class TestAnalyze:
     def test_report_structure(self, tmp_path, capsys):
@@ -356,7 +390,7 @@ class TestAnalyze:
         center = result.expected_return
         half = max(center - result.rho.grid[0], result.rho.grid[-1] - center) / 2.0
         steps = half * (quadrature.gauss_legendre(returns.GAUSS_POINTS)[0] + 1.0)
-        view = returns._view(mu, conv, dist.make_nodes())
+        view = returns._view(mu, conv, dist)
         exact = view.kernel(center, steps)
         sampled = returns._KnotView(mu, conv, midpoint_nodes(dist, 65536)).kernel(center, steps)
         assert np.max(np.abs(exact - sampled)) <= 2e-5
@@ -444,8 +478,8 @@ class TestAnalyze:
         mu = trapezoid(90, 95, 105, 110)
         engine = EngineSettings(**settings)
         profiles = [
-            profile(mu, FutureValueDist.lognormal(4.6, 0.1, (0.005, 0.995)), CONVENTIONS["logarithmic"], engine),
-            profile(mu, FutureValueDist.discrete([98.0, 102.0], [0.5, 0.5]), CONVENTIONS["simple"], engine),
+            profile(mu, TruncatedLaw.lognormal(4.6, 0.1, (0.005, 0.995)), CONVENTIONS["logarithmic"], engine),
+            profile(mu, DiscreteLaw([98.0, 102.0], [0.5, 0.5]), CONVENTIONS["simple"], engine),
         ]
         assert grids.read_bytes() == legacy_grids_csv(ids, profiles, 101)
         assert grids.read_bytes().startswith(b'r,"rho_a,""b""",rho_plain\r\n')

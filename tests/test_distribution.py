@@ -9,42 +9,42 @@ from scipy import special, stats
 
 import bpv_effect
 from bpv_effect import distribution
-from bpv_effect.distribution import FutureValueDist
+from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 
 
 @pytest.fixture
 def standard_lognormal():
-    return FutureValueDist.lognormal(0.0, 1.0, (0.005, 0.995))
+    return TruncatedLaw.lognormal(0.0, 1.0, (0.005, 0.995))
 
 
 @pytest.fixture
 def two_atoms():
-    return FutureValueDist.discrete([2.0, 5.0], [0.3, 0.7])
+    return DiscreteLaw([2.0, 5.0], [0.3, 0.7])
 
 
 class TestValidation:
     def test_normal_requires_truncation(self):
         with pytest.raises(ValueError):
-            FutureValueDist.normal(100.0, 10.0, None)
+            TruncatedLaw.normal(100.0, 10.0, None)
 
     def test_lognormal_requires_truncation(self):
         with pytest.raises(ValueError, match="truncated to keep the support bounded"):
-            FutureValueDist.lognormal(0.0, 1.0, None)
+            TruncatedLaw.lognormal(0.0, 1.0, None)
 
     def test_normal_requires_positive_lower_bound(self):
-        with pytest.raises(ValueError):
-            FutureValueDist.normal(5.0, 10.0, (0.005, 0.995))
+        with pytest.raises(ValueError, match="normal truncation must give a positive lower support bound"):
+            TruncatedLaw.normal(5.0, 10.0, (0.005, 0.995))
 
     def test_normal_truncated_at_level_zero_has_no_positive_lower_bound(self):
         # level 0 is the unbounded lower tail, which no continuous law admits
         with pytest.raises(ValueError, match=r"0 < lo < hi < 1 \(got \[0.0, 0.99\]\)"):
-            FutureValueDist.normal(5.0, 10.0, (0.0, 0.99))
+            TruncatedLaw.normal(5.0, 10.0, (0.0, 0.99))
 
     @pytest.mark.parametrize("levels", [(0.0, 0.9), (0.1, 1.0), (0.0, 1.0)])
     def test_continuous_support_must_be_bounded(self, levels):
-        for family in (FutureValueDist.normal, FutureValueDist.lognormal):
+        for family in (TruncatedLaw.normal, TruncatedLaw.lognormal):
             with pytest.raises(ValueError, match="0 < lo < hi < 1"):
-                family(100.0 if family is FutureValueDist.normal else 4.6, 0.1, levels)
+                family(100.0 if family is TruncatedLaw.normal else 4.6, 0.1, levels)
 
     @pytest.mark.parametrize("family, params, name", [
         ("normal", {"mean": float("nan"), "sd": 10.0}, "mean"),
@@ -54,67 +54,62 @@ class TestValidation:
     ])
     def test_non_finite_parameters_rejected(self, family, params, name):
         with pytest.raises(ValueError, match=f"finite {name} "):
-            getattr(FutureValueDist, family)(truncation=(0.005, 0.995), **params)
+            getattr(TruncatedLaw, family)(truncation=(0.005, 0.995), **params)
 
     def test_non_finite_discrete_atoms_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            FutureValueDist.discrete([2.0, float("inf")], [0.5, 0.5])
+            DiscreteLaw([2.0, float("inf")], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            FutureValueDist.discrete([2.0, 5.0], [float("nan"), 1.0])
+            DiscreteLaw([2.0, 5.0], [float("nan"), 1.0])
 
     def test_discrete_probability_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            FutureValueDist.discrete([2.0, 5.0], [0.2, 0.7])
+            DiscreteLaw([2.0, 5.0], [0.2, 0.7])
 
     def test_discrete_positive_points(self):
         with pytest.raises(ValueError):
-            FutureValueDist.discrete([-1.0, 5.0], [0.5, 0.5])
-
-    def test_discrete_rejects_truncation(self):
-        with pytest.raises(ValueError):
-            FutureValueDist.discrete([2.0], [1.0], truncation=(0.1, 0.9))
+            DiscreteLaw([-1.0, 5.0], [0.5, 0.5])
 
     def test_bad_truncation_levels(self):
         with pytest.raises(ValueError):
-            FutureValueDist.lognormal(0.0, 1.0, (0.9, 0.1))
+            TruncatedLaw.lognormal(0.0, 1.0, (0.9, 0.1))
 
     def test_node_weights_validated(self):
-        # a discrete law's atoms are its quadrature nodes and weights, checked only here
+        # a discrete law's atoms and probabilities are its nodes and weights, checked only here
         with pytest.raises(ValueError, match="sum to 1"):
-            FutureValueDist.discrete([1.0, 2.0], [0.5, 0.4])
+            DiscreteLaw([1.0, 2.0], [0.5, 0.4])
         with pytest.raises(ValueError, match="strictly increasing"):
-            FutureValueDist.discrete([2.0, 1.0], [0.5, 0.5])
+            DiscreteLaw([2.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            FutureValueDist.discrete([1.0, np.inf], [0.5, 0.5])
+            DiscreteLaw([1.0, np.inf], [0.5, 0.5])
 
 
 # a normal law, and laws near the full range, whose tails below 1e-12 are cut
 LAWS = [
-    (FutureValueDist.lognormal(0.0, 1.0, (1e-12, 1.0 - 1e-12)), stats.lognorm(1.0), (1e-12, 1.0 - 1e-12)),
-    (FutureValueDist.lognormal(4.6, 0.08, (0.005, 0.995)), stats.lognorm(0.08, scale=np.exp(4.6)), (0.005, 0.995)),
-    (FutureValueDist.lognormal(-2.0, 0.5, (0.2, 0.9)), stats.lognorm(0.5, scale=np.exp(-2.0)), (0.2, 0.9)),
-    (FutureValueDist.normal(100.0, 10.0, (0.005, 0.995)), stats.norm(100.0, 10.0), (0.005, 0.995)),
-    (FutureValueDist.normal(103.0, 6.0, (0.01, 0.99)), stats.norm(103.0, 6.0), (0.01, 0.99)),
-    (FutureValueDist.normal(50.0, 5.0, (0.3, 1.0 - 1e-12)), stats.norm(50.0, 5.0), (0.3, 1.0 - 1e-12)),
-    (FutureValueDist.normal(100.0, 10.0, (1e-12, 1.0 - 1e-12)), stats.norm(100.0, 10.0), (1e-12, 1.0 - 1e-12)),
+    (TruncatedLaw.lognormal(0.0, 1.0, (1e-12, 1.0 - 1e-12)), stats.lognorm(1.0), (1e-12, 1.0 - 1e-12)),
+    (TruncatedLaw.lognormal(4.6, 0.08, (0.005, 0.995)), stats.lognorm(0.08, scale=np.exp(4.6)), (0.005, 0.995)),
+    (TruncatedLaw.lognormal(-2.0, 0.5, (0.2, 0.9)), stats.lognorm(0.5, scale=np.exp(-2.0)), (0.2, 0.9)),
+    (TruncatedLaw.normal(100.0, 10.0, (0.005, 0.995)), stats.norm(100.0, 10.0), (0.005, 0.995)),
+    (TruncatedLaw.normal(103.0, 6.0, (0.01, 0.99)), stats.norm(103.0, 6.0), (0.01, 0.99)),
+    (TruncatedLaw.normal(50.0, 5.0, (0.3, 1.0 - 1e-12)), stats.norm(50.0, 5.0), (0.3, 1.0 - 1e-12)),
+    (TruncatedLaw.normal(100.0, 10.0, (1e-12, 1.0 - 1e-12)), stats.norm(100.0, 10.0), (1e-12, 1.0 - 1e-12)),
 ]
 
 
 class TestNodes:
     def test_discrete_passthrough(self, two_atoms):
-        nodes = two_atoms.make_nodes()
-        assert np.array_equal(nodes.nodes, [2.0, 5.0])
-        assert np.array_equal(nodes.weights, [0.3, 0.7])
-        assert not (nodes.nodes.flags.writeable or nodes.weights.flags.writeable)
+        assert np.array_equal(two_atoms.nodes, [2.0, 5.0])
+        assert np.array_equal(two_atoms.weights, [0.3, 0.7])
+        assert not (two_atoms.nodes.flags.writeable or two_atoms.weights.flags.writeable)
 
-    @pytest.mark.parametrize("law, span", [
-        (FutureValueDist.lognormal(800.0, 0.2, (0.005, 0.995)), "inf to inf"),  # exp overflows
-        (FutureValueDist.lognormal(-800.0, 0.2, (0.005, 0.995)), "0 to 0"),  # exp underflows
-        (FutureValueDist.normal(100.0, 1e-300, (0.005, 0.995)), "100 to 100"),  # sd * z vanishes against the mean
+    @pytest.mark.parametrize("family, mean, sd, span", [
+        (TruncatedLaw.lognormal, 800.0, 0.2, "inf to inf"),  # exp overflows
+        (TruncatedLaw.lognormal, -800.0, 0.2, "0 to 0"),  # exp underflows
+        (TruncatedLaw.normal, 100.0, 1e-300, "100 to 100"),  # sd * z vanishes against the mean
     ], ids=["overflow", "underflow", "collapse"])
-    def test_nodes_out_of_range_name_their_span(self, law, span):
+    def test_nodes_out_of_range_name_their_span(self, family, mean, sd, span):
         with np.errstate(all="raise"), pytest.raises(ValueError) as caught:
-            law.make_nodes()
+            family(mean, sd, (0.005, 0.995))
         assert str(caught.value) == f"support ends {span} are not finite, positive and distinct"
 
     @pytest.mark.parametrize("law, reference, levels", LAWS, ids=[f"law{i}" for i in range(7)])
@@ -123,12 +118,11 @@ class TestNodes:
         # (i - 1/2)/n of the truncated law is that midpoint, and the support ends
         # are the quantiles at the truncation levels
         lo, hi = levels
-        rule = law.make_nodes()
-        assert np.max(np.abs(rule.nodes / reference.ppf([lo, hi]) - 1.0)) <= 1e-13
-        assert not rule.nodes.flags.writeable
+        assert np.max(np.abs(law.nodes / reference.ppf([lo, hi]) - 1.0)) <= 1e-13
+        assert not law.nodes.flags.writeable
         for n in (2, 7, 256, 1000):
             midpoints = (np.arange(n) + 0.5) / n
-            weight, _ = rule.below(reference.ppf(lo + midpoints * (hi - lo)))
+            weight, _ = law.below(reference.ppf(lo + midpoints * (hi - lo)))
             assert np.max(np.abs(weight - midpoints)) <= 1e-13
 
     def test_truncation_at_full_range_is_identity(self):
@@ -137,7 +131,7 @@ class TestNodes:
         log_mean, log_sd = 0.3, 0.4
         base = stats.lognorm(log_sd, scale=np.exp(log_mean))
         for cut in (1e-6, 1e-9, 1e-12):
-            rule = FutureValueDist.lognormal(log_mean, log_sd, (cut, 1.0 - cut)).make_nodes()
+            rule = TruncatedLaw.lognormal(log_mean, log_sd, (cut, 1.0 - cut))
             y = base.ppf(np.linspace(0.01, 0.99, 99))
             weight, moment = rule.below(y)
             z = (np.log(y) - log_mean) / log_sd
@@ -147,11 +141,11 @@ class TestNodes:
 
     def test_continuous_needs_two_nodes(self, standard_lognormal):
         # a continuous law's nodes are its two support ends, whatever the node setting
-        assert standard_lognormal.make_nodes().nodes.size == 2
+        assert standard_lognormal.nodes.size == 2
 
     def test_nodes_positive_inside_truncated_support(self):
-        d = FutureValueDist.normal(100.0, 40.0, (0.01, 0.99))
-        y_lo, y_hi = d.make_nodes().nodes
+        d = TruncatedLaw.normal(100.0, 40.0, (0.01, 0.99))
+        y_lo, y_hi = d.nodes
         assert 0.0 < y_lo < y_hi
         assert y_lo == pytest.approx(stats.norm(100, 40).ppf(0.01), rel=1e-14)
         assert y_hi == pytest.approx(stats.norm(100, 40).ppf(0.99), rel=1e-14)
@@ -165,11 +159,10 @@ class TestNodes:
         nodes = reference.ppf(lo + (np.arange(n) + 0.5) / n * (hi - lo))
         y = reference.ppf(lo + np.array([851, 13107, 32768, 50463, 65470]) / n * (hi - lo))
         below = nodes[None, :] < y[:, None]
-        rule = law.make_nodes()
-        weight, moment = rule.below(y)
+        weight, moment = law.below(y)
         scale = np.abs(nodes).max()
         assert np.max(np.abs(weight - below.mean(axis=1))) <= 1.0 / n
-        assert np.max(np.abs(moment - (below * (nodes - rule.shift)).mean(axis=1))) <= 1e-7 * scale
+        assert np.max(np.abs(moment - (below * (nodes - law.shift)).mean(axis=1))) <= 1e-7 * scale
 
     def test_cdf_matches_scipy_to_the_rounding_level(self):
         # Phi(z) as the law computes it: the scaled tail times exp(-z^2/2), reflected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, FutureValueDist, membership, returns
+from bpv_effect import CONVENTIONS, DiscreteLaw, membership, returns
 from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import ReturnGrid, SecurityProfile, expected_return_distribution
 from bpv_effect.effectiveness import build_report
@@ -227,7 +227,7 @@ class TestBatchedDominance:
         for i in range(128):
             center = rng.uniform(60.0, 140.0)
             atoms = np.sort(center * rng.uniform(0.7, 1.4, int(rng.integers(3, 9))))
-            nodes = FutureValueDist.discrete(atoms, rng.dirichlet(np.ones(atoms.size))).make_nodes()
+            nodes = DiscreteLaw(atoms, rng.dirichlet(np.ones(atoms.size)))
             mu, conv = trapezoid(*center * np.array([0.9, 0.97, 1.03, 1.1])), CONVENTIONS[("simple", "logarithmic")[i % 2]]
             grid = ReturnGrid.spanning(mu, nodes, conv, 801)
             rhos.append(expected_return_distribution(returns._view(mu, conv, nodes), grid))

@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from bpv_effect import quadrature, returns
 from bpv_effect.cli import _load
-from bpv_effect.distribution import FutureValueDist, QuadratureNodes
+from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 from bpv_effect.returns import (
     CONVENTIONS,
@@ -77,34 +77,32 @@ class TestReturnGrid:
     def test_vanishes_at_endpoints(self):
         mu = trapezoid(90, 95, 105, 110)
         for dist in (
-            FutureValueDist.discrete([95.0, 105.0], [0.5, 0.5]),
-            FutureValueDist.lognormal(np.log(100), 0.2, (0.005, 0.995)),
+            DiscreteLaw([95.0, 105.0], [0.5, 0.5]),
+            TruncatedLaw.lognormal(np.log(100), 0.2, (0.005, 0.995)),
         ):
-            nodes = dist.make_nodes()
             for conv in (SIMPLE, LOGARITHMIC):
-                grid = ReturnGrid.spanning(mu, nodes, conv, 401)
-                rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+                grid = ReturnGrid.spanning(mu, dist, conv, 401)
+                rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
                 assert rho.values[0] == 0.0
                 assert rho.values[-1] == 0.0
 
     def test_membership_with_edge_jumps_still_vanishes(self):
         mu = MembershipFn([90.0, 110.0], [1.0, 1.0])  # crisp interval, jumps at both edges
-        dist = FutureValueDist.discrete([100.0], [1.0])
-        nodes = dist.make_nodes()
+        dist = DiscreteLaw([100.0], [1.0])
         for conv in (SIMPLE, LOGARITHMIC):
-            grid = ReturnGrid.spanning(mu, nodes, conv, 401)
-            rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+            grid = ReturnGrid.spanning(mu, dist, conv, 401)
+            rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
             assert rho.values[0] == 0.0 and rho.values[-1] == 0.0
 
     def test_simple_grid_stays_above_minus_one(self):
         mu = trapezoid(1.0, 40.0, 60.0, 1000.0)
-        nodes = FutureValueDist.discrete([1.0, 2.0], [0.5, 0.5]).make_nodes()
+        nodes = DiscreteLaw([1.0, 2.0], [0.5, 0.5])
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
         assert grid.r_values[0] > -1.0
 
     def test_requires_positive_support(self):
         mu = MembershipFn([0.0, 1.0], [1.0, 1.0])
-        nodes = FutureValueDist.discrete([1.0], [1.0]).make_nodes()
+        nodes = DiscreteLaw([1.0], [1.0])
         with pytest.raises(ValueError):
             ReturnGrid.spanning(mu, nodes, SIMPLE, 101)
 
@@ -113,7 +111,7 @@ class TestReturnGrid:
         check = ReturnGrid.__post_init__
         monkeypatch.setattr(ReturnGrid, "__post_init__", lambda grid: built.append(grid) or check(grid))
         mu = trapezoid(88, 94, 104, 112)
-        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes()
+        nodes = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
         assert built == [grid] and grid.r_values.size == 801 + 12  # every kink joins the grid
 
@@ -122,7 +120,7 @@ class TestReturnGrid:
         # the kink rates, which the grid holds, so the interpolation error falls
         # as the squared step, and rho is exact at each kink
         mu = trapezoid(88, 94, 104, 112)
-        nodes = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]).make_nodes()
+        nodes = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
         for conv in (SIMPLE, LOGARITHMIC):
             kinks = conv.rate_map(mu.grid[:, None], nodes.nodes).ravel()
             errors = []
@@ -138,7 +136,7 @@ class TestReturnGrid:
 
     def test_span_limit_keeps_the_profile_finite(self):
         # a vertical left edge keeps rho near 1 across the grid, so its area is about the span
-        law = FutureValueDist.discrete([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
+        law = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             inside = profile(trapezoid(2.5e-14, 2.5e-14, 150.0, 200.0), law, SIMPLE)
         assert 4e15 < inside.rho.grid[-1] - inside.rho.grid[0] <= returns.MAX_RETURN_SPAN
@@ -150,10 +148,9 @@ class TestReturnGrid:
 class TestExpectedReturnDistribution:
     def test_dirac_future_value_reduces_to_membership(self):
         mu = trapezoid(90, 95, 105, 110)
-        dist = FutureValueDist.discrete([100.0], [1.0])
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
+        dist = DiscreteLaw([100.0], [1.0])
+        grid = ReturnGrid.spanning(mu, dist, SIMPLE, 801)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
         # single-atom sum collapses to mu(100 / (1 + r)) exactly at the knots
         direct = mu(100.0 / (1.0 + grid.r_values))
         assert np.max(np.abs(rho.values - direct)) < 1e-15
@@ -163,19 +160,17 @@ class TestExpectedReturnDistribution:
 
     def test_saturated_plateau_gives_one(self):
         mu = trapezoid(10, 50, 200, 400)
-        dist = FutureValueDist.discrete([90.0, 110.0], [0.5, 0.5])
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
+        dist = DiscreteLaw([90.0, 110.0], [0.5, 0.5])
+        grid = ReturnGrid.spanning(mu, dist, SIMPLE, 801)
         inside = (grid.r_values > -0.4) & (grid.r_values < 0.75)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
         assert np.all(rho.values[inside] == 1.0)
 
     def test_two_atom_crisp_window(self):
         mu = MembershipFn([100.0, 100.5], [1.0, 1.0])
-        dist = FutureValueDist.discrete([95.0, 105.0], [0.5, 0.5])
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 2001)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
+        dist = DiscreteLaw([95.0, 105.0], [0.5, 0.5])
+        grid = ReturnGrid.spanning(mu, dist, SIMPLE, 2001)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
         low_window = (95.0 / 100.5 - 1.0 + 95.0 / 100.0 - 1.0) / 2.0
         high_window = (105.0 / 100.5 - 1.0 + 105.0 / 100.0 - 1.0) / 2.0
         assert rho(low_window) == pytest.approx(0.5, abs=1e-9)
@@ -190,16 +185,14 @@ class TestExpectedReturnDistribution:
         for _ in range(20):
             mu, dist, kind = random_security(rng)
             conv = CONVENTIONS[kind]
-            nodes = dist.make_nodes()
-            grid = ReturnGrid.spanning(mu, nodes, conv, 201)
-            rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+            grid = ReturnGrid.spanning(mu, dist, conv, 201)
+            rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
             assert rho.values.min() >= 0.0
             assert rho.values.max() <= 1.0
 
     def test_widening_membership_never_lowers_rho(self):
         rng = np.random.default_rng(37)
-        dist = FutureValueDist.discrete([95.0, 100.0, 110.0], [0.3, 0.4, 0.3])
-        nodes = dist.make_nodes()
+        dist = DiscreteLaw([95.0, 100.0, 110.0], [0.3, 0.4, 0.3])
         for _ in range(10):
             grid_mu = np.sort(rng.uniform(80, 120, 6))
             if np.any(np.diff(grid_mu) < 1e-6):
@@ -208,9 +201,9 @@ class TestExpectedReturnDistribution:
             wide_vals = np.minimum(narrow_vals + rng.uniform(0.0, 0.5, 6), 1.0)
             narrow = MembershipFn(grid_mu, narrow_vals)
             wide = MembershipFn(grid_mu, wide_vals)
-            grid = ReturnGrid.spanning(narrow, nodes, SIMPLE, 201)
-            rho_narrow = expected_return_distribution(returns._view(narrow, SIMPLE, nodes), grid)
-            rho_wide = expected_return_distribution(returns._view(wide, SIMPLE, nodes), grid)
+            grid = ReturnGrid.spanning(narrow, dist, SIMPLE, 201)
+            rho_narrow = expected_return_distribution(returns._view(narrow, SIMPLE, dist), grid)
+            rho_wide = expected_return_distribution(returns._view(wide, SIMPLE, dist), grid)
             assert np.all(rho_wide.values >= rho_narrow.values - 1e-15)
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
@@ -218,10 +211,9 @@ class TestExpectedReturnDistribution:
         # sums over a continuous law's midpoint nodes approach its closed-form
         # fuzzy return as about the squared node spacing (1.67 to 2.07 measured)
         mu = trapezoid(85, 95, 105, 120)
-        dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
-        law = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, law, conv, 801)
-        exact = expected_return_distribution(returns._view(mu, conv, law), grid).values
+        dist = TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995))
+        grid = ReturnGrid.spanning(mu, dist, conv, 801)
+        exact = expected_return_distribution(returns._view(mu, conv, dist), grid).values
         errors = [np.max(np.abs(expected_return_distribution(returns._view(mu, conv, midpoint_nodes(dist, n)), grid).values
                                 - exact)) for n in (64, 128, 256, 512, 1024)]
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
@@ -232,10 +224,9 @@ class TestExpectedReturnDistribution:
         mu = trapezoid(88, 96, 104, 112)
         points = np.array([92.0, 99.0, 103.0, 111.0])
         probs = np.array([0.2, 0.3, 0.4, 0.1])
-        dist = FutureValueDist.discrete(points, probs)
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, nodes), grid)
+        dist = DiscreteLaw(points, probs)
+        grid = ReturnGrid.spanning(mu, dist, SIMPLE, 401)
+        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
         manual = np.zeros_like(grid.r_values)
         for y, p in zip(points, probs):
             manual += p * mu(y / (1.0 + grid.r_values))
@@ -283,9 +274,9 @@ def knot_view_cases(draw):
     if weights.sum() == 0.0:
         weights[:] = 1.0
     weights /= weights.sum()
-    # QuadratureNodes is a plain record: the rule that FutureValueDist checks is asserted here
+    # the rule that DiscreteLaw checks, asserted so that a bad draw fails here
     assert y[0] > 0.0 and np.all(np.diff(y) > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
-    return mu, conv, QuadratureNodes(y, weights), rates
+    return mu, conv, DiscreteLaw(y, weights), rates
 
 
 class TestKnotView:
@@ -325,7 +316,7 @@ class TestKnotView:
         # the lower copy's present values still lie on the support
         mu = trapezoid(1e-6, 1e3, 1e10, 1e22)
         y = np.linspace(1e300, 4e300, 64)
-        nodes = QuadratureNodes(y, np.full(y.size, 1.0 / y.size))
+        nodes = DiscreteLaw(y, np.full(y.size, 1.0 / y.size))
         steps = np.linspace(0.0, 60.0, 61)
         oracle = node_loop_kernel(mu, LOGARITHMIC, nodes, 700.0, steps)
         assert oracle[46:56].min() > 0.9
@@ -339,7 +330,7 @@ class TestKnotView:
         # both views of its atoms, a continuous law those of 4096 midpoint nodes
         securities, settings, _ = _load(FIXTURES / f"{name}.json")
         for sec_id, conv, mu, dist in securities:
-            law = dist.make_nodes() if dist.atoms is not None else midpoint_nodes(dist, 4096)
+            law = dist if isinstance(dist, DiscreteLaw) else midpoint_nodes(dist, 4096)
             knot = staged_profile(returns._KnotView, mu, law, conv, settings)
             node = staged_profile(returns._NodeView, mu, law, conv, settings)
             np.testing.assert_allclose(knot, node, rtol=1e-12, atol=0.0, err_msg=sec_id)
@@ -355,11 +346,11 @@ class TestKnotView:
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_NodeView", refuse)
             patch.setattr(returns, "_KnotView", refuse)
-            profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
+            profile(mu, TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_KnotView", refuse)
             patch.setattr(returns, "_LawView", Refused)
-            profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
+            profile(mu, DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
     def test_profile_builds_one_view(self, monkeypatch):
         built, used = [], []
@@ -379,10 +370,10 @@ class TestKnotView:
         monkeypatch.setattr(returns, "expected_return_distribution", passes_view(expected_return_distribution))
         monkeypatch.setattr(returns, "return_variance", passes_view(return_variance))
         mu = trapezoid(85, 95, 105, 120)
-        profile(mu, FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
+        profile(mu, TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         assert len(built) == 1  # the fuzzy return and the variance kernel share it
         assert used == [built[0], built[0]]
-        profile(mu, FutureValueDist.discrete([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
+        profile(mu, DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
         assert len(built) == 1  # the node view
         assert isinstance(used[2], returns._NodeView) and used[3] is used[2]
 
@@ -397,7 +388,7 @@ class TestKnotView:
             raise AssertionError("this view must not run")
 
         for count, other in ((boundary, "_NodeView"), (boundary - 1, "_KnotView")):
-            dist = FutureValueDist.discrete(np.linspace(90.0, 115.0, count), np.full(count, 1.0 / count))
+            dist = DiscreteLaw(np.linspace(90.0, 115.0, count), np.full(count, 1.0 / count))
             with monkeypatch.context() as patch:
                 patch.setattr(returns, other, refuse)
                 profile(mu, dist, SIMPLE)
@@ -409,13 +400,13 @@ class TestKnotView:
         atoms = np.unique(np.concatenate((
             edges.grid, np.nextafter(edges.grid, np.inf), np.linspace(60.0, 140.0, 64),
         )))
-        discrete = FutureValueDist.discrete(atoms, np.full(atoms.size, 1.0 / atoms.size))
+        discrete = DiscreteLaw(atoms, np.full(atoms.size, 1.0 / atoms.size))
         wide = trapezoid(1.0, 40.0, 60.0, 1000.0)  # simple lower copies fall below -1
-        lognormal = FutureValueDist.lognormal(np.log(100), 0.3, (0.005, 0.995))
+        lognormal = TruncatedLaw.lognormal(np.log(100), 0.3, (0.005, 0.995))
         cases = [(edges, discrete), (edges, lognormal), (wide, lognormal), (trapezoid(90, 90, 110, 110), lognormal)]
         with np.errstate(all="raise"):
             for mu, dist in cases:
-                assert isinstance(returns._view(mu, conv, dist.make_nodes()), returns._KnotView)
+                assert isinstance(returns._view(mu, conv, dist), returns._KnotView)
                 result = profile(mu, dist, conv)
                 assert result.variance > 0.0
 
@@ -451,7 +442,7 @@ class TestClosedFormCenterAndArea:
     def test_grid_doubling_on_a_discrete_law(self, conv):
         mu = trapezoid(88, 94, 104, 112)
         points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
-        nodes = FutureValueDist.discrete(points, probs).make_nodes()
+        nodes = DiscreteLaw(points, probs)
         exact = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
         centers, areas = np.transpose([self.errors(mu, conv, nodes, count, exact) for count in (201, 401, 801, 1601)])
         assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
@@ -463,7 +454,7 @@ class TestClosedFormCenterAndArea:
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
     def test_energy_entropy_and_dominance_on_a_discrete_law(self, conv):
         points, probs = [92.0, 101.0, 109.0], [0.25, 0.5, 0.25]
-        nodes = FutureValueDist.discrete(points, probs).make_nodes()
+        nodes = DiscreteLaw(points, probs)
         mu, cheaper = trapezoid(88, 94, 104, 112), trapezoid(80, 84, 90, 95)
         _, area = closed_form_center_and_area(mu, conv.kind, discrete_moments(points, probs))
         counts = (201, 401, 801, 1601, 3201, 6401)
@@ -494,9 +485,9 @@ class TestClosedFormCenterAndArea:
         # truncation makes the midpoint nodes' E[ln Y] exact, so the logarithmic
         # center takes its node error from an asymmetric one
         mu = trapezoid(85, 95, 105, 120)
-        dist = FutureValueDist.lognormal(math.log(100.0), 0.15, levels)
+        dist = TruncatedLaw.lognormal(math.log(100.0), 0.15, levels)
         exact = closed_form_center_and_area(mu, conv.kind, lognormal_moments(math.log(100.0), 0.15, *levels))
-        assert self.errors(mu, conv, dist.make_nodes(), 6401, exact)[0] <= 5e-11
+        assert self.errors(mu, conv, dist, 6401, exact)[0] <= 5e-11
         centers = np.array([self.errors(mu, conv, midpoint_nodes(dist, n), 6401, exact)[0] for n in (128, 256, 512, 1024)])
         assert np.log2(centers[:-1] / centers[1:]).min() >= 1.8, centers
 
@@ -505,7 +496,7 @@ class TestClosedFormCenterAndArea:
                              ids=["simple", "logarithmic"])
     def test_energy_entropy_and_dominance_on_a_continuous_law(self, conv, levels, degree):
         # the law and truncations of the node-doubling test, in closed form, over 801-6401 points
-        law = FutureValueDist.lognormal(math.log(100.0), 0.15, levels).make_nodes()
+        law = TruncatedLaw.lognormal(math.log(100.0), 0.15, levels)
         mu, cheaper = trapezoid(85, 95, 105, 120), trapezoid(80, 84, 90, 95)
         _, area = closed_form_center_and_area(mu, conv.kind, lognormal_moments(math.log(100.0), 0.15, *levels))
         counts = (801, 1601, 3201, 6401)
@@ -559,7 +550,7 @@ class TestExpectedReturn:
 
 class TestVariance:
     def test_narrowing_membership_drives_variance_to_zero(self):
-        dist = FutureValueDist.discrete([100.0], [1.0])
+        dist = DiscreteLaw([100.0], [1.0])
         previous = None
         for width in (4.0, 2.0, 1.0, 0.5):
             mu = trapezoid(100 - width, 100 - width / 2, 100 + width / 2, 100 + width)
@@ -573,11 +564,11 @@ class TestVariance:
         spread = 0.25
         anchor = 100.0
         mu = MembershipFn([anchor * np.exp(-spread), anchor * np.exp(spread)], [1.0, 1.0])
-        result = profile(mu, FutureValueDist.discrete([anchor], [1.0]), LOGARITHMIC)
+        result = profile(mu, DiscreteLaw([anchor], [1.0]), LOGARITHMIC)
         assert result.expected_return == pytest.approx(0.0, abs=1e-12)
         assert result.variance == pytest.approx(spread**2 / 2.0, abs=1e-3 * spread**2)
         # direct second-moment quadrature of the common branch on a finer axis
-        r = ReturnGrid.spanning(mu, FutureValueDist.discrete([anchor], [1.0]).make_nodes(), LOGARITHMIC, 801).r_values
+        r = ReturnGrid.spanning(mu, DiscreteLaw([anchor], [1.0]), LOGARITHMIC, 801).r_values
         xs = np.linspace(0.0, max(r[-1] ** 2, r[0] ** 2), 8193)
         branch = (xs <= spread**2).astype(float)
         oracle = riemann(xs * branch, xs) / riemann(branch, xs)
@@ -585,10 +576,9 @@ class TestVariance:
 
     def test_span_doubling_with_fixed_step_changes_nothing(self):
         mu = trapezoid(90, 95, 105, 110)
-        dist = FutureValueDist.discrete([95.0, 104.0], [0.4, 0.6])
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 401)
-        view = returns._view(mu, SIMPLE, nodes)
+        dist = DiscreteLaw([95.0, 104.0], [0.4, 0.6])
+        grid = ReturnGrid.spanning(mu, dist, SIMPLE, 401)
+        view = returns._view(mu, SIMPLE, dist)
         center = expected_return(expected_return_distribution(view, grid))
         base = return_variance(view, center, grid)
         # ends at center +/- sqrt(2) times the larger half-width: the kernel is
@@ -599,7 +589,7 @@ class TestVariance:
 
     def test_zero_kernel_is_degenerate(self):
         mu = trapezoid(90, 95, 105, 110)
-        nodes = FutureValueDist.discrete([100.0], [1.0]).make_nodes()
+        nodes = DiscreteLaw([100.0], [1.0])
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
             return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)))
@@ -608,11 +598,11 @@ class TestVariance:
 # seed 1 of perfbench's screen-pairwise securities s124 and s050, each with a
 # kernel whose copies of one atom cross between kinks
 CROSSING_LAWS = {
-    "simple": (trapezoid(120.36, 126.51, 139.553, 145.582), FutureValueDist.discrete(
+    "simple": (trapezoid(120.36, 126.51, 139.553, 145.582), DiscreteLaw(
         [103.052, 124.803, 137.627, 139.263, 144.482, 167.165],
         [0.22942627960328313, 0.21391194639711558, 0.10202926429268132, 0.09547506526686214,
          0.11902164338870042, 0.24013580105135746])),
-    "logarithmic": (trapezoid(120.544, 122.866, 131.269, 132.843), FutureValueDist.discrete(
+    "logarithmic": (trapezoid(120.544, 122.866, 131.269, 132.843), DiscreteLaw(
         [99.9129, 104.632, 134.369, 139.115, 149.774, 157.09],
         [0.08249912671658902, 0.17085529007703343, 0.21577814049304256, 0.08675334201101581,
          0.09896277816657963, 0.34515132253573955])),
@@ -626,22 +616,21 @@ class TestDiscreteVarianceRule:
 
     @staticmethod
     def stages(mu, dist, conv):
-        """The law's atoms, view, return grid and center, and the farther
-        support end's deviation."""
-        nodes = dist.make_nodes()
-        grid = ReturnGrid.spanning(mu, nodes, conv, 801)
-        view = returns._view(mu, conv, nodes)
+        """The law's view, return grid and center, and the farther support
+        end's deviation."""
+        grid = ReturnGrid.spanning(mu, dist, conv, 801)
+        view = returns._view(mu, conv, dist)
         center = expected_return(expected_return_distribution(view, grid))
-        return nodes, view, grid, center, max(center - grid.support[0], grid.support[1] - center)
+        return view, grid, center, max(center - grid.support[0], grid.support[1] - center)
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
     @pytest.mark.parametrize("mu, dist", [
-        (trapezoid(88, 94, 104, 112), FutureValueDist.discrete([92, 101, 109], [0.25, 0.5, 0.25])),
-        (trapezoid(85, 97, 103, 120), FutureValueDist.discrete(np.linspace(80.0, 125.0, 8), np.full(8, 0.125))),
+        (trapezoid(88, 94, 104, 112), DiscreteLaw([92, 101, 109], [0.25, 0.5, 0.25])),
+        (trapezoid(85, 97, 103, 120), DiscreteLaw(np.linspace(80.0, 125.0, 8), np.full(8, 0.125))),
     ])
     def test_few_atoms_are_exact_to_rounding(self, mu, dist, conv):
-        nodes, view, grid, center, far = self.stages(mu, dist, conv)
-        reference = reference_variance(view, mu, conv, nodes, center, far)
+        view, grid, center, far = self.stages(mu, dist, conv)
+        reference = reference_variance(view, mu, conv, dist, center, far)
         assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(CROSSING_LAWS))
@@ -649,23 +638,23 @@ class TestDiscreteVarianceRule:
         # measured without the crossings: 5.5e-9 (simple) and 4.5e-6 (logarithmic)
         mu, dist = CROSSING_LAWS[kind]
         conv = CONVENTIONS[kind]
-        nodes, view, grid, center, far = self.stages(mu, dist, conv)
-        assert copy_crossings(mu, conv, nodes, center, far).size == 1
-        reference = reference_variance(view, mu, conv, nodes, center, far)
+        view, grid, center, far = self.stages(mu, dist, conv)
+        assert copy_crossings(mu, conv, dist, center, far).size == 1
+        reference = reference_variance(view, mu, conv, dist, center, far)
         assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
 
     def test_many_atoms_take_uniform_intervals(self, monkeypatch):
         # 4 knots x 64 atoms give 256 kink deviations, more than 128 intervals
         mu = trapezoid(85, 97, 103, 120)
-        dist = FutureValueDist.discrete(np.linspace(80.0, 125.0, 64), np.full(64, 1.0 / 64))
-        nodes, view, grid, center, far = self.stages(mu, dist, SIMPLE)
+        dist = DiscreteLaw(np.linspace(80.0, 125.0, 64), np.full(64, 1.0 / 64))
+        view, grid, center, far = self.stages(mu, dist, SIMPLE)
         steps = []
         kernel = view.kernel
         monkeypatch.setattr(view, "kernel", lambda center, s: steps.append(s.size) or kernel(center, s))
         engine = return_variance(view, center, grid)
         assert steps == [1024]
         monkeypatch.undo()
-        reference = reference_variance(view, mu, SIMPLE, nodes, center, far, breakpoints=False)
+        reference = reference_variance(view, mu, SIMPLE, dist, center, far, breakpoints=False)
         # the earlier rule: a trapezoid of 1024 panels on the squared deviation x = s^2
         xs = np.linspace(0.0, max(grid.r_values[-1] - center, center - grid.r_values[0]) ** 2, 1025)
         kernel = view.kernel(center, np.sqrt(xs))
@@ -692,14 +681,14 @@ class TestLawView:
         total = quad(integrand, z_lo, z_hi, points=sorted(breaks) or None, limit=400, epsabs=1e-14, epsrel=1e-12)[0]
         return total / (hi - lo)
 
-    @pytest.mark.parametrize("dist", [FutureValueDist.normal(100.0, 8.0, (0.01, 0.98)),
-                                      FutureValueDist.lognormal(math.log(100.0), 0.12, (0.002, 0.995))],
+    @pytest.mark.parametrize("dist", [TruncatedLaw.normal(100.0, 8.0, (0.01, 0.98)),
+                                      TruncatedLaw.lognormal(math.log(100.0), 0.12, (0.002, 0.995))],
                              ids=["normal", "lognormal"])
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
     def test_state_sums_and_kernel_match_quadrature(self, dist, conv):
         # a membership that is not unimodal, with a vertical edge at each end
         mu = MembershipFn([84.0, 90.0, 97.0, 101.0, 104.0, 116.0], [0.3, 1.0, 0.2, 0.7, 0.6, 0.4])
-        view = returns._view(mu, conv, dist.make_nodes())
+        view = returns._view(mu, conv, dist)
         assert isinstance(view, returns._LawView)
         rates = np.linspace(-0.2, 0.25, 7)
         expected = [self.quadrature(mu, conv, dist, [r]) for r in rates]
@@ -725,7 +714,7 @@ class TestContinuousVarianceRule:
         # delta from 0.1 to 1e-5: the variance within 4.3e-4 of 4.369e-3 and
         # 8.3e-5 of 4.3671e-3, the center within 5.9e-7 of its closed form
         mu = trapezoid(100.0 - delta, 100.0, 100.0, 100.0 + delta)
-        result = profile(mu, FutureValueDist.normal(100.0, 5.0, (0.005, 0.995)), SIMPLE)
+        result = profile(mu, TruncatedLaw.normal(100.0, 5.0, (0.005, 0.995)), SIMPLE)
         assert result.variance == pytest.approx(4.369e-3, rel=1e-3)
         assert result.variance == pytest.approx(4.3671046e-3, rel=2e-4)
         center, _ = closed_form_center_and_area(mu, "simple", normal_moments(100.0, 5.0, 0.005, 0.995))
@@ -744,14 +733,14 @@ class TestProfile:
     def test_present_values_beyond_the_float_range_weigh_nothing(self):
         # the node view's lower kernel copies reach rates near -1400, where y * exp(-r) overflows
         mu = trapezoid(5e-161, 3e-84, 8e57, 4e58)
-        dist = FutureValueDist.discrete([1.3e-179, 9.5e-175, 4.3e-15], [0.25, 0.5, 0.25])
+        dist = DiscreteLaw([1.3e-179, 9.5e-175, 4.3e-15], [0.25, 0.5, 0.25])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             result = profile(mu, dist, LOGARITHMIC)
         assert result.variance > 0.0
 
     def test_crisp_plateau_has_tiny_entropy(self):
         mu = MembershipFn([95.0, 105.0], [1.0, 1.0])
-        result = profile(mu, FutureValueDist.discrete([100.0], [1.0]), SIMPLE)
+        result = profile(mu, DiscreteLaw([100.0], [1.0]), SIMPLE)
         grid_step = float(np.diff(result.rho.grid)[0])
         assert result.entropy < grid_step
         assert result.energy > 0.0
@@ -769,9 +758,9 @@ class TestProfile:
         mu = trapezoid(85, 95, 105, 120)
         points, probs = np.array([90.0, 100.0, 115.0]), [0.3, 0.5, 0.2]
         for conv in (SIMPLE, LOGARITHMIC):
-            base = profile(mu, FutureValueDist.discrete(points, probs), conv, FAST)
+            base = profile(mu, DiscreteLaw(points, probs), conv, FAST)
             for factor in (0.5, 3.0):
-                scaled_dist = FutureValueDist.discrete(points * factor, probs)
+                scaled_dist = DiscreteLaw(points * factor, probs)
                 scaled = profile(MembershipFn(mu.grid * factor, mu.values), scaled_dist, conv, FAST)
                 assert np.max(np.abs(scaled.rho(base.rho.grid) - base.rho.values)) < 1e-9
                 assert scaled.expected_return == pytest.approx(base.expected_return, abs=1e-9)
@@ -781,10 +770,10 @@ class TestProfile:
 
     def test_log_shift_covariance(self):
         mu = trapezoid(85, 95, 105, 120)
-        dist = FutureValueDist.lognormal(np.log(100), 0.15, (0.005, 0.995))
+        dist = TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995))
         shift = 0.1
         base = profile(mu, dist, LOGARITHMIC, FAST)
-        moved_dist = FutureValueDist.lognormal(np.log(100) + shift, 0.15, (0.005, 0.995))  # e^shift * V
+        moved_dist = TruncatedLaw.lognormal(np.log(100) + shift, 0.15, (0.005, 0.995))  # e^shift * V
         moved = profile(mu, moved_dist, LOGARITHMIC, FAST)
         assert moved.expected_return - base.expected_return == pytest.approx(shift, abs=1e-6)
         assert moved.variance == pytest.approx(base.variance, abs=1e-6)
@@ -794,4 +783,4 @@ class TestProfile:
     def test_degenerate_membership_raises(self):
         mu = MembershipFn([90.0, 110.0], [0.0, 0.0])
         with pytest.raises(DegenerateMembershipError):
-            profile(mu, FutureValueDist.discrete([100.0], [1.0]), SIMPLE, FAST)
+            profile(mu, DiscreteLaw([100.0], [1.0]), SIMPLE, FAST)
