@@ -676,7 +676,22 @@ class TestAnalyze:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [[], ["analyze"], ["analyze", str(FIXTURES / "portfolio3.json"), "--nodes", "16"]],
+    @pytest.mark.parametrize("name", ["huge", "pinned", "vanishing"])
+    def test_support_failure_exits_one_naming_the_security(self, tmp_path, capsys, monkeypatch, name):
+        # a law's support ends fail while the portfolio is read, so no
+        # security is profiled, not even the valid one listed before it
+        def refuse(*args):
+            raise AssertionError("no security may be profiled")
+
+        monkeypatch.setattr("bpv_effect.cli.profile", refuse)
+        overrides, _, message, _ = BAD_INPUTS[f"{name}_support"]
+        path = write_portfolio(tmp_path, [simple_security("fine"), simple_security("bad", **overrides)])
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: securities[1] {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [[], ["analyze"],["analyze", str(FIXTURES / "portfolio3.json"), "--nodes", "16"]],
                              ids=["no_command", "no_portfolio", "unknown_option"])
     def test_usage_error_exits_one(self, capsys, argv):
         assert main(argv) == 1
