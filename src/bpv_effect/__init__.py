@@ -10,12 +10,11 @@ screen needs; the submodules hold the rest.
 from .distribution import DiscreteLaw, TruncatedLaw
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
-from .returns import CONVENTIONS, LOGARITHMIC, SIMPLE, EngineSettings, profile
+from .returns import CONVENTIONS, LOGARITHMIC, SIMPLE, profile
 
 __all__ = [
     "CONVENTIONS",
     "DiscreteLaw",
-    "EngineSettings",
     "LOGARITHMIC",
     "MembershipFn",
     "SIMPLE",

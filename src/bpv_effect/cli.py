@@ -6,13 +6,14 @@ distribution, and a return convention.  ``analyze`` writes a JSON report
 plus optional CSV of the fuzzy expected-return grids; ``validate`` checks
 the file and computes each security's profile as ``analyze`` does.
 
-This module checks only the document's shape: objects holding only their
+This module checks the document's shape: objects holding only their
 listed keys, each once, strings, integers, numbers and lists of numbers
 where the schema puts them.  Each domain rule (corner order,
 probabilities, resolutions) lives in the constructor that builds the
 value; its ``ValueError``, like an unknown or repeated key, is reported
 prefixed with the JSON path and the security id.  A truncation is checked
-by ``truncation_levels`` as it is read, so its error names the field.
+by ``truncation_levels`` as it is read, so its error names the field.  The
+report echoes the settings block, read into ``EngineSettings``.
 
 Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
 an unwritable output, 2 a security whose profile cannot be computed or a
@@ -33,15 +34,43 @@ import numpy as np
 from .distribution import DiscreteLaw, TruncatedLaw, truncation_levels
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
-from .returns import CONVENTIONS, EngineSettings, profile
+from .returns import CONVENTIONS, profile
 
 SCHEMA_VERSION = 1
-DEFAULT_TRUNCATION = (0.005, 0.995)
 
-# Each present-value type and future-value family, and the settings block:
-# its constructor and the JSON fields passed to it by name.  The fields in
-# _LISTS are nonempty lists of numbers, in _INTEGERS integers, all others
-# numbers.  A continuous law's truncation and every setting have a default.
+# Upper bound on each resolution setting, far above any useful value (the
+# convergence tests double up to 4096), so that an absurd one is a validation
+# error naming the setting, not a failed allocation or a long run.
+MAX_RESOLUTION = 2**20
+
+
+@dataclasses.dataclass(frozen=True)
+class EngineSettings:
+    """The settings block: the return grid's point count, a continuous law's
+    default truncation, and ``nodes`` and ``variance_panels``, which are
+    checked and echoed but never reach the engine: they change no result."""
+
+    grid_points: int = 801
+    nodes: int = 256
+    variance_panels: int = 1024
+    truncation: tuple[float, float] = (0.005, 0.995)
+
+    def __post_init__(self):
+        if self.grid_points < 4:
+            raise ValueError("grid_points must be at least 4")
+        if self.nodes < 2:
+            raise ValueError("nodes must be at least 2")
+        if self.variance_panels < 1:
+            raise ValueError("variance_panels must be positive")
+        for name in ("grid_points", "nodes", "variance_panels"):
+            if getattr(self, name) > MAX_RESOLUTION:
+                raise ValueError(f"{name} must be at most {MAX_RESOLUTION} (got {getattr(self, name)})")
+
+
+# Each present-value type and future-value family: its constructor and the
+# JSON fields passed to it by name (the settings block's are EngineSettings'
+# fields).  The fields in _LISTS are nonempty lists of numbers, in _INTEGERS
+# integers, all others numbers.  Every setting has a default.
 _SHAPES = {
     "trapezoid": (trapezoid, ("a", "b", "c", "d")),
     "grid": (lambda points, values: MembershipFn(points, values), ("points", "values")),
@@ -51,8 +80,6 @@ _FAMILIES = {
     "lognormal": (TruncatedLaw.lognormal, ("log_mean", "log_sd", "truncation")),
     "discrete": (DiscreteLaw, ("points", "probs")),
 }
-_SETTINGS = (lambda truncation, **resolutions: (EngineSettings(**resolutions), truncation),
-             ("grid_points", "nodes", "variance_panels", "truncation"))
 _LISTS = {"points", "values", "probs", "truncation"}
 _INTEGERS = {"grid_points", "nodes", "variance_panels"}
 
@@ -158,8 +185,8 @@ def _build_membership(entry, path, errors) -> MembershipFn | None:
 
 
 def _parse_portfolio(doc, errors):
-    """The securities as (id, convention, membership, law) sorted by id, the
-    engine settings and the default truncation; problems go to ``errors``."""
+    """The securities as (id, convention, membership, law) sorted by id, and
+    the settings; problems go to ``errors``."""
     if not isinstance(doc, dict):
         errors.append("portfolio: expected a JSON object")
         return None
@@ -168,10 +195,9 @@ def _parse_portfolio(doc, errors):
         got = f", got {version!r}" if "schema_version" in doc else ""
         errors.append(f"schema_version: expected {SCHEMA_VERSION}{got}")
     _unknown_keys(doc, ("schema_version", "settings", "securities"), "", errors)
-    settings, truncation = _build(
-        doc.get("settings", {}), "settings", errors, _SETTINGS,
-        **dataclasses.asdict(EngineSettings()), truncation=DEFAULT_TRUNCATION,
-    ) or (None, DEFAULT_TRUNCATION)
+    defaults = dataclasses.asdict(EngineSettings())
+    settings = _build(doc.get("settings", {}), "settings", errors, (EngineSettings, tuple(defaults)),
+                      **defaults) or EngineSettings()
     entries = doc.get("securities")
     if not isinstance(entries, list) or not entries:
         errors.append("securities: expected a nonempty list")
@@ -196,9 +222,9 @@ def _parse_portfolio(doc, errors):
         conv = _tag(entry, "convention", CONVENTIONS, path, errors)
         mu = _build_membership(entry.get("present_value"), f"{path}.present_value", errors)
         law = _build(entry.get("future_value"), f"{path}.future_value", errors, _FAMILIES, "family",
-                     truncation=truncation)
+                     truncation=settings.truncation)
         securities.append((sec_id, conv, mu, law))
-    return sorted(securities, key=lambda item: item[0]), settings, truncation
+    return sorted(securities, key=lambda item: item[0]), settings
 
 
 def _load(path):
@@ -220,16 +246,16 @@ def _load(path):
     return None if errors else parsed
 
 
-def _profiles(securities, settings):
-    """Each security's ``profile``, with floating-point overflow, division by
-    zero and invalid operations raised.  Returns the profiles, or None after
-    printing the first failure, an exhausted memory included, with the
-    security's id."""
+def _profiles(securities, grid_points):
+    """Each security's ``profile`` on ``grid_points`` uniform rates, with
+    floating-point overflow, division by zero and invalid operations raised.
+    Returns the profiles, or None after printing the first failure, an
+    exhausted memory included, with the security's id."""
     profiles = []
     for sec_id, conv, mu, law in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                profiles.append(profile(mu, law, conv, settings))
+                profiles.append(profile(mu, law, conv, grid_points))
         except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
             return None
@@ -240,8 +266,8 @@ def cmd_validate(args) -> int:
     parsed = _load(args.portfolio)
     if parsed is None:
         return 1
-    securities, settings, _ = parsed
-    if _profiles(securities, settings) is None:
+    securities, settings = parsed
+    if _profiles(securities, settings.grid_points) is None:
         return 2
     return 0 if _write_file(None, lambda handle: print("ok", file=handle)) else 1
 
@@ -250,12 +276,12 @@ def cmd_analyze(args) -> int:
     parsed = _load(args.portfolio)
     if parsed is None:
         return 1
-    securities, settings, truncation = parsed
-    profiles = _profiles(securities, settings)
+    securities, settings = parsed
+    profiles = _profiles(securities, settings.grid_points)
     if profiles is None:
         return 2
     try:  # the n x n matrices and alpha-cut tables grow with the square of the universe
-        document = _report_document(securities, profiles, settings, truncation)
+        document = _report_document(securities, profiles, settings)
         if not _write_file(args.out, lambda handle: _write_report(document, handle)):
             return 1
         if args.grids_out and not _write_file(
@@ -299,13 +325,13 @@ def _write_file(path: str | None, write, **options) -> bool:
     return True
 
 
-def _report_document(securities, profiles, settings, truncation) -> dict:
+def _report_document(securities, profiles, settings) -> dict:
     """The report, its floats rounded to 15 significant digits except in the
     two outranking matrices, which stay arrays for ``_write_report``."""
     report = build_report(profiles)
     return {
         "schema_version": SCHEMA_VERSION,
-        "settings": {**dataclasses.asdict(settings), "truncation": [_digits15(level) for level in truncation]},
+        "settings": {**dataclasses.asdict(settings), "truncation": [_digits15(level) for level in settings.truncation]},
         "ids": [sec_id for sec_id, _, _, _ in securities],
         "securities": [
             {

@@ -379,9 +379,9 @@ class ReturnGrid:
         conv: ReturnConvention,
         count: int,
     ) -> "ReturnGrid":
-        """Grid of ``count`` uniform rates covering every rate with positive
-        state membership, plus the kink rates when there are at most
-        ``count`` of them.
+        """Grid of ``count`` uniform rates, at least 4, covering every rate
+        with positive state membership, plus the kink rates when there are at
+        most ``count`` of them.
 
         The raw bounds, each end of the present-value support at the
         opposite end of the law's support (its extreme atom, or the
@@ -399,6 +399,8 @@ class ReturnGrid:
         strictly inside the uniform grid join it, so linear interpolation
         never cuts across a bend; otherwise the grid stays uniform.
         """
+        if count < 4:
+            raise ValueError("return grid needs at least four points")
         s_lo, s_hi = mu.support
         if s_lo <= 0.0:
             raise ValueError("present-value membership support must be positive")
@@ -551,48 +553,19 @@ def return_variance(view, center: float, grid: ReturnGrid) -> float:
     return float((weights * steps * steps) @ kernel / denominator)
 
 
-# Upper bound on each resolution setting, far above any useful value (the
-# convergence tests double up to 4096), so that an absurd one is a validation
-# error naming the setting, not a failed allocation.  Work and memory grow
-# with products of the settings, so values near the bound can still be slow.
-MAX_RESOLUTION = 2**20
-
-
-@dataclass(frozen=True)
-class EngineSettings:
-    """Resolution knobs for profile computation: the return grid's point
-    count.  ``nodes`` and ``variance_panels`` are checked and reported but
-    change no result, since continuous laws are summed in closed form and
-    every variance is integrated by Gauss-Legendre between fixed cuts."""
-
-    grid_points: int = 801
-    nodes: int = 256
-    variance_panels: int = 1024
-
-    def __post_init__(self):
-        if self.grid_points < 4:
-            raise ValueError("grid_points must be at least 4")
-        if self.nodes < 2:
-            raise ValueError("nodes must be at least 2")
-        if self.variance_panels < 1:
-            raise ValueError("variance_panels must be positive")
-        for name in ("grid_points", "nodes", "variance_panels"):
-            if getattr(self, name) > MAX_RESOLUTION:
-                raise ValueError(f"{name} must be at most {MAX_RESOLUTION} (got {getattr(self, name)})")
-
-
 def profile(
     mu: MembershipFn,
     law: DiscreteLaw | TruncatedLaw,
     conv: ReturnConvention,
-    settings: EngineSettings = EngineSettings(),
+    grid_points: int = 801,
 ) -> SecurityProfile:
-    """Full screening profile of one security.
+    """Full screening profile of one security, its fuzzy return sampled on
+    the grid ``ReturnGrid.spanning`` builds from ``grid_points`` uniform rates.
 
     Raises DegenerateMembershipError when the fuzzy expected return is
     identically zero (e.g. an all-zero present-value membership).
     """
-    grid = ReturnGrid.spanning(mu, law, conv, settings.grid_points)
+    grid = ReturnGrid.spanning(mu, law, conv, grid_points)
     view = _view(mu, conv, law)
     rho = expected_return_distribution(view, grid)
     center = expected_return(rho)

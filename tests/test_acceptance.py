@@ -20,7 +20,6 @@ from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure,
 from bpv_effect.returns import (
     LOGARITHMIC,
     SIMPLE,
-    EngineSettings,
     ReturnGrid,
     CONVENTIONS,
     expected_return,
@@ -220,14 +219,13 @@ def test_criterion_6_pareto_fixtures():
 
 def test_criterion_7_invariant_sweep():
     rng = np.random.default_rng(777)
-    settings = EngineSettings(grid_points=201, nodes=48, variance_panels=160)
     start = time.perf_counter()
     for _ in range(500):
         size = int(rng.integers(1, 5))
         profiles = []
         for _ in range(size):
             mu, dist, kind = random_security(rng)
-            result = profile(mu, dist, CONVENTIONS[kind], settings)
+            result = profile(mu, dist, CONVENTIONS[kind], 201)
             assert result.rho.values.min() >= 0.0
             assert result.rho.values.max() <= 1.0
             assert result.entropy <= result.energy + 1e-15

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from bpv_effect import CONVENTIONS, DiscreteLaw, TruncatedLaw, profile, quadrature, returns, trapezoid
 from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
-from bpv_effect.returns import EngineSettings
 
 from support import midpoint_nodes, round15
 
@@ -381,8 +380,8 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
         (entry,) = json.loads(out.read_text())["securities"]
-        [(_, conv, mu, dist)], engine, _ = _load(path)
-        result = profile(mu, dist, conv, engine)
+        [(_, conv, mu, dist)], settings = _load(path)
+        result = profile(mu, dist, conv, settings.grid_points)
         assert entry["variance"] == round15(result.variance)
         # at the variance rule's steps, the kernel against sums over 65536 midpoint
         # nodes, which the vertical edge at the first knot leaves off by up to 1e-5;
@@ -399,19 +398,22 @@ class TestAnalyze:
         np.testing.assert_allclose(exact[far], view.state_sum(center - steps[far]), rtol=1e-15, atol=0.0)
 
     def test_node_count_moves_no_report_number(self, tmp_path):
-        # continuous laws are summed in closed form and discrete laws at their atoms
+        # continuous laws are summed in closed form and discrete laws at their
+        # atoms, and every variance is integrated between fixed cuts
         doc = json.loads((FIXTURES / "portfolio3.json").read_text(encoding="utf-8"))
+        defaults = {"grid_points": 801, "nodes": 256, "variance_panels": 1024, "truncation": [0.005, 0.995]}
         outputs = []
-        for nodes in (2, 256, 4096):
-            doc["settings"] = {"nodes": nodes}
-            path = tmp_path / f"nodes{nodes}.json"
+        for name, value in [("nodes", 2), ("nodes", 256), ("nodes", 4096),
+                            ("variance_panels", 1), ("variance_panels", 1024), ("variance_panels", 2**20)]:
+            doc["settings"] = {name: value}
+            path = tmp_path / f"{name}{value}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            out, grids = tmp_path / f"report{nodes}.json", tmp_path / f"grids{nodes}.csv"
+            out, grids = tmp_path / f"report-{name}{value}.json", tmp_path / f"grids-{name}{value}.csv"
             assert main(["analyze", str(path), "--out", str(out), "--grids-out", str(grids)]) == 0
             report = json.loads(out.read_text(encoding="utf-8"))
-            assert report["settings"].pop("nodes") == nodes
+            assert report.pop("settings") == {**defaults, name: value}
             outputs.append((report, grids.read_bytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(output == outputs[0] for output in outputs)
 
     def test_report_to_stdout_by_default(self, tmp_path, capsys):
         path = write_portfolio(tmp_path, [simple_security()])
@@ -476,10 +478,9 @@ class TestAnalyze:
         grids = tmp_path / "grids.csv"
         assert main(["analyze", path, "--out", str(tmp_path / "r.json"), "--grids-out", str(grids)]) == 0
         mu = trapezoid(90, 95, 105, 110)
-        engine = EngineSettings(**settings)
         profiles = [
-            profile(mu, TruncatedLaw.lognormal(4.6, 0.1, (0.005, 0.995)), CONVENTIONS["logarithmic"], engine),
-            profile(mu, DiscreteLaw([98.0, 102.0], [0.5, 0.5]), CONVENTIONS["simple"], engine),
+            profile(mu, TruncatedLaw.lognormal(4.6, 0.1, (0.005, 0.995)), CONVENTIONS["logarithmic"], 101),
+            profile(mu, DiscreteLaw([98.0, 102.0], [0.5, 0.5]), CONVENTIONS["simple"], 101),
         ]
         assert grids.read_bytes() == legacy_grids_csv(ids, profiles, 101)
         assert grids.read_bytes().startswith(b'r,"rho_a,""b""",rho_plain\r\n')

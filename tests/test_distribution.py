@@ -178,11 +178,21 @@ class TestNodes:
             assert cdf(scalar) == pytest.approx(special.ndtr(scalar), abs=1e-15)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # a whole analyze run loads no numpy.ma either, which np.unique would import
+    # (about 2 MB in a fresh process), so cli._distinct and ReturnGrid.spanning drop duplicates by hand
     src = str(Path(bpv_effect.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    completed = subprocess.run(
-        [sys.executable, "-c", "import sys, bpv_effect; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert completed.stdout.strip() == "[]"
+    portfolio = Path(src).parent / "fixtures" / "portfolio3.json"
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])"
+    runs = {
+        "import": "import sys, bpv_effect",
+        "analyze": "import sys; from bpv_effect.cli import main; "
+                   f"assert main(['analyze', {str(portfolio)!r}, '--out', {str(tmp_path / 'report.json')!r}, "
+                   f"'--grids-out', {str(tmp_path / 'grids.csv')!r}]) == 0",
+    }
+    for name, code in runs.items():
+        completed = subprocess.run([sys.executable, "-c", f"{code}; print({loaded})"],
+                                   capture_output=True, text=True, env=env, check=True)
+        assert completed.stdout.strip() == "[]", name
+    assert (tmp_path / "grids.csv").stat().st_size > 0

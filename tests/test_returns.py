@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from bpv_effect import quadrature, returns
-from bpv_effect.cli import _load
+from bpv_effect.cli import MAX_RESOLUTION, EngineSettings, _load
 from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 from bpv_effect.returns import (
@@ -16,7 +16,6 @@ from bpv_effect.returns import (
     LOGARITHMIC,
     SIMPLE,
     DegenerateMembershipError,
-    EngineSettings,
     ReturnGrid,
     expected_return,
     expected_return_distribution,
@@ -40,7 +39,7 @@ from support import (
     staged_profile,
 )
 
-FAST = EngineSettings(grid_points=401, nodes=64, variance_panels=512)
+FAST = 401
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -328,7 +327,7 @@ class TestKnotView:
         # the hypothesis cases keep rates in [-2.8, 7.5]; the fixtures reach
         # kink grids and rates past exp(-r)'s underflow.  A discrete law takes
         # both views of its atoms, a continuous law those of 4096 midpoint nodes
-        securities, settings, _ = _load(FIXTURES / f"{name}.json")
+        securities, settings = _load(FIXTURES / f"{name}.json")
         for sec_id, conv, mu, dist in securities:
             law = dist if isinstance(dist, DiscreteLaw) else midpoint_nodes(dist, 4096)
             knot = staged_profile(returns._KnotView, mu, law, conv, settings)
@@ -724,9 +723,9 @@ class TestContinuousVarianceRule:
 class TestEngineSettings:
     @pytest.mark.parametrize("name", ["grid_points", "nodes", "variance_panels"])
     def test_each_resolution_is_bounded(self, name):
-        assert getattr(EngineSettings(**{name: returns.MAX_RESOLUTION}), name) == returns.MAX_RESOLUTION
-        with pytest.raises(ValueError, match=f"{name} must be at most {returns.MAX_RESOLUTION}"):
-            EngineSettings(**{name: returns.MAX_RESOLUTION + 1})
+        assert getattr(EngineSettings(**{name: MAX_RESOLUTION}), name) == MAX_RESOLUTION
+        with pytest.raises(ValueError, match=f"{name} must be at most {MAX_RESOLUTION}"):
+            EngineSettings(**{name: MAX_RESOLUTION + 1})
 
 
 class TestProfile:
@@ -779,6 +778,20 @@ class TestProfile:
         assert moved.variance == pytest.approx(base.variance, abs=1e-6)
         # the whole fuzzy return translates: compare on the shifted abscissae
         assert np.max(np.abs(moved.rho(base.rho.grid + shift) - base.rho.values)) < 1e-6
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_grid_needs_four_points(self, count):
+        # one uniform rate divides its span by zero; the kinks of a 2-knot
+        # membership at one atom pad 2 or 3 uniform rates into a valid 4- or
+        # 5-point grid, so only the count's own check refuses them
+        cases = [
+            (trapezoid(85, 95, 105, 120), DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])),
+            (trapezoid(85, 95, 105, 120), TruncatedLaw.normal(100.0, 5.0, (0.005, 0.995))),
+            (MembershipFn([90.0, 110.0], [1.0, 0.5]), DiscreteLaw([100.0], [1.0])),
+        ]
+        for mu, law in cases:
+            with pytest.raises(ValueError, match="^return grid needs at least four points$"):
+                profile(mu, law, SIMPLE, grid_points=count)
 
     def test_degenerate_membership_raises(self):
         mu = MembershipFn([90.0, 110.0], [0.0, 0.0])
