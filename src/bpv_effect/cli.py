@@ -445,7 +445,3 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, which here exits 1; --help exits 0
         return 1 if exc.code else 0
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,6 +30,7 @@ otherwise evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,13 +84,13 @@ CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 # A security with a discrete law sums its state memberships in the knot view
 # when it has at least KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * knots atoms,
 # and node by node otherwise.  Measured with whole ``profile`` calls (801 rates,
-# 1024 panels, numpy 2.4, 2-core x86_64, medians of 9) over 2-101 knots and
-# 3-512 nodes: the knot view costs about 1.3 ms plus 0.19 ms per knot (1.9 ms
-# at 2 knots, 2.4 at 8, 4.9 at 16, 7.9 at 32, 10 at 48) whatever the node
-# count, the node view about 0.5 ms plus 0.031 ms per node (1.05 ms at 16
-# nodes, 2.4 at 64, 8.6 at 256) whatever the knot count, so the two break even
-# at about 25 + 6 * knots nodes.  A 4-knot trapezoid with an 8-atom law
-# profiles in 0.5-0.9 ms in the node view instead of 2.1-2.5 in the knot view.
+# numpy 2.4, 2-core x86_64, medians of 15-21 alternating calls) over 2-32 knots
+# and 8-512 atoms: past 128 knots * atoms, where the variance takes 1024 steps,
+# the knot view costs about 1.6-2.4 ms at 2 knots, 2.5-4.9 at 8, 4.2-6.5 at 16
+# and 8-17 at 32 whatever the atom count, the node view about 1.1 ms at 32
+# atoms, 3-6.5 at 128 and 5.3-13 at 256 whatever the knot count, so the two
+# break even near 40-64 atoms at 2 knots, 64-96 at 4-8 knots, 192-256 at 16
+# and 256-384 at 32, above this rule from 4 knots on.
 KNOT_VIEW_NODES = 24
 KNOT_VIEW_NODES_PER_KNOT = 6
 
@@ -348,28 +349,13 @@ def _kink_rates(mu: MembershipFn, nodes, conv: ReturnConvention) -> np.ndarray:
 MAX_RETURN_SPAN = 2.0**52
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnGrid:
+class ReturnGrid(NamedTuple):
     """Return-rate abscissae on which the fuzzy expected return is sampled,
-    and the ends of its ``support``, the rates outside which it vanishes
-    (the grid's ends unless given)."""
+    read-only, and the ends of its ``support``, the rates outside which it
+    vanishes.  ``spanning`` builds and checks it."""
 
     r_values: np.ndarray
-    support: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        r_values = np.array(self.r_values, dtype=float, copy=True)
-        if r_values.ndim != 1 or r_values.size < 4:
-            raise ValueError("return grid needs at least four points")
-        if not np.all(np.diff(r_values) > 0.0):
-            raise ValueError("return grid must be strictly increasing")
-        if r_values[-1] - r_values[0] > MAX_RETURN_SPAN:
-            raise ValueError(f"return span {r_values[0]:.6g} to {r_values[-1]:.6g} is wider than 2**52, "
-                             "where the energy can round to 1")
-        r_values.flags.writeable = False
-        object.__setattr__(self, "r_values", r_values)
-        if self.support is None:
-            object.__setattr__(self, "support", (float(r_values[0]), float(r_values[-1])))
+    support: tuple[float, float]
 
     @classmethod
     def spanning(
@@ -396,8 +382,11 @@ class ReturnGrid:
         them: a discrete law's atoms, or a continuous law's support ends,
         where a truncated law's fuzzy return can rise almost as a step under
         a narrow membership.  When knots * nodes <= ``count``, the kinks
-        strictly inside the uniform grid join it, so linear interpolation
-        never cuts across a bend; otherwise the grid stays uniform.
+        strictly inside the uniform grid join it, once each, so linear
+        interpolation never cuts across a bend; otherwise the grid stays
+        uniform.  The uniform rates must be finite, strictly increasing and
+        span at most ``MAX_RETURN_SPAN``, checked here and only here; the
+        rates come back read-only.
         """
         if count < 4:
             raise ValueError("return grid needs at least four points")
@@ -412,13 +401,16 @@ class ReturnGrid:
             raise ValueError(f"return span {r_lo:.6g} to {r_hi:.6g} is out of floating-point range")
         lower = max(r_lo - pad, (r_lo + conv.limit) / 2.0)
         r = np.linspace(lower, r_hi + pad, count)
+        if not np.all(np.diff(r) > 0.0):
+            raise ValueError("return grid must be strictly increasing")
+        if r[-1] - r[0] > MAX_RETURN_SPAN:
+            raise ValueError(f"return span {r[0]:.6g} to {r[-1]:.6g} is wider than 2**52, "
+                             "where the energy can round to 1")
         if mu.grid.size * law.nodes.size <= count:
-            kinks = np.sort(_kink_rates(mu, law.nodes, conv).ravel())
-            # one of each run of equal kinks strictly inside the uniform grid and
-            # off it (np.unique would import numpy.ma); the grid keeps any equal
-            # rates of its own for the check to name
-            kinks = kinks[np.append(True, kinks[1:] != kinks[:-1]) & (kinks > r[0]) & (kinks < r[-1])]
-            r = np.sort(np.concatenate((r, kinks[r[np.searchsorted(r, kinks)] != kinks])))
+            kinks = _kink_rates(mu, law.nodes, conv).ravel()
+            r = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
+            r = r[np.append(True, r[1:] != r[:-1])]  # once each (np.unique would import numpy.ma)
+        r.flags.writeable = False
         return cls(r, (r_lo, r_hi))
 
 
@@ -520,9 +512,10 @@ def _breakpoints(view, center: float, far: float) -> np.ndarray:
     return far * np.sqrt(np.linspace(0.0, 1.0, MAX_BREAKPOINT_INTERVALS + 1))
 
 
-def return_variance(view, center: float, grid: ReturnGrid) -> float:
+def return_variance(view, center: float, support: tuple[float, float]) -> float:
     """Behavioural variance of the return rate around ``center``, from one
-    security's ``view``.
+    security's ``view`` and the ends of its fuzzy return's ``support``
+    (``ReturnGrid.support``).
 
     The kernel K at deviation s is the larger of the two state memberships
     at center +/- s, averaged over the future-value law; the variance is
@@ -539,7 +532,7 @@ def return_variance(view, center: float, grid: ReturnGrid) -> float:
     its breakpoints (``_breakpoints``), which are the cuts, with
     ``BREAKPOINT_GAUSS_POINTS`` points each.
     """
-    near, far = sorted((center - grid.support[0], grid.support[1] - center))
+    near, far = sorted((center - support[0], support[1] - center))
     if isinstance(view, _LawView):
         cuts, points = np.array((0.0, near, far)), GAUSS_POINTS
     else:
@@ -569,7 +562,7 @@ def profile(
     view = _view(mu, conv, law)
     rho = expected_return_distribution(view, grid)
     center = expected_return(rho)
-    variance = return_variance(view, center, grid)
+    variance = return_variance(view, center, grid.support)
     return SecurityProfile(
         rho=rho,
         expected_return=center,

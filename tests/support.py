@@ -224,7 +224,7 @@ def staged_profile(view_class, mu: MembershipFn, law, conv, settings) -> np.ndar
     view = view_class(mu, conv, law)
     rho = returns.expected_return_distribution(view, grid)
     center = returns.expected_return(rho)
-    variance = returns.return_variance(view, center, grid)
+    variance = returns.return_variance(view, center, grid.support)
     return np.array([center, variance, energy_measure(rho), entropy_measure(rho)])
 
 

@@ -262,9 +262,9 @@ def test_criterion_8_convergence(monkeypatch):
 
         # its variance: Gauss-Legendre on s, against twice the points
         center = expected_return(rho)
-        variance = return_variance(view, center, grid)
+        variance = return_variance(view, center, grid.support)
         monkeypatch.setattr(returns, "GAUSS_POINTS", 2 * returns.GAUSS_POINTS)
-        variance_gap = abs(return_variance(view, center, grid) - variance)
+        variance_gap = abs(return_variance(view, center, grid.support) - variance)
         monkeypatch.undo()
         worst_variance = max(worst_variance, variance_gap)
         assert variance_gap < 1e-6
@@ -278,7 +278,7 @@ def test_criterion_8_convergence(monkeypatch):
         center = expected_return(expected_return_distribution(view, grid))
         far = max(center - grid.support[0], grid.support[1] - center)
         reference = reference_variance(view, mu, conv, nodes, center, far, breakpoints=False)
-        discrete_gap = abs(return_variance(view, center, grid) / reference - 1.0)
+        discrete_gap = abs(return_variance(view, center, grid.support) / reference - 1.0)
         worst_discrete = max(worst_discrete, discrete_gap)
         assert discrete_gap < 1e-6
     note(8, f"closed-form rho within {worst_rho:.1e} < 1e-6 of 16384 nodes; doubling the Gauss-Legendre points "

@@ -107,12 +107,37 @@ class TestReturnGrid:
 
     def test_kink_grid_is_built_and_checked_once(self, monkeypatch):
         built = []
-        check = ReturnGrid.__post_init__
-        monkeypatch.setattr(ReturnGrid, "__post_init__", lambda grid: built.append(grid) or check(grid))
+        new = ReturnGrid.__new__
+
+        def counted(cls, *fields):
+            built.append(new(cls, *fields))
+            return built[-1]
+
+        monkeypatch.setattr(ReturnGrid, "__new__", counted)
         mu = trapezoid(88, 94, 104, 112)
         nodes = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
         grid = ReturnGrid.spanning(mu, nodes, SIMPLE, 801)
         assert built == [grid] and grid.r_values.size == 801 + 12  # every kink joins the grid
+
+    @pytest.mark.parametrize("count, size", [(11, 11), (801, 813)])  # 4 knots x 3 atoms: uniform, with kinks
+    def test_rates_are_read_only(self, count, size):
+        mu = trapezoid(88, 94, 104, 112)
+        grid = ReturnGrid.spanning(mu, DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25]), SIMPLE, count)
+        assert grid.r_values.size == size
+        with pytest.raises(ValueError, match="read-only"):
+            grid.r_values[1] = grid.r_values[0]
+
+    def test_kink_on_a_uniform_rate_joins_once(self, monkeypatch):
+        mu = trapezoid(88, 94, 104, 112)
+        nodes = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
+        monkeypatch.setattr(returns, "_kink_rates", lambda *args: np.empty((0, 0)))
+        uniform = ReturnGrid.spanning(mu, nodes, SIMPLE, 801).r_values
+        between = (uniform[10] + uniform[11]) / 2.0
+        # a uniform rate, twice, an end, a rate outside, and one new rate, twice
+        kinks = np.array([[uniform[400], uniform[0], between], [uniform[400], uniform[-1] + 1.0, between]])
+        monkeypatch.setattr(returns, "_kink_rates", lambda *args: kinks)
+        r = ReturnGrid.spanning(mu, nodes, SIMPLE, 801).r_values
+        assert np.array_equal(r, np.insert(uniform, 11, between))  # still strictly increasing
 
     def test_kink_grid_gives_second_order_rho(self):
         # a discrete law on a trapezoid with sloped edges: rho is smooth between
@@ -579,11 +604,11 @@ class TestVariance:
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 401)
         view = returns._view(mu, SIMPLE, dist)
         center = expected_return(expected_return_distribution(view, grid))
-        base = return_variance(view, center, grid)
+        base = return_variance(view, center, grid.support)
         # ends at center +/- sqrt(2) times the larger half-width: the kernel is
         # 0 past the true support, which the kink deviations still cut off
         half = max(grid.r_values[-1] - center, center - grid.r_values[0])
-        wide = ReturnGrid(center + np.sqrt(2.0) * half * np.array([-1.0, -0.5, 0.5, 1.0]))
+        wide = (center - np.sqrt(2.0) * half, center + np.sqrt(2.0) * half)
         assert return_variance(view, center, wide) == pytest.approx(base, rel=1e-15)
 
     def test_zero_kernel_is_degenerate(self):
@@ -591,7 +616,7 @@ class TestVariance:
         nodes = DiscreteLaw([100.0], [1.0])
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
-            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, ReturnGrid(np.linspace(49.99, 50.01, 5)))
+            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, (49.99, 50.01))
 
 
 # seed 1 of perfbench's screen-pairwise securities s124 and s050, each with a
@@ -630,7 +655,7 @@ class TestDiscreteVarianceRule:
     def test_few_atoms_are_exact_to_rounding(self, mu, dist, conv):
         view, grid, center, far = self.stages(mu, dist, conv)
         reference = reference_variance(view, mu, conv, dist, center, far)
-        assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
+        assert return_variance(view, center, grid.support) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(CROSSING_LAWS))
     def test_crossing_copies_are_cut(self, kind):
@@ -640,7 +665,7 @@ class TestDiscreteVarianceRule:
         view, grid, center, far = self.stages(mu, dist, conv)
         assert copy_crossings(mu, conv, dist, center, far).size == 1
         reference = reference_variance(view, mu, conv, dist, center, far)
-        assert return_variance(view, center, grid) == pytest.approx(reference, rel=1e-12)
+        assert return_variance(view, center, grid.support) == pytest.approx(reference, rel=1e-12)
 
     def test_many_atoms_take_uniform_intervals(self, monkeypatch):
         # 4 knots x 64 atoms give 256 kink deviations, more than 128 intervals
@@ -650,7 +675,7 @@ class TestDiscreteVarianceRule:
         steps = []
         kernel = view.kernel
         monkeypatch.setattr(view, "kernel", lambda center, s: steps.append(s.size) or kernel(center, s))
-        engine = return_variance(view, center, grid)
+        engine = return_variance(view, center, grid.support)
         assert steps == [1024]
         monkeypatch.undo()
         reference = reference_variance(view, mu, SIMPLE, dist, center, far, breakpoints=False)
