@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import stat
@@ -420,6 +421,7 @@ def _write_grids(handle, securities, profiles, count: int) -> None:
         handle.write(row % tuple(values.tolist()))
 
 
+@functools.cache  # built once per process: every in-process main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpv-effect",

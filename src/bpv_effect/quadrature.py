@@ -67,5 +67,5 @@ def gauss_legendre_rule(cuts, points: int):
     """Abscissas and weights of the ``points``-point Gauss-Legendre rule on
     each interval between the sorted ``cuts``, as flat arrays."""
     nodes, weights = gauss_legendre(points)
-    half = np.diff(cuts)[:, None] / 2.0
+    half = (cuts[1:] - cuts[:-1])[:, None] / 2.0
     return (cuts[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()

@@ -53,6 +53,9 @@ class ReturnConvention:
     down)`` gives the coefficients (of u^2, u and 1) of a quadratic whose
     roots are the scales u = ``present_map(center + s, 1)`` at which
     gap + up u = down u', with u' = ``present_map(center - s, 1)``.
+    ``cut_ratio`` bounds the ratio of present values a copy spans between
+    cuts of the variance rule: graded cuts near a simple rate's pole at -1,
+    bounded steps in s for the entire logarithmic copy.
     """
 
     kind: str
@@ -60,6 +63,7 @@ class ReturnConvention:
     rate_map: Callable  # (present, future) -> rate
     present_map: Callable  # (rate, future) -> present value
     crossing: Callable  # (center, gap, up, down) -> quadratic coefficients
+    cut_ratio: float
 
 
 SIMPLE = ReturnConvention(
@@ -69,6 +73,7 @@ SIMPLE = ReturnConvention(
     present_map=lambda rate, future: future / (1.0 + rate),
     # u' = 1 / (2 (1 + center) - 1 / u)
     crossing=lambda center, gap, up, down: (2.0 * (1.0 + center) * up, 2.0 * (1.0 + center) * gap - up - down, -gap),
+    cut_ratio=2.0,
 )
 LOGARITHMIC = ReturnConvention(
     "logarithmic",
@@ -77,6 +82,7 @@ LOGARITHMIC = ReturnConvention(
     present_map=lambda rate, future: future * np.exp(-rate),
     # u' = exp(-2 center) / u
     crossing=lambda center, gap, up, down: (up, gap, -down * np.exp(-2.0 * center)),
+    cut_ratio=math.exp(2.0),
 )
 CONVENTIONS = {conv.kind: conv for conv in (SIMPLE, LOGARITHMIC)}
 
@@ -175,7 +181,7 @@ class _KnotView:
         """The edge of the first node past the sign change of ``gap``
         between the edges a and b, or b where it does not change sign."""
         cross &= b - a > 1
-        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
+        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros(gap[0].shape), where=cross)
         at = np.searchsorted(self.y, ends[0] + share * (ends[1] - ends[0]))
         return np.where(cross, np.clip(at, a + 1, b - 1), b)
 
@@ -233,13 +239,14 @@ class _KnotView:
             r, e = self._edges(np.array((center + steps, center - steps)))  # copy, threshold, step
             n, k = e.shape[1:]
             paired = e.reshape(2 * n, k)  # each step's edges, the upper copy's then the lower copy's
-            both = np.flatnonzero(np.maximum(paired[0], paired[n]) < np.minimum(paired[n - 1], paired[-1]))
-            order = np.argsort(paired[:, both], axis=0, kind="stable")
-            merged = np.sort(paired[:, both], axis=0)
-            up_piece = np.cumsum(order < n, axis=0)[:-1]
+            both = (np.maximum(paired[0], paired[n]) < np.minimum(paired[n - 1], paired[-1])).nonzero()[0]
+            merged = paired[:, both]
+            order = merged.argsort(axis=0, kind="stable")
+            merged.sort(axis=0)
+            up_piece = (order < n).cumsum(axis=0)[:-1]
             lo_piece = np.arange(1, 2 * n)[:, None] - up_piece  # the other edges so far
             rates = r[:, None, :, both]  # copy, 1, 1, step
-            pieces = np.take(self.pieces, np.array((up_piece, lo_piece)), axis=1)  # per copy and interval
+            pieces = self.pieces.take(np.array((up_piece, lo_piece)), axis=1)  # per copy and interval
             a, b = merged[:-1], merged[1:]
             ends = self.ends(a, b)
             # both copies at both ends of each interval: copy, end, interval, step
@@ -247,15 +254,17 @@ class _KnotView:
             gap = values[0] - values[1]
             up_wins = gap >= 0.0
             split = self.split(a, b, ends, gap, up_wins[0] != up_wins[1])
-            moments = self.moments(np.concatenate((e.ravel(), split.ravel())))
+            inner = split != b  # elsewhere the split is the interval's upper edge
+            moments = self.moments(np.concatenate((e.ravel(), split[inner])))
             at_edges = moments[:, :e.size].reshape(2, 2, n, k)
             total = self._run_sums(r, at_edges).sum(axis=0)
-            at_edges = np.take(at_edges.reshape(2, -1), order * k + both, axis=1)  # at the merged edges
-            at_split = moments[:, e.size:].reshape(2, *split.shape)
+            at_edges = at_edges.reshape(2, -1).take(order * k + both, axis=1)  # at the merged edges
+            at_split = at_edges[:, 1:].copy()
+            at_split[:, inner] = moments[:, e.size:]
             halves = self.run_sum(
                 np.where(up_wins, rates[0, 0], rates[1, 0]),
                 *np.array((at_split - at_edges[:, :-1], at_edges[:, 1:] - at_split)).swapaxes(0, 1),
-                np.take(self.pieces, np.where(up_wins, up_piece, lo_piece), axis=1),
+                self.pieces.take(np.where(up_wins, up_piece, lo_piece), axis=1),
             )
         # each step sums its intervals along one contiguous row: from 8 intervals
         # (4 knots) on, numpy adds such a row pairwise, the order of every
@@ -291,7 +300,7 @@ class _LawView(_KnotView):
         return np.array((a, b))
 
     def split(self, a, b, ends, gap, cross):
-        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros_like(gap[0]), where=cross)
+        share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros(gap[0].shape), where=cross)
         return np.where(cross, a + share * (b - a), b)
 
     def run_sum(self, r, dW, dM, piece):
@@ -453,62 +462,80 @@ def expected_return(rho: MembershipFn) -> float:
     return quadrature.first_moment(rho.grid, rho.values) / denominator
 
 
-# Gauss-Legendre points on each side of the nearer support end's deviation
-# in a continuous law's variance rule
-GAUSS_POINTS = 64
-# Gauss-Legendre points on each interval between a discrete law's variance
-# breakpoints, and the most such intervals: a law with more knots x atoms, or
+# Gauss-Legendre points on each interval between the variance kernel's
+# breakpoints, and the most such intervals: a law with more knots x nodes, or
 # more breakpoints, takes that many intervals uniform in s^2 instead
 BREAKPOINT_GAUSS_POINTS = 8
 MAX_BREAKPOINT_INTERVALS = 128
 
 
-def _crossings(view, center: float, cuts: np.ndarray) -> np.ndarray:
-    """Deviations at which the two copies of one atom y, mu(pv(center + s,
-    y)) and mu(pv(center - s, y)), cross, strictly between consecutive
-    ``cuts`` of the atom's column: 0, its sorted kink deviations, far.
-
-    Between cuts each copy stays on one piece of ``mu``, the one it takes
-    at the interval's midpoint (``MembershipFn.lines``), where mu is linear
-    in the present value y u at the rate's scale u = ``present_map(r, 1)``,
-    so the copies meet at the roots of a quadratic in the upper copy's
-    scale (``ReturnConvention.crossing``): in s for simple rates and in e^s
-    for logarithmic ones.  The copies also meet at many cuts
-    (at s = 0, or where both reach 0 or 1), and rounding can leave such a
-    root just inside its interval, so a root counts only farther than
-    sqrt(eps) of the interval's width from both cuts: a kink that close
-    to a cut moves the interval's Gauss-Legendre sum by about eps.
-    """
-    a, b = cuts[:-1], cuts[1:]  # interval, atom
-    with np.errstate(all="ignore"):  # a slope or a root may overflow, or a root leave the domain
-        # the line of each copy, the upper first, at each interval's midpoint
-        rates = center + (a + b) * np.array((0.5, -0.5))[:, None, None]
-        level, rise = view.mu.lines(view.conv.present_map(rates, view.y))
-        q2, q1, q0 = view.conv.crossing(center, level[0] - level[1], *(rise * view.y))
-        half = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1))
-        roots = view.conv.rate_map(np.array((half / q2, q0 / half)), 1.0) - center
-        margin = (b - a) * 2.0**-26
-        return roots[(roots > a + margin) & (roots < b - margin)]
+def _level_pairs(mu: MembershipFn) -> tuple[np.ndarray, np.ndarray]:
+    """Present values p < q at which ``mu`` takes one level, a knot's value,
+    with p or q that knot, ``mu`` read with a knot at level 0 at each span
+    end (a vertical edge takes every level up to its knot's).  Where copy +
+    of a future value y reaches p as copy - of y reaches q (q u = p u'), the
+    copies cross at a knot of one: a continuous law's kernel bends there.
+    Flat and vertical pieces divide by 0, which the caller ignores."""
+    x = np.concatenate((mu.grid[:1], mu.grid, mu.grid[-1:]))
+    v = np.concatenate(([0.0], mu.values, [0.0]))
+    level = v[:, None]
+    share = (level - v[:-1]) / (v[1:] - v[:-1])  # knot, piece
+    # where each knot's level is met: strictly inside a piece, or at a knot
+    points = np.concatenate((np.where((share > 0.0) & (share < 1.0), x[:-1] + share * (x[1:] - x[:-1]), np.nan),
+                             np.where(level == v, x, np.nan)), axis=1)
+    p, q = np.minimum(x[:, None], points), np.maximum(x[:, None], points)
+    apart = p < q
+    return p[apart], q[apart]
 
 
 def _breakpoints(view, center: float, far: float) -> np.ndarray:
-    """Cuts of [0, far] between which a discrete law's variance kernel is
-    smooth: 0, ``far``, the kink deviations |``rate_map(x_k, y_j)`` -
-    center| at which a copy of an atom meets a knot (``_kink_rates``, as in
-    ``ReturnGrid.spanning``), and the deviations at which the two copies of
-    one atom cross (``_crossings``).  A law with more than
-    ``MAX_BREAKPOINT_INTERVALS`` knots x atoms, or more intervals between
-    these cuts, takes that many intervals uniform in s^2 instead: the
-    integrands grow with s, and on a many-atom law the copies' shared
-    atoms, which cost the knot view's kernel the most, lie at small s."""
-    if view.mu.grid.size * view.y.size <= MAX_BREAKPOINT_INTERVALS:
-        kinks = np.abs(_kink_rates(view.mu, view.y, view.conv) - center)  # knot, atom
-        own = np.sort(np.minimum(kinks, far), axis=0)
-        own = np.concatenate((np.zeros_like(own[:1]), own, np.full_like(own[:1], far)))
-        # equal cuts leave empty intervals, which weigh nothing
-        cuts = np.concatenate(((0.0, far), kinks[kinks < far], _crossings(view, center, own)))
+    """Sorted distinct cuts of [0, far] between which the variance kernel is
+    smooth: 0, ``far``, the deviations |``rate_map(x_k, y_j)`` - center|
+    where a copy of a node y_j (an atom, or a continuous law's support end)
+    meets a knot x_k, where the two copies of one node cross, and a
+    continuous law's level coincidences (``_level_pairs``).  Present values
+    ``cut_ratio`` apart across the span of ``mu`` join its knots if they fit.
+
+    Between consecutive cuts of a node's column each copy stays on the
+    piece of ``mu`` it takes at the midpoint (``MembershipFn.lines``),
+    linear in y u at the scale u = ``present_map(r, 1)``, so the copies
+    cross at the roots of ``ReturnConvention.crossing``; a coincidence (p,
+    q) is a root of it with no gap, q up and p down, on (0, far).  Rounding
+    can leave a root of a meeting at a cut (s = 0, or both copies at 0 or 1)
+    just inside its interval, so a root counts only farther than sqrt(eps)
+    of the width from both ends, which moves the interval's sum by about eps.
+
+    A law with more than ``MAX_BREAKPOINT_INTERVALS`` knots x nodes, or more
+    intervals, takes that many intervals uniform in s^2: the integrands grow
+    with s, and a many-atom law's costly shared atoms lie at small s.
+    """
+    mu, conv, y, x = view.mu, view.conv, view.y, view.mu.grid
+    if x.size * y.size <= MAX_BREAKPOINT_INTERVALS:
+        extra = int((math.log(x[-1]) - math.log(x[0])) / math.log(conv.cut_ratio))
+        if extra and (x.size + extra) * y.size <= MAX_BREAKPOINT_INTERVALS:
+            x = np.concatenate((x, x[0] * conv.cut_ratio ** np.arange(1.0, extra + 1.0)))
+        ends = np.zeros((x.size + 2, y.size))  # each node's cuts: 0, its kink deviations, far
+        ends[1:-1] = np.sort(np.minimum(np.abs(conv.rate_map(x[:, None], y) - center), far), axis=0)
+        ends[-1] = far
+        a, b = ends[:-1], ends[1:]  # interval, node
+        with np.errstate(all="ignore"):  # a slope or a root may overflow, or a root leave the domain
+            # the line of each copy, the upper first, at each interval's midpoint
+            level, rise = mu.lines(conv.present_map(center + (a + b) * np.array((0.5, -0.5))[:, None, None], y))
+            terms = np.concatenate((level[:1] - level[1:], rise * y, a[None], b[None])).reshape(5, -1)
+            if isinstance(view, _LawView):
+                p, q = _level_pairs(mu)
+                terms = np.concatenate((terms, (0.0 * p, q, p, 0.0 * p, 0.0 * p + far)), axis=1)
+            gap, up, down, a, b = terms
+            q2, q1, q0 = conv.crossing(center, gap, up, down)
+            half = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1))
+            roots = conv.rate_map(np.array((half / q2, q0 / half)), 1.0) - center
+            margin = (b - a) * 2.0**-26
+            roots = roots[(roots > a + margin) & (roots < b - margin)]
+        cuts = np.concatenate((ends.ravel(), roots))
+        cuts.sort()
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # an empty interval would cost its steps
         if cuts.size <= MAX_BREAKPOINT_INTERVALS + 1:
-            return np.sort(cuts)
+            return cuts
     return far * np.sqrt(np.linspace(0.0, 1.0, MAX_BREAKPOINT_INTERVALS + 1))
 
 
@@ -522,22 +549,13 @@ def return_variance(view, center: float, support: tuple[float, float]) -> float:
     V = int 2 s^3 K ds / int 2 s K ds, the K-weighted mean of the squared
     deviation.  The average over the law is exact for the polyline ``mu``.
     The kernel vanishes past the deviation of the farther end of the
-    fuzzy return's support, so both integrals run from 0 to there, by
-    Gauss-Legendre on each interval between cuts.
-
-    A continuous law's kernel is smooth between the two support ends'
-    deviations, but a truncated law's fuzzy return can jump at its support
-    ends, so the cuts are those deviations and each side takes
-    ``GAUSS_POINTS`` points.  A discrete law's kernel is smooth between
-    its breakpoints (``_breakpoints``), which are the cuts, with
-    ``BREAKPOINT_GAUSS_POINTS`` points each.
+    fuzzy return's support, so both integrals run from 0 to there.  The
+    kernel is smooth between its breakpoints (``_breakpoints``), for a
+    discrete or a continuous law alike, so each interval between them takes
+    ``BREAKPOINT_GAUSS_POINTS`` Gauss-Legendre points.
     """
-    near, far = sorted((center - support[0], support[1] - center))
-    if isinstance(view, _LawView):
-        cuts, points = np.array((0.0, near, far)), GAUSS_POINTS
-    else:
-        cuts, points = _breakpoints(view, center, far), BREAKPOINT_GAUSS_POINTS
-    steps, weights = quadrature.gauss_legendre_rule(cuts, points)
+    far = max(center - support[0], support[1] - center)
+    steps, weights = quadrature.gauss_legendre_rule(_breakpoints(view, center, far), BREAKPOINT_GAUSS_POINTS)
     weights = weights * steps
     kernel = view.kernel(center, steps)
     denominator = weights @ kernel

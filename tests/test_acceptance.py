@@ -263,7 +263,7 @@ def test_criterion_8_convergence(monkeypatch):
         # its variance: Gauss-Legendre on s, against twice the points
         center = expected_return(rho)
         variance = return_variance(view, center, grid.support)
-        monkeypatch.setattr(returns, "GAUSS_POINTS", 2 * returns.GAUSS_POINTS)
+        monkeypatch.setattr(returns, "BREAKPOINT_GAUSS_POINTS", 2 * returns.BREAKPOINT_GAUSS_POINTS)
         variance_gap = abs(return_variance(view, center, grid.support) - variance)
         monkeypatch.undo()
         worst_variance = max(worst_variance, variance_gap)

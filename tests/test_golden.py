@@ -9,6 +9,9 @@ analyze`` and shows the diff.
 - ``portfolio3``: the shipped fixture's report and ``--grids-out`` CSV.
 - ``accuracy_panel``: the 19-security portfolio that ``perfbench`` scores
   for accuracy (``portfolios.write("panel", ...)``), and its report.
+- ``coincidences``: continuous laws on memberships with flat pieces and
+  vertical edges, whose variance kernels bend at level coincidences, and a
+  70-knot membership whose variance takes uniform intervals; its report.
 - ``scripts/screening_demo.py`` restates ``portfolio3`` through the library
   API; its profiles must round to the same report numbers.
 
@@ -38,7 +41,7 @@ RTOL = 1e-14
 # the accuracy panel's largest errors against perfbench/reference.py; a change
 # that lowers one lowers its record here too
 RECORDED_ERRORS = {
-    "variance_rel_err.max": 3.095641269942627e-06,
+    "variance_rel_err.max": 3.364444275575675e-07,
     "rho_sup_err.max": 8.12523778601082e-06,
     "dominance_abs_err.max": 1.6886508257263344e-06,
 }
@@ -60,7 +63,7 @@ def assert_close(actual, expected, path="report"):
         assert type(actual) is type(expected) and actual == expected, path
 
 
-@pytest.mark.parametrize("name", ["portfolio3", "accuracy_panel"])
+@pytest.mark.parametrize("name", ["portfolio3", "accuracy_panel", "coincidences"])
 def test_report_matches_golden(tmp_path, name):
     out = tmp_path / "report.json"
     assert main(["analyze", str(FIXTURES / f"{name}.json"), "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from support import (
     copy_crossings,
     discrete_moments,
     dominance,
+    gauss_legendre_variance,
+    kink_deviations,
     lognormal_moments,
     midpoint_nodes,
     node_loop_kernel,
@@ -363,7 +366,7 @@ class TestKnotView:
         def refuse(*args, **kwargs):
             raise AssertionError("this view must not run")
 
-        class Refused(returns._LawView):  # return_variance tests views against this class
+        class Refused(returns._LawView):  # _breakpoints tests views against this class
             __init__ = refuse
 
         mu = trapezoid(85, 95, 105, 120)
@@ -723,12 +726,81 @@ class TestLawView:
 
 
 class TestContinuousVarianceRule:
+    """A continuous law's variance by Gauss-Legendre between its kernel's
+    breakpoints, against 16 points on 4096 uniform intervals of [0, far]."""
+
+    @staticmethod
+    def laws(*names):
+        """Each continuous law of the named fixtures, with its security id,
+        view, return grid, center and farther support end's deviation."""
+        for name in names:
+            securities, settings = _load(FIXTURES / f"{name}.json")
+            for sec_id, conv, mu, dist in securities:
+                if isinstance(dist, TruncatedLaw):
+                    grid = ReturnGrid.spanning(mu, dist, conv, settings.grid_points)
+                    view = returns._view(mu, conv, dist)
+                    center = expected_return(expected_return_distribution(view, grid))
+                    yield sec_id, view, grid, center, max(center - grid.support[0], grid.support[1] - center)
+
+    def test_breakpoint_rule_matches_fine_reference(self, monkeypatch):
+        # measured: within 3.7e-11 of the reference, which is itself off by that
+        # much at the kinks of the vertical edges (within 1.4e-15 with the cuts
+        # added to it); without the level coincidences the panel's beta misses
+        # by 3.7e-4.  A law past the rule's size takes uniform intervals (below)
+        worst = worst_without = 0.0
+        for sec_id, view, grid, center, far in self.laws("portfolio3", "accuracy_panel", "coincidences"):
+            if view.mu.grid.size * view.y.size > returns.MAX_BREAKPOINT_INTERVALS:
+                continue
+            reference = gauss_legendre_variance(view, center, np.linspace(0.0, far, 4097), 16)
+            gap = abs(return_variance(view, center, grid.support) / reference - 1.0)
+            assert gap <= 1e-10, sec_id
+            worst = max(worst, gap)
+            with monkeypatch.context() as patch:
+                patch.setattr(returns, "_level_pairs", lambda mu: (np.empty(0), np.empty(0)))
+                worst_without = max(worst_without, abs(return_variance(view, center, grid.support) / reference - 1.0))
+        assert worst_without > 1e-6 > 1e-10 >= worst
+
+    @pytest.mark.parametrize("mu, dist, kind, bound", [
+        (MembershipFn([1e-8, 1e-6, 1e-5, 1e40], [1.0, 1.0, 0.01, 0.0]),
+         TruncatedLaw.lognormal(690.8, 0.01, (0.005, 0.995)), "logarithmic", 1e-10),
+        (trapezoid(1, 50, 150, 1e6), TruncatedLaw.normal(100, 8, (0.005, 0.995)), "simple", 5e-8),
+        (trapezoid(20, 90, 110, 3000), TruncatedLaw.lognormal(4.6, 0.1, (0.005, 0.995)), "simple", 5e-8),
+    ], ids=["48-decades", "6-decades", "2-decades"])
+    def test_wide_membership_takes_graded_cuts(self, mu, dist, kind, bound):
+        # measured 3.5e-12, 2.3e-8 and 2.1e-8 against 16 points on 4096 uniform
+        # intervals plus the kink deviations; with mu's knots alone 7.2e-3,
+        # 3.4e-5 and 8.4e-7: between them a copy's present value spans up to
+        # e^88, 2e4 and 7 times itself, and a simple rate's copy nears its pole
+        conv = CONVENTIONS[kind]
+        view, grid, center, far = TestDiscreteVarianceRule.stages(mu, dist, conv)
+        cuts = np.concatenate((np.linspace(0.0, far, 4097), kink_deviations(mu, conv, dist, center, far)))
+        reference = gauss_legendre_variance(view, center, np.unique(cuts), 16)
+        assert return_variance(view, center, grid.support) == pytest.approx(reference, rel=bound)
+        knots_only = returns._view(mu, dataclasses.replace(conv, cut_ratio=math.inf), dist)
+        assert return_variance(knots_only, center, grid.support) != pytest.approx(reference, rel=10.0 * bound)
+
+    def test_many_knots_take_uniform_intervals(self, monkeypatch):
+        # 70 knots x 2 support ends exceed 128 intervals: 128 intervals uniform
+        # in s^2, measured 2.5e-8 from the reference
+        ((_, view, grid, center, far),) = [law for law in self.laws("coincidences") if law[0] == "many-knots"]
+        assert view.mu.grid.size * view.y.size > returns.MAX_BREAKPOINT_INTERVALS
+        steps = []
+        kernel = view.kernel
+        monkeypatch.setattr(view, "kernel", lambda center, s: steps.append(s.size) or kernel(center, s))
+        engine = return_variance(view, center, grid.support)
+        assert steps == [1024]
+        monkeypatch.undo()
+        reference = gauss_legendre_variance(view, center, np.linspace(0.0, far, 4097), 16)
+        assert engine == pytest.approx(reference, rel=1e-6)
+
     def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self):
-        nodes, weights = quadrature.gauss_legendre(returns.GAUSS_POINTS)
-        assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
-        for degree in range(0, 2 * returns.GAUSS_POINTS, 7):
-            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-            assert weights @ nodes**degree == pytest.approx(exact, abs=1e-14)
+        # the variance rule's 8 points, and the 64 of the kernel checks
+        for points in (8, 64):
+            nodes, weights = quadrature.gauss_legendre(points)
+            assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+            for degree in range(0, 2 * points, 7 if points > 8 else 1):
+                exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+                assert weights @ nodes**degree == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("delta", [0.1, 1e-2, 1e-3, 1e-4, 1e-5])
     def test_narrow_membership_keeps_variance_and_center(self, delta):
