@@ -59,7 +59,10 @@ def truncation_levels(levels) -> tuple[float, float]:
 
 class DiscreteLaw:
     """A discrete law: atoms ``nodes``, strictly increasing and positive,
-    with probabilities ``weights`` summing to 1, checked as it is made."""
+    with probabilities ``weights`` summing to 1, checked as it is made.
+    Its first moments are taken about ``shift``, 0, as a lognormal law's."""
+
+    shift = 0.0
 
     def __init__(self, points, probs):
         points = np.array(points, dtype=float)

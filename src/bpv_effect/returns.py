@@ -108,21 +108,25 @@ class _KnotView:
     Present values are increasing in the node, so the nodes whose present
     value falls on one membership piece form a contiguous run, and the run's
     contribution follows from W and M, the law's weight and first moment
-    below the run's edges: on segment k it is v_k dW + slope_k (pv(r, dM) -
-    x_k dW), because pv is linear in y.  Here an edge is a position in the
-    prefix sums of w and w*y, cut exactly where ``np.interp`` on
-    ``present_map(r, y)`` would cut the runs, so closed support ends and
-    vertical edges count the same nodes.  The cost is O(rates * knots * log
-    nodes) instead of O(rates * nodes).  ``_LawView`` takes W and M from a
-    continuous law's closed forms instead.
+    about its ``shift`` below the run's edges: on segment k it is v_k dW +
+    slope_k (pv(r, dM + shift dW) - x_k dW), because pv is linear in y.
+    Here an edge is a position in the prefix sums of w and w*y, cut exactly
+    where ``np.interp`` on ``present_map(r, y)`` would cut the runs, so
+    closed support ends and vertical edges count the same nodes.  The cost
+    is O(rates * knots * log nodes) instead of O(rates * nodes).
+    ``_LawView`` takes W and M from a continuous law's closed forms instead.
 
     Pieces are numbered by how many run edges lie at or before a node: 0
     below the support, k + 1 on segment k, K exactly at the last of K knots,
-    K + 1 past it.  Rates whose present-value scale ``present_map(r, 1)`` is
-    not finite and positive sum to 0, which is the node view's value for a
-    membership with positive support: simple rates at or below -1, and
-    logarithmic rates above about 745.13 or below about -709.78, where
-    exp(-r) underflows to 0 or overflows.
+    K + 1 past it.  The class attribute ``has_atoms`` says whether the law
+    can put weight exactly on the last knot; where it is false, that piece
+    and the edge strictly past the last knot are left out (K + 1 pieces, K
+    edges), and ``_breakpoints`` adds the level coincidences.  Rates whose
+    present-value scale ``present_map(r, 1)`` is not finite and positive sum
+    to 0, which is the node view's value for a membership with positive
+    support: simple rates at or below -1, and logarithmic rates above about
+    745.13 or below about -709.78, where exp(-r) underflows to 0 or
+    overflows.
 
     Every per-rate array is threshold-major: thresholds or pieces down axis
     0 (after a leading axis for W and M), rates along the last axis, so each
@@ -130,20 +134,22 @@ class _KnotView:
     pieces of a rate add left to right.
     """
 
+    has_atoms = True
+
     def __init__(self, mu: MembershipFn, conv: ReturnConvention, law):
         x, v = mu.grid, mu.values
         self.mu, self.conv, self.law, self.y = mu, conv, law, law.nodes
+        # the pieces between the first and last run edge: each segment's, then,
+        # where atoms can sit on it, the last knot's
+        runs = x.size if self.has_atoms else x.size - 1
         # present value reaching each knot, then strictly passing the last: a column
-        self.reach = np.append(x, np.nextafter(x[-1], np.inf))[:, None]
-        # per piece: left knot, width, value there, rise across
-        self.pieces = np.array([
-            np.concatenate(([0.0], x, [0.0])),
-            np.concatenate(([1.0], np.diff(x), [1.0, 1.0])),
-            np.concatenate(([0.0], v, [0.0])),
-            np.concatenate(([0.0], np.diff(v), [0.0, 0.0])),
-        ])
-        self.runs = self.pieces[:, 1:-1, None]  # the pieces between the first and last edge
-        if isinstance(law, DiscreteLaw):
+        self.reach = np.append(x, np.nextafter(x[-1], np.inf))[:runs + 1, None]
+        # per piece: left knot, width, value there, rise across; 0 outside the runs
+        outside = np.array([[0.0], [1.0], [0.0], [0.0]])
+        inner = np.array((x, np.append(np.diff(x), 1.0), v, np.append(np.diff(v), 0.0)))[:, :runs]
+        self.pieces = np.concatenate((outside, inner, outside), axis=1)
+        self.runs = self.pieces[:, 1:-1, None]
+        if self.has_atoms:
             self.padded = np.concatenate(([-np.inf], self.y, [np.inf]))
             # W and M below each node edge
             self.table = np.array((np.concatenate(([0.0], np.cumsum(law.weights))),
@@ -187,11 +193,13 @@ class _KnotView:
 
     def run_sum(self, r, dW, dM, piece):
         """Sum over a run of nodes on one piece at rate r, from its weight
-        dW and weighted future value dM.  The slope term is clamped to
-        [0, dx dW], so each sum stays a convex combination of the piece's
+        dW and its first moment dM about the law's ``shift``, which moves
+        back by shift * dW only after the moments at the run's two edges are
+        subtracted (a discrete law's shift is 0).  The slope term is clamped
+        to [0, dx dW], so each sum stays a convex combination of the piece's
         end values."""
         x, dx, v, dv = piece
-        offset = (self.conv.present_map(r, dM) - x * dW) / dx
+        offset = (self.conv.present_map(r, dM + self.law.shift * dW) - x * dW) / dx
         return v * dW + dv * np.minimum(np.maximum(offset, 0.0), dW)
 
     def membership(self, r, y, piece):
@@ -278,14 +286,10 @@ class _LawView(_KnotView):
     of W and M (``TruncatedLaw.below``): each run's edge is its threshold's
     future value itself, clipped to the support, and the kernel splits an
     interval exactly where the two copies cross.  A threshold's future value
-    has no weight of its own, so the runs end at the last knot: the piece
-    exactly there is dropped."""
+    has no weight of its own (``has_atoms`` is false), so the runs end at the
+    last knot, with no piece exactly there."""
 
-    def __init__(self, mu: MembershipFn, conv: ReturnConvention, law: TruncatedLaw):
-        super().__init__(mu, conv, law)
-        self.reach = self.reach[:-1]
-        self.pieces = np.concatenate((self.pieces[:, :-2], self.pieces[:, -1:]), axis=1)
-        self.runs = self.pieces[:, 1:-1, None]
+    has_atoms = False
 
     def edges(self, r, scale, out):
         lo, hi = self.y
@@ -303,16 +307,12 @@ class _LawView(_KnotView):
         share = np.divide(gap[0], gap[0] - gap[1], out=np.zeros(gap[0].shape), where=cross)
         return np.where(cross, a + share * (b - a), b)
 
-    def run_sum(self, r, dW, dM, piece):
-        """``_KnotView.run_sum`` with dM a first moment about the law's
-        shift, which moves back by shift * dW only after the moments at a
-        run's two edges are subtracted."""
-        return super().run_sum(r, dW, dM + self.law.shift * dW, piece)
-
 
 class _NodeView:
     """The sums of ``_KnotView`` node by node: ``mu`` at every (rate, node)
     pair, in O(rates * nodes)."""
+
+    has_atoms = True
 
     def __init__(self, mu: MembershipFn, conv: ReturnConvention, nodes: DiscreteLaw):
         self.mu, self.conv, self.y, self.w = mu, conv, nodes.nodes, nodes.weights
@@ -343,13 +343,6 @@ def _view(mu: MembershipFn, conv: ReturnConvention, law):
     if law.nodes.size >= KNOT_VIEW_NODES + KNOT_VIEW_NODES_PER_KNOT * mu.grid.size:
         return _KnotView(mu, conv, law)
     return _NodeView(mu, conv, law)
-
-
-def _kink_rates(mu: MembershipFn, nodes, conv: ReturnConvention) -> np.ndarray:
-    """The rates ``rate_map(x_k, y_j)`` of the knots x_k of ``mu`` at the
-    law's ``nodes`` y_j, knots down, nodes across: the fuzzy return and the
-    variance kernel are smooth between them."""
-    return conv.rate_map(mu.grid[:, None], nodes)
 
 
 # Widest return grid.  The area A under the fuzzy return is at most its span,
@@ -416,7 +409,7 @@ class ReturnGrid(NamedTuple):
             raise ValueError(f"return span {r[0]:.6g} to {r[-1]:.6g} is wider than 2**52, "
                              "where the energy can round to 1")
         if mu.grid.size * law.nodes.size <= count:
-            kinks = _kink_rates(mu, law.nodes, conv).ravel()
+            kinks = conv.rate_map(mu.grid[:, None], law.nodes).ravel()
             r = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
             r = r[np.append(True, r[1:] != r[:-1])]  # once each (np.unique would import numpy.ma)
         r.flags.writeable = False
@@ -492,8 +485,9 @@ def _breakpoints(view, center: float, far: float) -> np.ndarray:
     """Sorted distinct cuts of [0, far] between which the variance kernel is
     smooth: 0, ``far``, the deviations |``rate_map(x_k, y_j)`` - center|
     where a copy of a node y_j (an atom, or a continuous law's support end)
-    meets a knot x_k, where the two copies of one node cross, and a
-    continuous law's level coincidences (``_level_pairs``).  Present values
+    meets a knot x_k, where the two copies of one node cross, and, in a view
+    without atoms (``has_atoms``), the level coincidences (``_level_pairs``)
+    of a continuous law.  Present values
     ``cut_ratio`` apart across the span of ``mu`` join its knots if they fit.
 
     Between consecutive cuts of a node's column each copy stays on the
@@ -522,7 +516,7 @@ def _breakpoints(view, center: float, far: float) -> np.ndarray:
             # the line of each copy, the upper first, at each interval's midpoint
             level, rise = mu.lines(conv.present_map(center + (a + b) * np.array((0.5, -0.5))[:, None, None], y))
             terms = np.concatenate((level[:1] - level[1:], rise * y, a[None], b[None])).reshape(5, -1)
-            if isinstance(view, _LawView):
+            if not view.has_atoms:
                 p, q = _level_pairs(mu)
                 terms = np.concatenate((terms, (0.0 * p, q, p, 0.0 * p, 0.0 * p + far)), axis=1)
             gap, up, down, a, b = terms

@@ -130,16 +130,21 @@ class TestReturnGrid:
         with pytest.raises(ValueError, match="read-only"):
             grid.r_values[1] = grid.r_values[0]
 
-    def test_kink_on_a_uniform_rate_joins_once(self, monkeypatch):
+    def test_kink_on_a_uniform_rate_joins_once(self):
         mu = trapezoid(88, 94, 104, 112)
         nodes = DiscreteLaw([92.0, 101.0, 109.0], [0.25, 0.5, 0.25])
-        monkeypatch.setattr(returns, "_kink_rates", lambda *args: np.empty((0, 0)))
-        uniform = ReturnGrid.spanning(mu, nodes, SIMPLE, 801).r_values
+
+        def with_kinks(kinks):
+            # the kink rates are rate_map at the knots, a column, and the atoms
+            def rate_map(present, future):
+                return kinks if np.ndim(present) == 2 else SIMPLE.rate_map(present, future)
+            return dataclasses.replace(SIMPLE, rate_map=rate_map)
+
+        uniform = ReturnGrid.spanning(mu, nodes, with_kinks(np.empty((0, 0))), 801).r_values
         between = (uniform[10] + uniform[11]) / 2.0
         # a uniform rate, twice, an end, a rate outside, and one new rate, twice
         kinks = np.array([[uniform[400], uniform[0], between], [uniform[400], uniform[-1] + 1.0, between]])
-        monkeypatch.setattr(returns, "_kink_rates", lambda *args: kinks)
-        r = ReturnGrid.spanning(mu, nodes, SIMPLE, 801).r_values
+        r = ReturnGrid.spanning(mu, nodes, with_kinks(kinks), 801).r_values
         assert np.array_equal(r, np.insert(uniform, 11, between))  # still strictly increasing
 
     def test_kink_grid_gives_second_order_rho(self):
@@ -366,9 +371,6 @@ class TestKnotView:
         def refuse(*args, **kwargs):
             raise AssertionError("this view must not run")
 
-        class Refused(returns._LawView):  # _breakpoints tests views against this class
-            __init__ = refuse
-
         mu = trapezoid(85, 95, 105, 120)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_NodeView", refuse)
@@ -376,8 +378,20 @@ class TestKnotView:
             profile(mu, TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         with monkeypatch.context() as patch:
             patch.setattr(returns, "_KnotView", refuse)
-            patch.setattr(returns, "_LawView", Refused)
+            patch.setattr(returns, "_LawView", refuse)
             profile(mu, DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
+
+    @pytest.mark.parametrize("knots", [2, 4, 7])
+    def test_table_sizes_follow_whether_the_law_has_atoms(self, knots):
+        # atoms can sit exactly on the last knot, which takes a piece and a run
+        # edge strictly past it; a continuous law gives that point no weight
+        mu = MembershipFn(np.linspace(80.0, 120.0, knots), np.linspace(0.2, 1.0, knots))
+        atoms = DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])
+        law = TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995))
+        for view, tables in ((returns._KnotView(mu, SIMPLE, atoms), (knots + 2, knots + 1)),
+                             (returns._LawView(mu, SIMPLE, law), (knots + 1, knots))):
+            assert (view.pieces.shape[1], view.reach.shape[0]) == tables
+            assert view.runs.shape[1] == view.reach.shape[0] - 1  # one run between consecutive edges
 
     def test_profile_builds_one_view(self, monkeypatch):
         built, used = [], []
