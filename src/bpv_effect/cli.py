@@ -22,8 +22,6 @@ screen that exhausts memory.  A failed write removes the file it opened.
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import functools
 import json
 import os
@@ -45,18 +43,16 @@ SCHEMA_VERSION = 1
 MAX_RESOLUTION = 2**20
 
 
-@dataclasses.dataclass(frozen=True)
 class EngineSettings:
     """The settings block: the return grid's point count, a continuous law's
     default truncation, and ``nodes`` and ``variance_panels``, which are
-    checked and echoed but never reach the engine: they change no result."""
+    checked and echoed but never reach the engine: they change no result.
+    Its attributes are the settings, in the order the report echoes them."""
 
-    grid_points: int = 801
-    nodes: int = 256
-    variance_panels: int = 1024
-    truncation: tuple[float, float] = (0.005, 0.995)
-
-    def __post_init__(self):
+    def __init__(self, grid_points: int = 801, nodes: int = 256, variance_panels: int = 1024,
+                 truncation: tuple[float, float] = (0.005, 0.995)):
+        self.grid_points, self.nodes, self.variance_panels, self.truncation = (
+            grid_points, nodes, variance_panels, truncation)
         if self.grid_points < 4:
             raise ValueError("grid_points must be at least 4")
         if self.nodes < 2:
@@ -70,7 +66,7 @@ class EngineSettings:
 
 # Each present-value type and future-value family: its constructor and the
 # JSON fields passed to it by name (the settings block's are EngineSettings'
-# fields).  The fields in _LISTS are nonempty lists of numbers, in _INTEGERS
+# attributes).  The fields in _LISTS are nonempty lists of numbers, in _INTEGERS
 # integers, all others numbers.  Every setting has a default.
 _SHAPES = {
     "trapezoid": (trapezoid, ("a", "b", "c", "d")),
@@ -196,7 +192,7 @@ def _parse_portfolio(doc, errors):
         got = f", got {version!r}" if "schema_version" in doc else ""
         errors.append(f"schema_version: expected {SCHEMA_VERSION}{got}")
     _unknown_keys(doc, ("schema_version", "settings", "securities"), "", errors)
-    defaults = dataclasses.asdict(EngineSettings())
+    defaults = vars(EngineSettings())
     settings = _build(doc.get("settings", {}), "settings", errors, (EngineSettings, tuple(defaults)),
                       **defaults) or EngineSettings()
     entries = doc.get("securities")
@@ -332,7 +328,7 @@ def _report_document(securities, profiles, settings) -> dict:
     report = build_report(profiles)
     return {
         "schema_version": SCHEMA_VERSION,
-        "settings": {**dataclasses.asdict(settings), "truncation": [_digits15(level) for level in settings.truncation]},
+        "settings": {**vars(settings), "truncation": [_digits15(level) for level in settings.truncation]},
         "ids": [sec_id for sec_id, _, _, _ in securities],
         "securities": [
             {
@@ -411,6 +407,8 @@ def _write_matrix(rows, handle) -> None:
 def _write_grids(handle, securities, profiles, count: int) -> None:
     """The fuzzy returns at ``count`` common rates as CSV, to a handle opened
     with ``newline=""``; one float array, formatted a row at a time."""
+    import csv  # only here, so that a run without --grids-out never loads it
+
     lo = min(p.rho.grid[0] for p in profiles)
     hi = max(p.rho.grid[-1] for p in profiles)
     rates = np.linspace(lo, hi, count)

@@ -11,11 +11,47 @@ that its support stays positive.
 """
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
-_STANDARD_NORMAL = NormalDist()
+# Wichura's algorithm AS241 (Applied Statistics 37, 1988) for the
+# standard-normal quantile, the one statistics.NormalDist.inv_cdf evaluates,
+# with its coefficients and its nesting, so both give the same bits: the
+# numerator and denominator coefficients, highest power first, for
+# |p - 1/2| <= 0.425, then for r = sqrt(-ln min(p, 1 - p)) up to 5 and past it.
+_AS241 = (
+    ((2509.0809287301226727, 33430.575583588128105, 67265.770927008700853, 45921.953931549871457,
+      13731.693765509461125, 1971.5909503065514427, 133.14166789178437745, 3.387132872796366608),
+     (5226.495278852854561, 28729.085735721942674, 39307.89580009271061, 21213.794301586595867,
+      5394.1960214247511077, 687.1870074920579083, 42.313330701600911252, 1.0)),
+    ((7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177, 1.27045825245236838258,
+      3.64784832476320460504, 5.7694972214606914055, 4.6303378461565452959, 1.42343711074968357734),
+     (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966, 0.14810397642748007459,
+      0.68976733498510000455, 1.6763848301838038494, 2.05319162663775882187, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386, 0.026532189526576123093,
+      0.29656057182850489123, 1.7848265399172913358, 5.4637849111641143699, 6.6579046435011037772),
+     (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.868691311456132591e-4,
+      0.0148753612908506148525, 0.13692988092273580531, 0.59983220655588793769, 1.0)),
+)
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard-normal quantile at a level 0 < p < 1 (AS241)."""
+    q = p - 0.5
+    central = abs(q) <= 0.425
+    if central:
+        r, (num, den) = 0.180625 - q * q, _AS241[0]
+    else:
+        r = math.sqrt(-math.log(min(p, 1.0 - p)))
+        r, (num, den) = (r - 1.6, _AS241[1]) if r <= 5.0 else (r - 5.0, _AS241[2])
+    top, bottom = num[0], den[0]
+    for a, b in zip(num[1:], den[1:]):
+        top = top * r + a
+        bottom = bottom * r + b
+    if central:
+        return top * q / bottom
+    return math.copysign(top / bottom, q)
+
 
 # Hart's rational form 5666 of the standard-normal tail, Phi(-x) =
 # exp(-x**2 / 2) * P(x) / Q(x) for 0 <= x < _TAIL_SWITCH, and a continued
@@ -107,7 +143,7 @@ class TruncatedLaw:
             raise ValueError(f"{family} future values must be truncated to keep the support bounded")
         self.log, self.mean, self.sd, self.levels = log, mean, sd, levels
         self.shift = 0.0 if log else mean
-        self.z = z_lo, _ = tuple(map(_STANDARD_NORMAL.inv_cdf, levels))
+        self.z = z_lo, _ = tuple(map(_normal_quantile, levels))
         with np.errstate(over="ignore", under="ignore"):
             nodes = mean + sd * np.array(self.z)
             if not log and nodes[0] <= 0.0:

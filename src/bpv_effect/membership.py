@@ -14,23 +14,17 @@ against itself at the peak of ``m`` (the diagonal of a ``build_report``
 matrix), which is 1 only for normal memberships.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quadrature
 
 
-@dataclass(frozen=True, eq=False)
 class MembershipFn:
     """Piecewise-linear membership function on a strictly increasing grid."""
 
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.array(self.grid, dtype=float, copy=True)
-        values = np.array(self.values, dtype=float, copy=True)
+    def __init__(self, grid, values):
+        grid = np.array(grid, dtype=float, copy=True)
+        values = np.array(values, dtype=float, copy=True)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid needs at least two points")
         if values.shape != grid.shape:
@@ -44,16 +38,14 @@ class MembershipFn:
             raise ValueError("membership values must lie in [0, 1]")
         grid.flags.writeable = False
         values.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        self.grid, self.values = grid, values
         # np.interp's slopes overflow on knot spacings below the normal range;
         # such grids are evaluated after one exact power-of-two rescale of the
         # abscissas (to below 2**1000), which keeps those spacings normal
-        shift = 0
+        self._shift = 0
         if spacing.min() < np.finfo(float).tiny:
-            shift = max(0, 1000 - int(np.frexp(np.abs(grid).max())[1]))
-        object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_abscissas", np.ldexp(grid, shift) if shift else grid)
+            self._shift = max(0, 1000 - int(np.frexp(np.abs(grid).max())[1]))
+        self._abscissas = np.ldexp(grid, self._shift) if self._shift else grid
 
     def __call__(self, x):
         """Evaluate the interpolant; zero outside the knot span."""

@@ -29,7 +29,6 @@ otherwise evaluates ``mu`` at every (rate, atom) pair (``_NodeView``).
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +42,7 @@ class DegenerateMembershipError(ArithmeticError):
     """Raised when an identically-zero fuzzy return leaves a statistic undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnConvention:
+class ReturnConvention(NamedTuple):
     """A return map r(V0, Vt), increasing in Vt, decreasing in V0.
 
     ``limit`` is the infimum of the convention's rates.  The maps work
@@ -416,23 +414,20 @@ class ReturnGrid(NamedTuple):
         return cls(r, (r_lo, r_hi))
 
 
-@dataclass(frozen=True, eq=False)
 class SecurityProfile:
-    """Per-security screening results."""
+    """Per-security screening results, checked as they are made: the fuzzy
+    return ``rho`` (a ``MembershipFn``) and the floats ``expected_return``,
+    ``variance``, ``energy`` and ``entropy``."""
 
-    rho: MembershipFn
-    expected_return: float
-    variance: float
-    energy: float
-    entropy: float
-
-    def __post_init__(self):
-        if self.variance < 0.0:
+    def __init__(self, rho, expected_return, variance, energy, entropy):
+        if variance < 0.0:
             raise ValueError("variance must be nonnegative")
-        if not (0.0 <= self.energy < 1.0 and 0.0 <= self.entropy < 1.0):
+        if not (0.0 <= energy < 1.0 and 0.0 <= entropy < 1.0):
             raise ValueError("energy and entropy must lie in [0, 1)")
-        if self.entropy > self.energy + 1e-12:
+        if entropy > energy + 1e-12:
             raise ValueError("entropy cannot exceed energy")
+        self.rho, self.expected_return, self.variance, self.energy, self.entropy = (
+            rho, expected_return, variance, energy, entropy)
 
 
 def expected_return_distribution(view, grid: ReturnGrid) -> MembershipFn:
@@ -443,8 +438,7 @@ def expected_return_distribution(view, grid: ReturnGrid) -> MembershipFn:
     discrete law's atoms knot by knot in O(rates * knots) or atom by atom in
     O(rates * atoms), and over a continuous law in closed form.
     """
-    values = view.state_sum(grid.r_values)
-    return MembershipFn(grid.r_values, np.clip(values, 0.0, 1.0))
+    return MembershipFn(grid.r_values, np.clip(view.state_sum(grid.r_values), 0.0, 1.0))
 
 
 def expected_return(rho: MembershipFn) -> float:

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -178,20 +180,51 @@ class TestNodes:
             assert cdf(scalar) == pytest.approx(special.ndtr(scalar), abs=1e-15)
 
 
+class TestNormalQuantile:
+    """The AS241 port equals statistics.NormalDist().inv_cdf bit for bit."""
+
+    reference = staticmethod(NormalDist().inv_cdf)
+
+    @pytest.mark.parametrize("p", [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 1e-300, 1.0 - 1e-16],
+                             ids=["central-low", "central-high", "far-tail-low", "far-tail-high", "tiny", "near-one"])
+    def test_branch_boundaries_and_extremes(self, p):
+        # |p - 1/2| = 0.425 and r = sqrt(-ln min(p, 1 - p)) = 5 switch the branch; each level
+        # and its float neighbours below 1 (1 - 1e-16 rounds to the largest float below 1)
+        for level in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+            if level < 1.0:
+                assert distribution._normal_quantile(float(level)) == self.reference(float(level)), level
+
+    def test_seeded_levels(self):
+        rng = np.random.default_rng(241)
+        levels = np.concatenate((rng.uniform(0.0, 1.0, 40_000), 10.0 ** rng.uniform(-300.0, 0.0, 40_000),
+                                 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 40_000)))
+        levels = levels[(levels > 0.0) & (levels < 1.0)].tolist()
+        assert len(levels) >= 100_000
+        mismatched = [p for p in levels if distribution._normal_quantile(p) != self.reference(p)]
+        assert mismatched == []
+
+
+# modules beyond numpy that a fresh process needs for none of its work: scipy and
+# numpy.ma (about 2 MB, which np.unique would import, so cli._distinct and
+# ReturnGrid.spanning drop duplicates by hand), statistics with decimal and
+# fractions, dataclasses, and csv, which only --grids-out loads
+UNLOADED = ("scipy", "numpy.ma", "statistics", "decimal", "fractions", "dataclasses", "csv")
+
+
 def test_import_loads_no_scipy(tmp_path):
-    # a whole analyze run loads no numpy.ma either, which np.unique would import
-    # (about 2 MB in a fresh process), so cli._distinct and ReturnGrid.spanning drop duplicates by hand
     src = str(Path(bpv_effect.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     portfolio = Path(src).parent / "fixtures" / "portfolio3.json"
-    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])"
-    runs = {
-        "import": "import sys, bpv_effect",
-        "analyze": "import sys; from bpv_effect.cli import main; "
-                   f"assert main(['analyze', {str(portfolio)!r}, '--out', {str(tmp_path / 'report.json')!r}, "
-                   f"'--grids-out', {str(tmp_path / 'grids.csv')!r}]) == 0",
+    analyze = ["analyze", str(portfolio), "--out", str(tmp_path / "report.json")]
+    main = "import sys; from bpv_effect.cli import main; assert main({!r}) == 0"
+    runs = {  # each run's code, and the modules of UNLOADED that it may load
+        "import": ("import sys, bpv_effect", ()),
+        "analyze": (main.format(analyze), ()),
+        "analyze --grids-out": (main.format(analyze + ["--grids-out", str(tmp_path / "grids.csv")]), ("csv",)),
     }
-    for name, code in runs.items():
+    for name, (code, allowed) in runs.items():
+        banned = [module for module in UNLOADED if module not in allowed]
+        loaded = f"sorted(m for m in sys.modules if any(m == b or m.startswith(b + '.') for b in {banned!r}))"
         completed = subprocess.run([sys.executable, "-c", f"{code}; print({loaded})"],
                                    capture_output=True, text=True, env=env, check=True)
         assert completed.stdout.strip() == "[]", name

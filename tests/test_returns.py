@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -138,7 +137,7 @@ class TestReturnGrid:
             # the kink rates are rate_map at the knots, a column, and the atoms
             def rate_map(present, future):
                 return kinks if np.ndim(present) == 2 else SIMPLE.rate_map(present, future)
-            return dataclasses.replace(SIMPLE, rate_map=rate_map)
+            return SIMPLE._replace(rate_map=rate_map)
 
         uniform = ReturnGrid.spanning(mu, nodes, with_kinks(np.empty((0, 0))), 801).r_values
         between = (uniform[10] + uniform[11]) / 2.0
@@ -790,7 +789,7 @@ class TestContinuousVarianceRule:
         cuts = np.concatenate((np.linspace(0.0, far, 4097), kink_deviations(mu, conv, dist, center, far)))
         reference = gauss_legendre_variance(view, center, np.unique(cuts), 16)
         assert return_variance(view, center, grid.support) == pytest.approx(reference, rel=bound)
-        knots_only = returns._view(mu, dataclasses.replace(conv, cut_ratio=math.inf), dist)
+        knots_only = returns._view(mu, conv._replace(cut_ratio=math.inf), dist)
         assert return_variance(knots_only, center, grid.support) != pytest.approx(reference, rel=10.0 * bound)
 
     def test_many_knots_take_uniform_intervals(self, monkeypatch):
