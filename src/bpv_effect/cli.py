@@ -33,6 +33,7 @@ import numpy as np
 from .distribution import DiscreteLaw, TruncatedLaw, truncation_levels
 from .effectiveness import build_report
 from .membership import MembershipFn, trapezoid
+from .quadrature import distinct
 from .returns import CONVENTIONS, profile
 
 SCHEMA_VERSION = 1
@@ -373,7 +374,7 @@ def _write_report(document: dict, handle) -> None:
     for matrix in arrays.values():
         step = max(1, 2**16 // matrix.shape[1])  # rows of about 2**16 entries, 0.5 MB of patterns
         for start in range(0, len(matrix), step):
-            bits = _distinct(np.concatenate([bits, matrix[start:start + step].ravel()]))
+            bits = distinct(np.concatenate([bits, matrix[start:start + step].ravel()]))
     words = np.array([repr(_digits15(v)) for v in bits.view(float).tolist()], dtype=object)
     handle.write("{")
     for i, key in enumerate(sorted(document)):
@@ -383,15 +384,6 @@ def _write_report(document: dict, handle) -> None:
         else:
             handle.write(json.dumps(document[key], indent=2, sort_keys=True).replace("\n", "\n  "))
     handle.write("\n}\n")
-
-
-def _distinct(bits: np.ndarray) -> np.ndarray:
-    """The distinct values of an array of bit patterns, sorted (np.unique
-    would import numpy.ma, about 2 MB, on first use)."""
-    bits = np.sort(bits)
-    keep = np.ones(bits.shape, dtype=bool)
-    keep[1:] = bits[1:] != bits[:-1]
-    return bits[keep]
 
 
 def _write_matrix(rows, handle) -> None:

@@ -85,12 +85,10 @@ def trapezoid(a: float, b: float, c: float, d: float) -> MembershipFn:
         raise ValueError("trapezoid corners must satisfy a <= b <= c <= d")
     if a == d:
         raise ValueError("trapezoid support must have positive width (a < d)")
-    xs = np.array([a, b, c, d], dtype=float)
-    ys = np.array([a == b, True, True, c == d], dtype=float)
-    # the first of each run of equal corners already holds the run's largest
-    # value; ">" rather than np.diff, which warns on c == d == inf
-    keep = np.append(True, xs[1:] > xs[:-1])
-    return MembershipFn(xs[keep], ys[keep])
+    xs = quadrature.distinct(np.array([a, b, c, d], dtype=float))
+    ys = np.ones(xs.size)
+    ys[0], ys[-1] = a == b, c == d
+    return MembershipFn(xs, ys)
 
 
 def energy_measure(m: MembershipFn) -> float:

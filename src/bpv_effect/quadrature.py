@@ -1,5 +1,5 @@
 """Closed-form integrals of piecewise-linear functions given by knot arrays,
-and the Gauss-Legendre rule.
+the Gauss-Legendre rule, and the sorted distinct values of an array.
 
 The polyline integrals are exact for the polyline through the knots.
 Smooth integrands sampled between cuts go through ``gauss_legendre_rule``.
@@ -8,6 +8,14 @@ Smooth integrands sampled between cuts go through ``gauss_legendre_rule``.
 import functools
 
 import numpy as np
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, sorted: the first of each run of
+    equal values.  ``np.unique`` would import ``numpy.ma``, about 2 MB, into
+    a fresh process on its first call, so nothing in the package calls it."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def integrate(x, y) -> float:

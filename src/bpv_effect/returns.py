@@ -408,8 +408,7 @@ class ReturnGrid(NamedTuple):
                              "where the energy can round to 1")
         if mu.grid.size * law.nodes.size <= count:
             kinks = conv.rate_map(mu.grid[:, None], law.nodes).ravel()
-            r = np.sort(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
-            r = r[np.append(True, r[1:] != r[:-1])]  # once each (np.unique would import numpy.ma)
+            r = quadrature.distinct(np.concatenate((r, kinks[(kinks > r[0]) & (kinks < r[-1])])))
         r.flags.writeable = False
         return cls(r, (r_lo, r_hi))
 
@@ -519,9 +518,7 @@ def _breakpoints(view, center: float, far: float) -> np.ndarray:
             roots = conv.rate_map(np.array((half / q2, q0 / half)), 1.0) - center
             margin = (b - a) * 2.0**-26
             roots = roots[(roots > a + margin) & (roots < b - margin)]
-        cuts = np.concatenate((ends.ravel(), roots))
-        cuts.sort()
-        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # an empty interval would cost its steps
+        cuts = quadrature.distinct(np.concatenate((ends.ravel(), roots)))  # an empty interval would cost its steps
         if cuts.size <= MAX_BREAKPOINT_INTERVALS + 1:
             return cuts
     return far * np.sqrt(np.linspace(0.0, 1.0, MAX_BREAKPOINT_INTERVALS + 1))

@@ -205,27 +205,35 @@ class TestNormalQuantile:
 
 
 # modules beyond numpy that a fresh process needs for none of its work: scipy and
-# numpy.ma (about 2 MB, which np.unique would import, so cli._distinct and
-# ReturnGrid.spanning drop duplicates by hand), statistics with decimal and
-# fractions, dataclasses, and csv, which only --grids-out loads
+# numpy.ma (about 2 MB, which np.unique would import, so quadrature.distinct
+# sorts and drops repeats itself), statistics with decimal and fractions,
+# dataclasses, and csv, which only --grids-out loads
 UNLOADED = ("scipy", "numpy.ma", "statistics", "decimal", "fractions", "dataclasses", "csv")
 
 
 def test_import_loads_no_scipy(tmp_path):
     src = str(Path(bpv_effect.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    portfolio = Path(src).parent / "fixtures" / "portfolio3.json"
-    analyze = ["analyze", str(portfolio), "--out", str(tmp_path / "report.json")]
+    fixtures = Path(src).parent / "fixtures"
+    analyze = ["analyze", str(fixtures / "portfolio3.json"), "--out", str(tmp_path / "report.json")]
     main = "import sys; from bpv_effect.cli import main; assert main({!r}) == 0"
     runs = {  # each run's code, and the modules of UNLOADED that it may load
         "import": ("import sys, bpv_effect", ()),
         "analyze": (main.format(analyze), ()),
         "analyze --grids-out": (main.format(analyze + ["--grids-out", str(tmp_path / "grids.csv")]), ("csv",)),
     }
+    # breakpoints.json: a 64-atom law in the knot view, whose variance takes 128
+    # intervals uniform in s**2; coincidences.json: continuous laws whose variance
+    # kernels bend at level coincidences, and a 70-knot membership whose variance
+    # takes the 128 intervals
+    for name in ("breakpoints", "coincidences"):
+        portfolio = str(fixtures / f"{name}.json")
+        runs[f"validate {name}"] = (main.format(["validate", portfolio]), ())
+        runs[f"analyze {name}"] = (main.format(["analyze", portfolio, "--out", str(tmp_path / f"{name}.json")]), ())
     for name, (code, allowed) in runs.items():
         banned = [module for module in UNLOADED if module not in allowed]
         loaded = f"sorted(m for m in sys.modules if any(m == b or m.startswith(b + '.') for b in {banned!r}))"
         completed = subprocess.run([sys.executable, "-c", f"{code}; print({loaded})"],
                                    capture_output=True, text=True, env=env, check=True)
-        assert completed.stdout.strip() == "[]", name
+        assert completed.stdout.splitlines()[-1] == "[]", name  # after validate's "ok"
     assert (tmp_path / "grids.csv").stat().st_size > 0

@@ -17,6 +17,7 @@ from bpv_effect.returns import (
     SIMPLE,
     DegenerateMembershipError,
     ReturnGrid,
+    SecurityProfile,
     expected_return,
     expected_return_distribution,
     profile,
@@ -836,6 +837,27 @@ class TestEngineSettings:
         assert getattr(EngineSettings(**{name: MAX_RESOLUTION}), name) == MAX_RESOLUTION
         with pytest.raises(ValueError, match=f"{name} must be at most {MAX_RESOLUTION}"):
             EngineSettings(**{name: MAX_RESOLUTION + 1})
+
+
+class TestSecurityProfile:
+    RHO = trapezoid(-0.1, 0.0, 0.05, 0.2)
+
+    @pytest.mark.parametrize("variance, energy, entropy, message", [
+        (-1e-300, 0.5, 0.1, "variance must be nonnegative"),
+        (0.01, 1.0, 0.5, "energy and entropy must lie in [0, 1)"),
+        (0.01, math.nan, 0.1, "energy and entropy must lie in [0, 1)"),
+        (0.01, 0.5, -1e-300, "energy and entropy must lie in [0, 1)"),
+        (0.01, 0.2, 0.2 + 2e-12, "entropy cannot exceed energy"),
+    ])
+    def test_each_invariant_is_checked(self, variance, energy, entropy, message):
+        with pytest.raises(ValueError) as raised:
+            SecurityProfile(self.RHO, 0.05, variance, energy, entropy)
+        assert str(raised.value) == message
+
+    def test_bounds_are_accepted(self):
+        made = SecurityProfile(self.RHO, 0.05, 0.0, 0.0, 1e-12)
+        assert (made.rho, made.expected_return, made.variance, made.energy, made.entropy) == (
+            self.RHO, 0.05, 0.0, 0.0, 1e-12)
 
 
 class TestProfile:
