@@ -47,8 +47,8 @@ MAX_RESOLUTION = 2**20
 class EngineSettings:
     """The settings block: the return grid's point count, a continuous law's
     default truncation, and ``nodes`` and ``variance_panels``, which are
-    checked and echoed but never reach the engine: they change no result.
-    Its attributes are the settings, in the order the report echoes them."""
+    checked and echoed, sorted by key, but change no result.  Its attributes
+    are the settings, in the order an unknown key's message lists them."""
 
     def __init__(self, grid_points: int = 801, nodes: int = 256, variance_panels: int = 1024,
                  truncation: tuple[float, float] = (0.005, 0.995)):

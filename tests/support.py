@@ -218,8 +218,8 @@ def midpoint_nodes(dist, n: int) -> DiscreteLaw:
 
 def staged_profile(view_class, mu: MembershipFn, law, conv, settings) -> np.ndarray:
     """Center, variance, energy and entropy from the stages of ``profile``,
-    with the state sums of ``view_class`` (``_KnotView`` or ``_NodeView``
-    over a discrete ``law``)."""
+    with the state sums of ``view_class`` (``views._KnotView`` or
+    ``views._NodeView`` over a discrete ``law``)."""
     grid = returns.ReturnGrid.spanning(mu, law, conv, settings.grid_points)
     view = view_class(mu, conv, law)
     rho = returns.expected_return_distribution(view, grid)

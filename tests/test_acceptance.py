@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpv_effect import returns
+from bpv_effect import returns, views
 from bpv_effect.cli import main
 from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.effectiveness import build_report
@@ -26,7 +26,6 @@ from bpv_effect.returns import (
     expected_return_distribution,
     profile,
     return_variance,
-    _view,
 )
 
 from support import (
@@ -253,9 +252,9 @@ def test_criterion_8_convergence(monkeypatch):
     for conv in (SIMPLE, LOGARITHMIC):
         # the closed-form law against sums over 16384 midpoint nodes
         grid = ReturnGrid.spanning(mu, law, conv, 801)
-        view = _view(mu, conv, law)
+        view = views.make(mu, conv, law)
         rho = expected_return_distribution(view, grid)
-        sampled = expected_return_distribution(_view(mu, conv, midpoint_nodes(law, 16384)), grid)
+        sampled = expected_return_distribution(views.make(mu, conv, midpoint_nodes(law, 16384)), grid)
         rho_gap = float(np.max(np.abs(rho.values - sampled.values)))
         worst_rho = max(worst_rho, rho_gap)
         assert rho_gap < 1e-6
@@ -274,7 +273,7 @@ def test_criterion_8_convergence(monkeypatch):
         # s^2: against 64 points on each of 4096 uniform intervals
         nodes = midpoint_nodes(law, 256)
         grid = ReturnGrid.spanning(mu, nodes, conv, 801)
-        view = _view(mu, conv, nodes)
+        view = views.make(mu, conv, nodes)
         center = expected_return(expected_return_distribution(view, grid))
         far = max(center - grid.support[0], grid.support[1] - center)
         reference = reference_variance(view, mu, conv, nodes, center, far, breakpoints=False)

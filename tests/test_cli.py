@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, DiscreteLaw, TruncatedLaw, profile, quadrature, returns, trapezoid
+from bpv_effect import CONVENTIONS, DiscreteLaw, TruncatedLaw, profile, quadrature, returns, trapezoid, views
 from bpv_effect.cli import _load, _write_grids, _write_matrix, _write_report, main
 
 from support import midpoint_nodes, round15
@@ -389,9 +389,9 @@ class TestAnalyze:
         center = result.expected_return
         half = max(center - result.rho.grid[0], result.rho.grid[-1] - center) / 2.0
         steps = half * (quadrature.gauss_legendre(64)[0] + 1.0)
-        view = returns._view(mu, conv, dist)
+        view = views.make(mu, conv, dist)
         exact = view.kernel(center, steps)
-        sampled = returns._KnotView(mu, conv, midpoint_nodes(dist, 65536)).kernel(center, steps)
+        sampled = views._KnotView(mu, conv, midpoint_nodes(dist, 65536)).kernel(center, steps)
         assert np.max(np.abs(exact - sampled)) <= 2e-5
         far = center + steps > 745.2
         assert far.sum() >= 10 and exact[far].max() > 0.005

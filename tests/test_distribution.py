@@ -230,10 +230,16 @@ def test_import_loads_no_scipy(tmp_path):
         portfolio = str(fixtures / f"{name}.json")
         runs[f"validate {name}"] = (main.format(["validate", portfolio]), ())
         runs[f"analyze {name}"] = (main.format(["analyze", portfolio, "--out", str(tmp_path / f"{name}.json")]), ())
+    # and the package modules each run loads: all but __main__, and a bare import all but cli too
+    package = {"bpv_effect"} | {f"bpv_effect.{path.stem}" for path in Path(bpv_effect.__file__).parent.glob("*.py")
+                                if path.stem not in ("__init__", "__main__")}
     for name, (code, allowed) in runs.items():
         banned = [module for module in UNLOADED if module not in allowed]
         loaded = f"sorted(m for m in sys.modules if any(m == b or m.startswith(b + '.') for b in {banned!r}))"
-        completed = subprocess.run([sys.executable, "-c", f"{code}; print({loaded})"],
+        ours = "sorted(m for m in sys.modules if m.partition('.')[0] == 'bpv_effect')"
+        completed = subprocess.run([sys.executable, "-c", f"{code}; print({loaded}); print({ours})"],
                                    capture_output=True, text=True, env=env, check=True)
-        assert completed.stdout.splitlines()[-1] == "[]", name  # after validate's "ok"
+        *_, unloaded, modules = completed.stdout.splitlines()  # after validate's "ok"
+        assert unloaded == "[]", name
+        assert modules == repr(sorted(package - {"bpv_effect.cli"} if name == "import" else package)), name
     assert (tmp_path / "grids.csv").stat().st_size > 0

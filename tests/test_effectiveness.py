@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, DiscreteLaw, membership, returns
+from bpv_effect import CONVENTIONS, DiscreteLaw, membership, views
 from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import ReturnGrid, SecurityProfile, expected_return_distribution
 from bpv_effect.effectiveness import build_report
@@ -230,7 +230,7 @@ class TestBatchedDominance:
             nodes = DiscreteLaw(atoms, rng.dirichlet(np.ones(atoms.size)))
             mu, conv = trapezoid(*center * np.array([0.9, 0.97, 1.03, 1.1])), CONVENTIONS[("simple", "logarithmic")[i % 2]]
             grid = ReturnGrid.spanning(mu, nodes, conv, 801)
-            rhos.append(expected_return_distribution(returns._view(mu, conv, nodes), grid))
+            rhos.append(expected_return_distribution(views.make(mu, conv, nodes), grid))
         tracemalloc.start()
         try:
             tables = membership._cut_tables(rhos)

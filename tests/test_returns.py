@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from bpv_effect import quadrature, returns
+from bpv_effect import quadrature, returns, views
 from bpv_effect.cli import MAX_RESOLUTION, EngineSettings, _load
 from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
 from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
@@ -84,7 +84,7 @@ class TestReturnGrid:
         ):
             for conv in (SIMPLE, LOGARITHMIC):
                 grid = ReturnGrid.spanning(mu, dist, conv, 401)
-                rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
+                rho = expected_return_distribution(views.make(mu, conv, dist), grid)
                 assert rho.values[0] == 0.0
                 assert rho.values[-1] == 0.0
 
@@ -93,7 +93,7 @@ class TestReturnGrid:
         dist = DiscreteLaw([100.0], [1.0])
         for conv in (SIMPLE, LOGARITHMIC):
             grid = ReturnGrid.spanning(mu, dist, conv, 401)
-            rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
+            rho = expected_return_distribution(views.make(mu, conv, dist), grid)
             assert rho.values[0] == 0.0 and rho.values[-1] == 0.0
 
     def test_simple_grid_stays_above_minus_one(self):
@@ -158,7 +158,7 @@ class TestReturnGrid:
             errors = []
             for count in (201, 401, 801):
                 grid = ReturnGrid.spanning(mu, nodes, conv, count)
-                rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+                rho = expected_return_distribution(views.make(mu, conv, nodes), grid)
                 assert np.max(np.abs(rho(kinks) - node_loop_state_sums(mu, conv, nodes, kinks))) <= 1e-14
                 r = grid.r_values
                 midpoints = (r[:-1] + r[1:]) / 2.0  # where a cell's interpolation error peaks
@@ -182,7 +182,7 @@ class TestExpectedReturnDistribution:
         mu = trapezoid(90, 95, 105, 110)
         dist = DiscreteLaw([100.0], [1.0])
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 801)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
+        rho = expected_return_distribution(views.make(mu, SIMPLE, dist), grid)
         # single-atom sum collapses to mu(100 / (1 + r)) exactly at the knots
         direct = mu(100.0 / (1.0 + grid.r_values))
         assert np.max(np.abs(rho.values - direct)) < 1e-15
@@ -195,14 +195,14 @@ class TestExpectedReturnDistribution:
         dist = DiscreteLaw([90.0, 110.0], [0.5, 0.5])
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 801)
         inside = (grid.r_values > -0.4) & (grid.r_values < 0.75)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
+        rho = expected_return_distribution(views.make(mu, SIMPLE, dist), grid)
         assert np.all(rho.values[inside] == 1.0)
 
     def test_two_atom_crisp_window(self):
         mu = MembershipFn([100.0, 100.5], [1.0, 1.0])
         dist = DiscreteLaw([95.0, 105.0], [0.5, 0.5])
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 2001)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
+        rho = expected_return_distribution(views.make(mu, SIMPLE, dist), grid)
         low_window = (95.0 / 100.5 - 1.0 + 95.0 / 100.0 - 1.0) / 2.0
         high_window = (105.0 / 100.5 - 1.0 + 105.0 / 100.0 - 1.0) / 2.0
         assert rho(low_window) == pytest.approx(0.5, abs=1e-9)
@@ -218,7 +218,7 @@ class TestExpectedReturnDistribution:
             mu, dist, kind = random_security(rng)
             conv = CONVENTIONS[kind]
             grid = ReturnGrid.spanning(mu, dist, conv, 201)
-            rho = expected_return_distribution(returns._view(mu, conv, dist), grid)
+            rho = expected_return_distribution(views.make(mu, conv, dist), grid)
             assert rho.values.min() >= 0.0
             assert rho.values.max() <= 1.0
 
@@ -234,8 +234,8 @@ class TestExpectedReturnDistribution:
             narrow = MembershipFn(grid_mu, narrow_vals)
             wide = MembershipFn(grid_mu, wide_vals)
             grid = ReturnGrid.spanning(narrow, dist, SIMPLE, 201)
-            rho_narrow = expected_return_distribution(returns._view(narrow, SIMPLE, dist), grid)
-            rho_wide = expected_return_distribution(returns._view(wide, SIMPLE, dist), grid)
+            rho_narrow = expected_return_distribution(views.make(narrow, SIMPLE, dist), grid)
+            rho_wide = expected_return_distribution(views.make(wide, SIMPLE, dist), grid)
             assert np.all(rho_wide.values >= rho_narrow.values - 1e-15)
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC], ids=lambda conv: conv.kind)
@@ -245,8 +245,8 @@ class TestExpectedReturnDistribution:
         mu = trapezoid(85, 95, 105, 120)
         dist = TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995))
         grid = ReturnGrid.spanning(mu, dist, conv, 801)
-        exact = expected_return_distribution(returns._view(mu, conv, dist), grid).values
-        errors = [np.max(np.abs(expected_return_distribution(returns._view(mu, conv, midpoint_nodes(dist, n)), grid).values
+        exact = expected_return_distribution(views.make(mu, conv, dist), grid).values
+        errors = [np.max(np.abs(expected_return_distribution(views.make(mu, conv, midpoint_nodes(dist, n)), grid).values
                                 - exact)) for n in (64, 128, 256, 512, 1024)]
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
         assert orders.min() >= 1.6, errors
@@ -258,7 +258,7 @@ class TestExpectedReturnDistribution:
         probs = np.array([0.2, 0.3, 0.4, 0.1])
         dist = DiscreteLaw(points, probs)
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 401)
-        rho = expected_return_distribution(returns._view(mu, SIMPLE, dist), grid)
+        rho = expected_return_distribution(views.make(mu, SIMPLE, dist), grid)
         manual = np.zeros_like(grid.r_values)
         for y, p in zip(points, probs):
             manual += p * mu(y / (1.0 + grid.r_values))
@@ -323,8 +323,8 @@ class TestKnotView:
         mu, conv, nodes, rates = case
         rates = np.concatenate((rates, [-1.0, -1.5] if conv is SIMPLE else []))
         oracle = node_loop_state_sums(mu, conv, nodes, rates)
-        knot = returns._KnotView(mu, conv, nodes).state_sum(rates)
-        node = returns._NodeView(mu, conv, nodes).state_sum(rates)
+        knot = views._KnotView(mu, conv, nodes).state_sum(rates)
+        node = views._NodeView(mu, conv, nodes).state_sum(rates)
         assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
         assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
 
@@ -338,8 +338,8 @@ class TestKnotView:
         ))
         steps = steps[steps >= 0.0]
         oracle = node_loop_kernel(mu, conv, nodes, center, steps)
-        knot = returns._KnotView(mu, conv, nodes).kernel(center, steps)
-        node = returns._NodeView(mu, conv, nodes).kernel(center, steps)
+        knot = views._KnotView(mu, conv, nodes).kernel(center, steps)
+        node = views._NodeView(mu, conv, nodes).kernel(center, steps)
         assert np.max(np.abs(knot - oracle)) <= self.tolerance(mu)
         assert np.max(np.abs(node - oracle)) <= self.tolerance(mu)
 
@@ -352,7 +352,7 @@ class TestKnotView:
         steps = np.linspace(0.0, 60.0, 61)
         oracle = node_loop_kernel(mu, LOGARITHMIC, nodes, 700.0, steps)
         assert oracle[46:56].min() > 0.9
-        for view in (returns._KnotView, returns._NodeView):
+        for view in (views._KnotView, views._NodeView):
             assert np.max(np.abs(view(mu, LOGARITHMIC, nodes).kernel(700.0, steps) - oracle)) <= 1e-14
 
     @pytest.mark.parametrize("name", ["portfolio3", "accuracy_panel", "underflow_kernel"])
@@ -363,8 +363,8 @@ class TestKnotView:
         securities, settings = _load(FIXTURES / f"{name}.json")
         for sec_id, conv, mu, dist in securities:
             law = dist if isinstance(dist, DiscreteLaw) else midpoint_nodes(dist, 4096)
-            knot = staged_profile(returns._KnotView, mu, law, conv, settings)
-            node = staged_profile(returns._NodeView, mu, law, conv, settings)
+            knot = staged_profile(views._KnotView, mu, law, conv, settings)
+            node = staged_profile(views._NodeView, mu, law, conv, settings)
             np.testing.assert_allclose(knot, node, rtol=1e-12, atol=0.0, err_msg=sec_id)
 
     def test_view_selection(self, monkeypatch):
@@ -373,12 +373,12 @@ class TestKnotView:
 
         mu = trapezoid(85, 95, 105, 120)
         with monkeypatch.context() as patch:
-            patch.setattr(returns, "_NodeView", refuse)
-            patch.setattr(returns, "_KnotView", refuse)
+            patch.setattr(views, "_NodeView", refuse)
+            patch.setattr(views, "_KnotView", refuse)
             profile(mu, TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995)), SIMPLE)
         with monkeypatch.context() as patch:
-            patch.setattr(returns, "_KnotView", refuse)
-            patch.setattr(returns, "_LawView", refuse)
+            patch.setattr(views, "_KnotView", refuse)
+            patch.setattr(views, "_LawView", refuse)
             profile(mu, DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
 
     @pytest.mark.parametrize("knots", [2, 4, 7])
@@ -388,15 +388,15 @@ class TestKnotView:
         mu = MembershipFn(np.linspace(80.0, 120.0, knots), np.linspace(0.2, 1.0, knots))
         atoms = DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2])
         law = TruncatedLaw.lognormal(np.log(100), 0.15, (0.005, 0.995))
-        for view, tables in ((returns._KnotView(mu, SIMPLE, atoms), (knots + 2, knots + 1)),
-                             (returns._LawView(mu, SIMPLE, law), (knots + 1, knots))):
+        for view, tables in ((views._KnotView(mu, SIMPLE, atoms), (knots + 2, knots + 1)),
+                             (views._LawView(mu, SIMPLE, law), (knots + 1, knots))):
             assert (view.pieces.shape[1], view.reach.shape[0]) == tables
             assert view.runs.shape[1] == view.reach.shape[0] - 1  # one run between consecutive edges
 
     def test_profile_builds_one_view(self, monkeypatch):
         built, used = [], []
 
-        class Counted(returns._LawView):
+        class Counted(views._LawView):
             def __init__(self, *args):
                 built.append(self)
                 super().__init__(*args)
@@ -407,7 +407,7 @@ class TestKnotView:
                 return stage(view, *args)
             return spy
 
-        monkeypatch.setattr(returns, "_LawView", Counted)
+        monkeypatch.setattr(views, "_LawView", Counted)
         monkeypatch.setattr(returns, "expected_return_distribution", passes_view(expected_return_distribution))
         monkeypatch.setattr(returns, "return_variance", passes_view(return_variance))
         mu = trapezoid(85, 95, 105, 120)
@@ -416,7 +416,7 @@ class TestKnotView:
         assert used == [built[0], built[0]]
         profile(mu, DiscreteLaw([90.0, 100.0, 115.0], [0.3, 0.5, 0.2]), SIMPLE)
         assert len(built) == 1  # the node view
-        assert isinstance(used[2], returns._NodeView) and used[3] is used[2]
+        assert isinstance(used[2], views._NodeView) and used[3] is used[2]
 
     @pytest.mark.parametrize("mu, boundary", [
         (MembershipFn([90.0, 110.0], [1.0, 0.4]), 36),
@@ -431,7 +431,7 @@ class TestKnotView:
         for count, other in ((boundary, "_NodeView"), (boundary - 1, "_KnotView")):
             dist = DiscreteLaw(np.linspace(90.0, 115.0, count), np.full(count, 1.0 / count))
             with monkeypatch.context() as patch:
-                patch.setattr(returns, other, refuse)
+                patch.setattr(views, other, refuse)
                 profile(mu, dist, SIMPLE)
 
     @pytest.mark.parametrize("conv", [SIMPLE, LOGARITHMIC])
@@ -447,7 +447,7 @@ class TestKnotView:
         cases = [(edges, discrete), (edges, lognormal), (wide, lognormal), (trapezoid(90, 90, 110, 110), lognormal)]
         with np.errstate(all="raise"):
             for mu, dist in cases:
-                assert isinstance(returns._view(mu, conv, dist), returns._KnotView)
+                assert isinstance(views.make(mu, conv, dist), views._KnotView)
                 result = profile(mu, dist, conv)
                 assert result.variance > 0.0
 
@@ -475,7 +475,7 @@ class TestClosedFormCenterAndArea:
     @staticmethod
     def errors(mu, conv, nodes, count, exact):
         grid = ReturnGrid.spanning(mu, nodes, conv, count)
-        rho = expected_return_distribution(returns._view(mu, conv, nodes), grid)
+        rho = expected_return_distribution(views.make(mu, conv, nodes), grid)
         center, area = exact
         return abs(expected_return(rho) - center), abs(quadrature.integrate(rho.grid, rho.values) / area - 1.0)
 
@@ -501,7 +501,7 @@ class TestClosedFormCenterAndArea:
         counts = (201, 401, 801, 1601, 3201, 6401)
 
         def sampled(m):
-            return [expected_return_distribution(returns._view(m, conv, nodes), ReturnGrid.spanning(m, nodes, conv, n))
+            return [expected_return_distribution(views.make(m, conv, nodes), ReturnGrid.spanning(m, nodes, conv, n))
                     for n in counts]
 
         rhos, others = sampled(mu), sampled(cheaper)
@@ -543,7 +543,7 @@ class TestClosedFormCenterAndArea:
         counts = (801, 1601, 3201, 6401)
 
         def sampled(m):
-            return [expected_return_distribution(returns._view(m, conv, law), ReturnGrid.spanning(m, law, conv, n))
+            return [expected_return_distribution(views.make(m, conv, law), ReturnGrid.spanning(m, law, conv, n))
                     for n in counts]
 
         rhos, others = sampled(mu), sampled(cheaper)
@@ -619,7 +619,7 @@ class TestVariance:
         mu = trapezoid(90, 95, 105, 110)
         dist = DiscreteLaw([95.0, 104.0], [0.4, 0.6])
         grid = ReturnGrid.spanning(mu, dist, SIMPLE, 401)
-        view = returns._view(mu, SIMPLE, dist)
+        view = views.make(mu, SIMPLE, dist)
         center = expected_return(expected_return_distribution(view, grid))
         base = return_variance(view, center, grid.support)
         # ends at center +/- sqrt(2) times the larger half-width: the kernel is
@@ -633,7 +633,7 @@ class TestVariance:
         nodes = DiscreteLaw([100.0], [1.0])
         with pytest.raises(DegenerateMembershipError):
             # center far outside any reachable rate: both branches miss the support
-            return_variance(returns._view(mu, SIMPLE, nodes), 50.0, (49.99, 50.01))
+            return_variance(views.make(mu, SIMPLE, nodes), 50.0, (49.99, 50.01))
 
 
 # seed 1 of perfbench's screen-pairwise securities s124 and s050, each with a
@@ -660,7 +660,7 @@ class TestDiscreteVarianceRule:
         """The law's view, return grid and center, and the farther support
         end's deviation."""
         grid = ReturnGrid.spanning(mu, dist, conv, 801)
-        view = returns._view(mu, conv, dist)
+        view = views.make(mu, conv, dist)
         center = expected_return(expected_return_distribution(view, grid))
         return view, grid, center, max(center - grid.support[0], grid.support[1] - center)
 
@@ -729,8 +729,8 @@ class TestLawView:
     def test_state_sums_and_kernel_match_quadrature(self, dist, conv):
         # a membership that is not unimodal, with a vertical edge at each end
         mu = MembershipFn([84.0, 90.0, 97.0, 101.0, 104.0, 116.0], [0.3, 1.0, 0.2, 0.7, 0.6, 0.4])
-        view = returns._view(mu, conv, dist)
-        assert isinstance(view, returns._LawView)
+        view = views.make(mu, conv, dist)
+        assert isinstance(view, views._LawView)
         rates = np.linspace(-0.2, 0.25, 7)
         expected = [self.quadrature(mu, conv, dist, [r]) for r in rates]
         np.testing.assert_allclose(view.state_sum(rates), expected, rtol=0.0, atol=1e-10)
@@ -752,7 +752,7 @@ class TestContinuousVarianceRule:
             for sec_id, conv, mu, dist in securities:
                 if isinstance(dist, TruncatedLaw):
                     grid = ReturnGrid.spanning(mu, dist, conv, settings.grid_points)
-                    view = returns._view(mu, conv, dist)
+                    view = views.make(mu, conv, dist)
                     center = expected_return(expected_return_distribution(view, grid))
                     yield sec_id, view, grid, center, max(center - grid.support[0], grid.support[1] - center)
 
@@ -790,7 +790,7 @@ class TestContinuousVarianceRule:
         cuts = np.concatenate((np.linspace(0.0, far, 4097), kink_deviations(mu, conv, dist, center, far)))
         reference = gauss_legendre_variance(view, center, np.unique(cuts), 16)
         assert return_variance(view, center, grid.support) == pytest.approx(reference, rel=bound)
-        knots_only = returns._view(mu, conv._replace(cut_ratio=math.inf), dist)
+        knots_only = views.make(mu, conv._replace(cut_ratio=math.inf), dist)
         assert return_variance(knots_only, center, grid.support) != pytest.approx(reference, rel=10.0 * bound)
 
     def test_many_knots_take_uniform_intervals(self, monkeypatch):

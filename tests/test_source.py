@@ -1,11 +1,10 @@
 import ast
+import importlib.util
 import sys
 import tokenize
 from pathlib import Path
 
 import pytest
-
-import bpv_effect
 
 # CPython's parser doubles its token array, and allocates a token for every new
 # slot, once a module passes 4096 tokens: compiling returns.py peaked at 1601
@@ -14,7 +13,9 @@ import bpv_effect
 # module it imports.  The count is the parser's: tokenize's, without comments
 # and the line breaks inside a statement.
 TOKEN_CAP = 4096
-MODULES = sorted(Path(bpv_effect.__file__).parent.glob("*.py"))
+# found without importing the package, so a module that fails to import still gets read
+PACKAGE = Path(importlib.util.find_spec("bpv_effect").origin).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 # modules that no code path may import: a fresh process loads none of them
 # (UNLOADED in test_distribution.py); np.unique would import numpy.ma
@@ -50,4 +51,34 @@ def test_no_module_calls_np_unique_or_imports_a_banned_module():
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if any(name == banned or name.startswith(banned + ".") for banned in BANNED_IMPORTS)]
+    assert not found, "\n".join(found)
+
+
+# views.py holds every state-sum view and the knot-view threshold, and reads a
+# return convention only through the object it is given
+VIEWS_NEVER_IMPORT = ("returns", "cli", "effectiveness")
+VIEW_NAMES = ("_KnotView", "_LawView", "_NodeView", "KNOT_VIEW_NODES")
+
+
+def _imported_modules(node) -> list[str]:
+    """The module each name of an import reads, without the package prefix:
+    ``returns`` for ``from .returns import SIMPLE``, ``from . import returns``
+    and ``import bpv_effect.returns``."""
+    if isinstance(node, ast.Import) or node.module in (None, "bpv_effect"):  # from . import returns
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module]
+    return [name.removeprefix("bpv_effect.").partition(".")[0] for name in names]
+
+
+def test_views_import_no_consumer_and_returns_names_no_view():
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "views.py").read_text(encoding="utf-8"), "views.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"views.py:{node.lineno}: imports {name}" for name in _imported_modules(node)
+                      if name in VIEWS_NEVER_IMPORT]
+    for node in ast.walk(ast.parse((PACKAGE / "returns.py").read_text(encoding="utf-8"), "returns.py")):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(name, str) and name.startswith(VIEW_NAMES):
+            found.append(f"returns.py:{node.lineno}: names {name}")
     assert not found, "\n".join(found)
