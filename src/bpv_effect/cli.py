@@ -15,9 +15,12 @@ prefixed with the JSON path and the security id.  A truncation is checked
 by ``truncation_levels`` as it is read, so its error names the field.  The
 report echoes the settings block, read into ``EngineSettings``.
 
-Exit codes: 0 ok, 1 a usage error, an unreadable or invalid portfolio or
-an unwritable output, 2 a security whose profile cannot be computed or a
-screen that exhausts memory.  A failed write removes the file it opened.
+A failure is raised where it is found, as a ``_Failure`` carrying its exit
+code, and ``main`` alone prints it and picks the code: 0 ok, 1 a usage
+error, an unreadable or invalid portfolio, ``--out`` and ``--grids-out``
+naming one file or an unwritable output, 2 a security whose profile cannot
+be computed or a screen that exhausts memory.  A failed write removes the
+file it opened.
 """
 
 import argparse
@@ -42,6 +45,10 @@ SCHEMA_VERSION = 1
 # convergence tests double up to 4096), so that an absurd one is a validation
 # error naming the setting, not a failed allocation or a long run.
 MAX_RESOLUTION = 2**20
+
+
+class _Failure(Exception):
+    """``_Failure(code, *messages)``: ``main`` prints each message as an ``error:`` line and returns code."""
 
 
 class EngineSettings:
@@ -226,77 +233,63 @@ def _parse_portfolio(doc, errors):
 
 
 def _load(path):
-    """The parsed portfolio in the file at ``path``, or None after printing
-    every error."""
-    errors: list[str] = []
-    parsed = None
+    """The parsed portfolio in the file at ``path``; a ``_Failure`` (exit 1)
+    carries every error."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle, object_pairs_hook=_object)
     except OSError as exc:
-        errors.append(f"cannot read {path}: {exc}")
+        raise _Failure(1, f"cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        errors.append(f"{path}: invalid JSON ({exc})")
-    else:
-        parsed = _parse_portfolio(doc, errors)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
-    return None if errors else parsed
+        raise _Failure(1, f"{path}: invalid JSON ({exc})")
+    errors: list[str] = []
+    parsed = _parse_portfolio(doc, errors)
+    if errors:
+        raise _Failure(1, *errors)
+    return parsed
 
 
 def _profiles(securities, grid_points):
     """Each security's ``profile`` on ``grid_points`` uniform rates, with
     floating-point overflow, division by zero and invalid operations raised.
-    Returns the profiles, or None after printing the first failure, an
-    exhausted memory included, with the security's id."""
+    The first failure, an exhausted memory included, is a ``_Failure``
+    (exit 2) naming the security's id."""
     profiles = []
     for sec_id, conv, mu, law in securities:
         try:  # floating-point overflow raises FloatingPointError, an ArithmeticError
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 profiles.append(profile(mu, law, conv, grid_points))
         except (ValueError, ArithmeticError, MemoryError) as exc:
-            print(f"error: security {sec_id!r}: {exc}", file=sys.stderr)
-            return None
+            raise _Failure(2, f"security {sec_id!r}: {exc}")
     return profiles
 
 
-def cmd_validate(args) -> int:
-    parsed = _load(args.portfolio)
-    if parsed is None:
-        return 1
-    securities, settings = parsed
-    if _profiles(securities, settings.grid_points) is None:
-        return 2
-    return 0 if _write_file(None, lambda handle: print("ok", file=handle)) else 1
+def cmd_validate(args) -> None:
+    securities, settings = _load(args.portfolio)
+    _profiles(securities, settings.grid_points)
+    _write_file(None, lambda handle: print("ok", file=handle))
 
 
-def cmd_analyze(args) -> int:
-    parsed = _load(args.portfolio)
-    if parsed is None:
-        return 1
-    securities, settings = parsed
+def cmd_analyze(args) -> None:
+    if args.out and args.grids_out and os.path.realpath(args.out) == os.path.realpath(args.grids_out):
+        raise _Failure(1, f"--out {args.out} and --grids-out {args.grids_out} name one file")
+    securities, settings = _load(args.portfolio)
     profiles = _profiles(securities, settings.grid_points)
-    if profiles is None:
-        return 2
     try:  # the n x n matrices and alpha-cut tables grow with the square of the universe
         document = _report_document(securities, profiles, settings)
-        if not _write_file(args.out, lambda handle: _write_report(document, handle)):
-            return 1
-        if args.grids_out and not _write_file(
-            args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points), newline=""
-        ):
-            return 1
+        _write_file(args.out, lambda handle: _write_report(document, handle))
+        if args.grids_out:
+            _write_file(args.grids_out, lambda handle: _write_grids(handle, securities, profiles, settings.grid_points),
+                        newline="")
     except MemoryError as exc:
-        print(f"error: cannot screen {len(securities)} securities: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        raise _Failure(2, f"cannot screen {len(securities)} securities: {exc}")
 
 
-def _write_file(path: str | None, write, **options) -> bool:
+def _write_file(path: str | None, write, **options) -> None:
     """``write(handle)`` into the file at ``path``, or into stdout when
-    ``path`` is empty; False after printing why it failed.  A failure removes
-    the file this call opened if it is regular (a link such as /dev/stdout, a
-    device or FIFO stays); a ``MemoryError`` then propagates."""
+    ``path`` is empty; a ``_Failure`` (exit 1) says why it failed.  A failure
+    removes the file this call opened if it is regular (a link such as
+    /dev/stdout, a device or FIFO stays); a ``MemoryError`` then propagates."""
     opened = False
     try:
         if path:
@@ -318,9 +311,7 @@ def _write_file(path: str | None, write, **options) -> bool:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: cannot write {path or '<stdout>'}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Failure(1, f"cannot write {path or '<stdout>'}: {exc}")
 
 
 def _report_document(securities, profiles, settings) -> dict:
@@ -436,4 +427,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which here exits 1; --help exits 0
         return 1 if exc.code else 0
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Failure as failure:
+        code, *messages = failure.args
+        for message in messages:
+            print(f"error: {message}", file=sys.stderr)
+        return code
+    return 0

@@ -167,6 +167,36 @@ def legacy_grids_csv(ids, profiles, count) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+# each fixture that fails: its exit code from both commands and its one error
+# line; every other fixture exits 0 with nothing on stderr
+FIXTURE_FAILURES = {
+    "bad_prob_sum": (1, "securities[0] (id 'alpha').future_value: probs must sum to 1 (got 0.9)"),
+    "bad_trapezoid": (1, "securities[1] (id 'beta').present_value: trapezoid corners must satisfy a <= b <= c <= d"),
+    "degenerate_return": (2, "security 'flat': degenerate membership: expected return undefined"),
+    "extreme_range": (2, "security 'extreme': return span -1 to 1.09136e+302 is wider than 2**52, "
+                         "where the energy can round to 1"),
+    "misspelt_setting": (1, "settings.grid_point: unknown field, expected one of grid_points, nodes, "
+                            "variance_panels, truncation"),
+    "misspelt_truncation": (1, "securities[0] (id 'loose').future_value.truncaton: unknown field, "
+                               "expected one of family, log_mean, log_sd, truncation"),
+    "overflow_nodes": (1, "securities[0] (id 'huge').future_value: support ends inf to inf "
+                          "are not finite, positive and distinct"),
+    "overflow_span": (2, "security 'soaring': return span -0.666667 to inf is out of floating-point range"),
+    "underflow_span": (2, "security 'remote': return span -inf to -inf is out of floating-point range"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.stem)
+def test_fixture_exit_code_and_stderr(tmp_path, capsys, command, path):
+    code, message = FIXTURE_FAILURES.get(path.stem, (0, None))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "report.json")] if command == "analyze" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {message}\n" if message else "")
+    assert captured.out == ("ok\n" if command == "validate" and not code else "")
+
+
 class TestValidate:
     def test_shipped_fixture_is_ok(self, capsys):
         assert main(["validate", str(FIXTURES / "portfolio3.json")]) == 0
@@ -552,6 +582,19 @@ class TestAnalyze:
         assert err.startswith(f"error: cannot write {target}: ")
         assert all(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])
+    def test_report_and_grids_naming_one_file_exit_one_writing_nothing(self, tmp_path, capsys, link):
+        # refused before the portfolio is read: a missing one would give "cannot read"
+        out, grids = tmp_path / "out", tmp_path / ("link" if link else "out")
+        out.write_text("an earlier report", encoding="utf-8")
+        if link:
+            grids.symlink_to(out)
+        assert main(["analyze", str(tmp_path / "missing.json"), "--out", str(out), "--grids-out", str(grids)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out} and --grids-out {grids} name one file\n"
+        assert captured.out == ""
+        assert out.read_text(encoding="utf-8") == "an earlier report"
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, where every write fails")
     @pytest.mark.parametrize("command", ["analyze", "validate"])
