@@ -19,13 +19,17 @@ only for pairs passing the plain variance gate (about half), in one batched
 α-cut pass through ``membership.dominance_matrix``, the one dominance entry
 point: cut tables in O(knots) per security, then O(log knots) numpy steps
 per block of rows, whose gated pairs are generated as the block is solved.
+Of its arrays only the left α-cut table, the gates and the two matrices
+span the universe; a right α-cut table, the pairs' temporaries and the
+Pareto scores' n-wide temporaries span one block of rows (``PAIR_BLOCK // n``
+rows for the scores).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .membership import dominance_matrix
+from .membership import PAIR_BLOCK, dominance_matrix
 
 
 class EffectivenessReport(NamedTuple):
@@ -37,8 +41,10 @@ class EffectivenessReport(NamedTuple):
     strict_effectiveness: np.ndarray
 
 
-def _pareto_scores(matrix: np.ndarray) -> np.ndarray:
-    return np.maximum(matrix, 1.0 - matrix.T).min(axis=1)
+def _pareto_scores(matrix: np.ndarray, step: int) -> np.ndarray:
+    """min over j of max(M[i, j], 1 - M[j, i]), for ``step`` rows i at a time."""
+    return np.concatenate([np.maximum(matrix[i:i + step], 1.0 - matrix[:, i:i + step].T).min(axis=1)
+                           for i in range(0, len(matrix), step)])
 
 
 def build_report(profiles) -> EffectivenessReport:
@@ -51,7 +57,8 @@ def build_report(profiles) -> EffectivenessReport:
     energy = np.array([p.energy for p in profiles])
     entropy = np.array([p.entropy for p in profiles])
     gate = variance[:, None] <= variance[None, :]
-    strict_gate = gate & (energy[:, None] <= energy[None, :]) & (entropy[:, None] <= entropy[None, :])
     outranking = dominance_matrix(rhos, gate)
+    strict_gate = gate & (energy[:, None] <= energy[None, :]) & (entropy[:, None] <= entropy[None, :])
     strict = np.where(strict_gate, outranking, 0.0)
-    return EffectivenessReport(outranking, strict, _pareto_scores(outranking), _pareto_scores(strict))
+    step = max(1, PAIR_BLOCK // len(profiles))
+    return EffectivenessReport(outranking, strict, _pareto_scores(outranking, step), _pareto_scores(strict, step))

@@ -131,19 +131,19 @@ class _Cuts:
         self.at, self.dx, self.dv = np.empty(size), np.empty(size), np.empty(size)
         self.filled = 0
 
-    def fill(self, grid, values, cut, sign: float, first_row: int) -> None:
-        """Append the entries that ``cut`` marks in a block's rows, which list
-        knots from the span end back; ``first_row`` is the block's first
-        membership."""
-        rows, cols = np.nonzero(cut)  # by membership, then by rising level
-        level, x = values[rows, cols], grid[rows, cols]
-        dx, dv = grid[rows, cols - 1] - x, level - values[rows, cols - 1]
+    def fill(self, x, levels, cut, sign: float, first_row: int) -> None:
+        """Append the entries that ``cut`` marks in a block's rows, whose
+        abscissas ``x`` and ``levels`` come flattened and list knots from the
+        span end back; ``first_row`` is the block's first membership."""
+        knot = np.flatnonzero(cut)  # by membership, then by rising level
+        level, at = levels[knot], x[knot]
+        dx, dv = x[knot - 1] - at, level - levels[knot - 1]
         end = np.flatnonzero(level == 0.0)  # only the span end's entry has level 0
         dx[end], dv[end] = 0.0, 1.0
-        part = slice(self.filled, self.filled + rows.size)
+        part = slice(self.filled, self.filled + knot.size)
         key = self.key[part]
-        key.real, key.imag = first_row + rows, level
-        self.at[part], self.dx[part], self.dv[part] = sign * x, sign * dx, dv
+        key.real, key.imag = first_row + knot // cut.shape[1], level
+        self.at[part], self.dx[part], self.dv[part] = sign * at, sign * dx, dv
         self.filled = part.stop
 
     def find(self, s, alpha):
@@ -156,66 +156,66 @@ class _Cuts:
 
 
 # α-cut tables are built from blocks of memberships with about this many
-# knots in all, which bounds a block's dense temporaries to under 1 MB.  A
-# 128-security screen (801-knot fuzzy returns) takes 7 blocks.  Measured there
-# on 2 cores: both tables in 4.5 ms with a tracemalloc peak of 1.5 MB; blocks
-# of 2**15 knots took 4.3-5.2 ms and peaked at 1.8 MB, blocks of 2**13 took
-# 6.8 ms, and a single block took about 6 ms and left a screening loop's
-# peak RSS 1.3 MB higher than blocks of 2**14 did.
+# knots in all, which bounds a block's dense temporaries to under 1 MB; a
+# block of matrix rows holds at most twice as many (``dominance_matrix``).  A
+# 128-security screen (fuzzy returns of about 816 knots) builds its left table
+# from 7 blocks and the right table of each of its 4 blocks of 32 rows from 2.
+# Measured there on 2 cores: the left table in 1.6-2.5 ms, its tracemalloc
+# peak 1.8 MB for 1.2 MB of table, and the four right tables in 2.4-2.6 ms,
+# where both tables took 6.0-6.4 ms when built over all rows.  build_report
+# peaked at 1.9 MB with blocks of 2**13 knots but took 1.7 ms longer (8 blocks
+# of rows), and at 3.2 MB with blocks of 2**15.
 CUT_BLOCK = 2**14
 
 
-def _cut_tables(memberships) -> tuple[_Cuts, _Cuts]:
-    """The right and left α-cut tables of many memberships, block by block.
+def _cut_table(memberships, sign: float, first: int, shift: int) -> _Cuts:
+    """The right (sign 1) or left (sign -1) α-cut table of memberships
+    numbered from ``first`` on, their abscissas scaled by 2**shift, block by
+    block.
 
-    A first pass marks each block's entries, so that each table is allocated
-    once at its exact size; a second pass fills both tables block by block.
+    A first pass marks each block's entries, so that the table is allocated
+    once at its exact size; a second pass fills it block by block.
     """
-    # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
-    shift = max(0, 1000 - max(int(np.frexp(max(-m.grid[0], m.grid[-1]))[1]) for m in memberships))
-    step = max(1, CUT_BLOCK // max(m.grid.size + 2 for m in memberships))
+    step = max(1, CUT_BLOCK // max(m.grid.size + 1 for m in memberships))
     blocks = [memberships[i:i + step] for i in range(0, len(memberships), step)]
-    marks = [_cut_marks(*_rows(block, "values")) for block in blocks]
-    right, left = (_Cuts(sum(np.count_nonzero(cuts[side]) for cuts in marks)) for side in (0, 1))
-    for i, (block, (right_cut, left_cut)) in enumerate(zip(blocks, marks)):
-        (grid, first), (values, _) = _rows(block, "grid"), _rows(block, "values")
-        rows = np.arange(first.size)
-        grid[rows, first - 1], grid[:, -1] = grid[rows, first], grid[:, -2]  # the span ends repeat the end knots
-        np.ldexp(grid, shift, out=grid)
-        right.fill(grid[:, ::-1], values[:, ::-1], right_cut, 1.0, i * step)
-        left.fill(np.negative(grid, out=grid), values, left_cut, -1.0, i * step)
-    return right, left
+    marks = [_cut_marks(*_rows(block, "values", sign)) for block in blocks]
+    cuts = _Cuts(sum(np.count_nonzero(cut) for cut in marks))
+    for i, (block, cut) in enumerate(zip(blocks, marks)):
+        (x, end), (levels, _) = _rows(block, "grid", sign), _rows(block, "values", sign)
+        rows = np.arange(end.size)
+        x[rows, end] = x[rows, end + 1]  # the span end's entry sits at the end knot
+        np.ldexp(x, shift, out=x)
+        x *= sign  # the left table's rows list the mirror image's knots
+        cuts.fill(x.ravel(), levels.ravel(), cut, sign, first + i * step)
+    return cuts
 
 
-def _rows(memberships, name: str):
+def _rows(memberships, name: str, sign: float):
     """The knot arrays ``name`` ("grid" or "values") of a block of
-    memberships, one row each, and the column of each row's first knot.
+    memberships, one row each, listed from the span end back: backwards for
+    the right table (sign 1), forwards for the left; and the column of each
+    row's span end.
 
-    Row s holds membership s's knots, right-aligned behind zero padding,
-    between zero entries at both span ends.  Read backwards, the rows list
-    the knots from the span end back, which gives the right table; negated,
-    the rows do the same for the mirror images, which gives the left table.
-    """
-    sizes = np.array([m.grid.size for m in memberships])
-    first = sizes.max() + 1 - sizes
-    knots = np.arange(sizes.max() + 2) >= first[:, None]
-    knots[:, -1] = False
-    rows = np.zeros(knots.shape)
-    rows[knots] = np.concatenate([getattr(m, name) for m in memberships])
-    return rows, first
+    Row s holds membership s's knots right-aligned behind zero padding and a
+    zero entry for the span end."""
+    width = max(m.grid.size for m in memberships) + 1
+    rows, end = np.zeros((len(memberships), width)), np.empty(len(memberships), dtype=int)
+    for s, m in enumerate(memberships):
+        knots = getattr(m, name)
+        end[s] = width - 1 - knots.size
+        rows[s, end[s] + 1:] = knots[::-1] if sign > 0 else knots
+    return rows, end
 
 
-def _cut_marks(values, first):
-    """Where the right and left table entries of a block sit in its value
-    rows: the right ones in the rows read backwards, after the value-0 entry
-    at column 0; the left ones after the value-0 entry at column
-    ``first[s] - 1``.  The padding has value 0, so none of it is a cut."""
-    right, left = np.zeros(values.shape, dtype=bool), np.zeros(values.shape, dtype=bool)
-    for cut, levels in ((right, values[:, ::-1]), (left, values)):
-        cut[:, 1:] = levels[:, 1:] > np.fmax.accumulate(levels[:, :-1], axis=1)
-    right[:, 0] = True
-    left[np.arange(first.size), first - 1] = True
-    return right, left
+def _cut_marks(levels, end):
+    """Where a block's table entries sit in its value rows ``levels``: the
+    value-0 entry at column ``end[s]``, then each knot whose value exceeds
+    every one before it in its row.  The padding has value 0, so none of it
+    is a cut."""
+    cut = np.zeros(levels.shape, dtype=bool)
+    cut[:, 1:] = levels[:, 1:] > np.fmax.accumulate(levels[:, :-1], axis=1)
+    cut[np.arange(end.size), end] = True
+    return cut
 
 
 def _gap(right: _Cuts, left: _Cuts, p, q, alpha):
@@ -236,11 +236,11 @@ def _last_feasible(own: _Cuts, other: _Cuts, s, t, cap, sign: float):
 
 
 # Pairs are solved at most this many at a time, which bounds the per-pair
-# temporaries of a large universe to about 5 MB.  A 128-security screen is one
-# block.  Each block pays the bisection's numpy call overhead: at 1024
-# securities on 2 cores, build_report took 1.07 s in blocks of this size (16
-# blocks of 64 matrix rows), 1.09 s in one block and 1.31 s in blocks of 8192
-# (medians of 5).
+# temporaries of a large universe to about 5 MB.  A 128-security screen is
+# bound by its knots instead: 4 blocks of 32 rows, which took 0.1-0.8 ms longer
+# than one block.  At 1024 securities (27 blocks of 38 rows) build_report took
+# 0.85 s on 2 cores, against 0.93-0.97 s for 16 blocks of 64 rows sharing one
+# right table over all rows, and its tracemalloc peak fell from 34.1 to 20.9 MB.
 PAIR_BLOCK = 65536
 
 
@@ -252,20 +252,28 @@ def dominance_matrix(memberships, gate) -> np.ndarray:
     PD(k >= l) = max{α <= min(peak k, peak l) : L_l(α) <= R_k(α)}.  Each pair
     tests that cap, bisects k's levels then l's down to linear pieces, and
     solves their crossing: O(knots) per membership for the α-cut tables,
-    built once, then O(log knots) numpy steps per block.  The gated pairs are
-    generated and solved for ``PAIR_BLOCK // n`` rows at a time (at least
-    one), so no list of all pairs is held.
+    then O(log knots) numpy steps per block of rows.  The left table spans
+    every membership.  The rows are spread evenly over as few blocks as two
+    budgets allow, ``PAIR_BLOCK // n`` rows and ``2 * CUT_BLOCK`` knots; each
+    block builds the right table of its own memberships and generates and
+    solves its gated pairs, so no right table and no list of pairs spans the
+    universe.
     """
     gate = np.asarray(gate, dtype=bool)
-    right, left = _cut_tables(memberships)
+    # an exact power-of-two rescale (to below 2**1000) changes no degree, lifts tiny abscissas
+    shift = max(0, 1000 - max(int(np.frexp(max(-m.grid[0], m.grid[-1]))[1]) for m in memberships))
+    left = _cut_table(memberships, -1.0, 0, shift)
     peaks = np.array([m.peak for m in memberships])
-    step = max(1, PAIR_BLOCK // len(memberships))
+    n, width = len(memberships), max(m.grid.size for m in memberships) + 1
+    blocks = -(-n // max(1, min(PAIR_BLOCK // n, 2 * CUT_BLOCK // width)))
+    step = -(-n // blocks)
     degree = np.zeros(gate.shape)
-    for start in range(0, len(memberships), step):
+    for start in range(0, n, step):
         rows, cols = np.nonzero(gate[start:start + step])
         rows += start
         solved = np.minimum(peaks[rows], peaks[cols])
-        _solve(right, left, rows, cols, solved)
+        # a block's right table lives only while its pairs are solved
+        _solve(_cut_table(memberships[start:start + step], 1.0, start, shift), left, rows, cols, solved)
         degree[rows, cols] = solved
     return degree
 

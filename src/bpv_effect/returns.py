@@ -150,7 +150,7 @@ class SecurityProfile:
     ``variance``, ``energy`` and ``entropy``."""
 
     def __init__(self, rho, expected_return, variance, energy, entropy):
-        if variance < 0.0:
+        if not variance >= 0.0:  # NaN too, which every gate comparison would read as false
             raise ValueError("variance must be nonnegative")
         if not (0.0 <= energy < 1.0 and 0.0 <= entropy < 1.0):
             raise ValueError("energy and entropy must lie in [0, 1)")

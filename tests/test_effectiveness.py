@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bpv_effect import CONVENTIONS, DiscreteLaw, membership, views
 from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import ReturnGrid, SecurityProfile, expected_return_distribution
-from bpv_effect.effectiveness import build_report
+from bpv_effect.effectiveness import _pareto_scores, build_report
 
 from support import candidate_dominance, direct_pareto, dominance, loop_cuts
 
@@ -155,6 +155,17 @@ class TestParetoScores:
             assert np.all((report.effectiveness >= 0.0) & (report.effectiveness <= 1.0))
             assert np.all((report.strict_effectiveness >= 0.0) & (report.strict_effectiveness <= 1.0))
 
+    def test_blocked_scores_equal_the_whole_matrix_bit_for_bit(self):
+        # exact 0, 1 and -0.0 entries, and ties, in every row
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 8, 17, 40):
+            for matrix in (rng.choice([0.0, -0.0, 1.0, 0.25, 0.5, 0.75], size=(n, n)),
+                           np.where(rng.random((n, n)) < 0.5, rng.choice([0.0, -0.0, 1.0], size=(n, n)),
+                                    rng.random((n, n)))):
+                expected = np.maximum(matrix, 1.0 - matrix.T).min(axis=1)
+                for step in range(1, n + 1):
+                    assert np.array_equal(_pareto_scores(matrix, step).view(np.uint64), expected.view(np.uint64))
+
 
 @st.composite
 def rough_grids(draw):
@@ -210,14 +221,19 @@ class TestBatchedDominance:
                 if variances[i] <= variances[j]:
                     assert abs(report.outranking[i, j] - expected) <= 1e-12
 
-    @given(rough_universes(), st.sampled_from([membership.CUT_BLOCK, 1, 12, 20]))
+    @given(rough_universes(), st.sampled_from([membership.CUT_BLOCK, 1, 12, 20]), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
-    def test_cut_tables_equal_the_per_membership_loop(self, universe, block):
+    def test_cut_tables_equal_the_per_membership_loop(self, universe, block, rows):
         rhos, _ = universe
+        shift = max(0, 1000 - max(int(np.frexp(np.abs(m.grid).max())[1]) for m in rhos))
         with mock.patch.object(membership, "CUT_BLOCK", block):  # small blocks hold one or a few rows
-            tables = membership._cut_tables(rhos)
-        for cuts, sign in zip(tables, (1.0, -1.0)):
-            for built, looped in zip((cuts.key, cuts.at, cuts.dx, cuts.dv), loop_cuts(rhos, sign)):
+            left = membership._cut_table(rhos, -1.0, 0, shift)
+            # one right table per block of ``rows`` memberships, keyed by their index in rhos
+            rights = [membership._cut_table(rhos[i:i + rows], 1.0, i, shift) for i in range(0, len(rhos), rows)]
+        tables = [[getattr(left, name) for name in ("key", "at", "dx", "dv")],
+                  [np.concatenate([getattr(cuts, name) for cuts in rights]) for name in ("key", "at", "dx", "dv")]]
+        for arrays, sign in zip(tables, (-1.0, 1.0)):
+            for built, looped in zip(arrays, loop_cuts(rhos, sign)):
                 assert built.dtype == looped.dtype and built.tobytes() == looped.tobytes()
 
     def test_cut_tables_hold_each_table_once(self):
@@ -231,18 +247,19 @@ class TestBatchedDominance:
             mu, conv = trapezoid(*center * np.array([0.9, 0.97, 1.03, 1.1])), CONVENTIONS[("simple", "logarithmic")[i % 2]]
             grid = ReturnGrid.spanning(mu, nodes, conv, 801)
             rhos.append(expected_return_distribution(views.make(mu, conv, nodes), grid))
-        tracemalloc.start()
-        try:
-            tables = membership._cut_tables(rhos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = sum(a.nbytes for cuts in tables for a in (cuts.key, cuts.at, cuts.dx, cuts.dv))
-        # beyond the tables: the first pass's marks, a byte per padded knot and side, and
-        # one block's temporaries, its padded grid and value rows and its entries' arrays
-        # (5.0 x CUT_BLOCK doubles measured here)
-        marks = 2 * len(rhos) * (max(rho.grid.size for rho in rhos) + 2)
-        assert peak <= held + marks + 6 * membership.CUT_BLOCK * 8, (peak, held)
+        for sign in (1.0, -1.0):  # the right table, then the left
+            tracemalloc.start()
+            try:
+                table = membership._cut_table(rhos, sign, 0, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(a.nbytes for a in (table.key, table.at, table.dx, table.dv))
+            # beyond the table: the first pass's marks, a byte per padded knot, and one
+            # block's temporaries, its padded grid and value rows and its entries' arrays
+            # (about 4 x CUT_BLOCK doubles measured here)
+            marks = len(rhos) * (max(rho.grid.size for rho in rhos) + 1)
+            assert peak <= held + marks + 6 * membership.CUT_BLOCK * 8, (peak, held)
 
     def test_diagonal_is_peak_and_gated_entries_are_zero(self):
         rng = np.random.default_rng(31)
@@ -264,6 +281,28 @@ class TestBatchedDominance:
         report = build_report(profiles)
         assert time.perf_counter() - start < 5.0
         assert report.outranking.shape == (256, 256)
+
+    def test_report_stage_holds_one_block_of_rows(self):
+        # only the left alpha-cut table and the two outranking matrices span the
+        # universe; a right table and the pairs' temporaries span one block of rows
+        rng = np.random.default_rng(256)
+        profiles = tuple(make_profile(synthetic_rho(rng), float(rng.uniform(0.001, 0.05))) for _ in range(256))
+        rhos, n = [p.rho for p in profiles], len(profiles)
+        rows = min(membership.PAIR_BLOCK // n, 2 * membership.CUT_BLOCK // (max(r.grid.size for r in rhos) + 1))
+        left, right = loop_cuts(rhos, -1.0), loop_cuts(rhos, 1.0)
+        entry = sum(a.itemsize for a in left)
+        # the right table of any block is at most the entries of its ``rows`` largest memberships
+        block_table = np.sort(np.bincount(right[0].real.astype(int)))[-rows:].sum() * entry
+        tracemalloc.start()
+        try:
+            build_report(profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pairs' temporaries as 8 doubles per pair, and 0.5 MiB of slack for the
+        # gates (a byte per pair) and one block's marks and padded rows
+        bound = left[0].size * entry + 2 * n * n * 8 + block_table + rows * n * 8 * 8 + 2**19
+        assert peak <= bound, (peak, bound)
 
 
 class TestUniverse:

@@ -229,12 +229,18 @@ class TestBlockedDominance:
 
     def test_blocks_of_any_size_give_identical_bits(self, monkeypatch):
         memberships, gate = self.universe(11)
-        whole = dominance_matrix(memberships, gate)
-        assert gate.size <= membership.PAIR_BLOCK and not gate.all() and 0.0 < whole[gate].mean() < 1.0
+        whole = dominance_matrix(memberships, gate)  # one block under both budgets
+        width = max(m.grid.size for m in memberships) + 1
+        assert gate.size <= membership.PAIR_BLOCK and len(memberships) * width <= 2 * membership.CUT_BLOCK
+        assert not gate.all() and 0.0 < whole[gate].mean() < 1.0
         assert not whole[~gate].any()
         for block in (1, 7, 48, 100, 1000):  # 1, 1, 2 and 4 rows of 24, then all of them
             monkeypatch.setattr(membership, "PAIR_BLOCK", block)
             assert dominance_matrix(memberships, gate).tobytes() == whole.tobytes()
+        monkeypatch.setattr(membership, "PAIR_BLOCK", 1000)
+        for knots in (1, width, 3 * width, 5 * width):  # 1, 2, 6 and 8 rows by the knot budget, 2 x CUT_BLOCK
+            monkeypatch.setattr(membership, "CUT_BLOCK", knots)
+            assert np.array_equal(dominance_matrix(memberships, gate).view(np.uint64), whole.view(np.uint64))
 
     def test_gated_entries_match_the_candidate_oracle(self, monkeypatch):
         memberships, gate = self.universe(13)
@@ -249,14 +255,16 @@ class TestBlockedDominance:
             assert np.abs(matrix - expected).max() <= 1e-12
 
     def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
-        # n stays fixed, so the output matrix and the alpha-cut tables are the same in
-        # both runs; only the pairs' temporaries may grow with the number of blocks
+        # n stays fixed, so the output matrix and the left alpha-cut table are the same
+        # in both runs; only the pairs' temporaries and the block's right table may
+        # grow with the number of blocks
         count, rows = 128, 32
         memberships, _ = self.universe(12, count=count, gated=0)
-        held = sum(a.nbytes for cuts in membership._cut_tables(memberships) for a in (cuts.key, cuts.at, cuts.dx, cuts.dv))
+        left = membership._cut_table(memberships, -1.0, 0, 0)
+        held = sum(a.nbytes for a in (left.key, left.at, left.dx, left.dv))
         monkeypatch.setattr(membership, "PAIR_BLOCK", rows * count)
 
-        def peak_beyond_matrix_and_tables(gated_rows):
+        def peak_beyond_matrix_and_left_table(gated_rows):
             gate = np.zeros((count, count), dtype=bool)
             gate[:gated_rows] = True
             tracemalloc.start()
@@ -266,6 +274,6 @@ class TestBlockedDominance:
             finally:
                 tracemalloc.stop()
 
-        one = peak_beyond_matrix_and_tables(rows)  # 4096 pairs in one block
+        one = peak_beyond_matrix_and_left_table(rows)  # 4096 pairs in one block
         assert one > 0
-        assert peak_beyond_matrix_and_tables(count) < 2 * one  # 16384 pairs in four blocks
+        assert peak_beyond_matrix_and_left_table(count) < 2 * one  # 16384 pairs in four blocks

@@ -844,6 +844,7 @@ class TestSecurityProfile:
 
     @pytest.mark.parametrize("variance, energy, entropy, message", [
         (-1e-300, 0.5, 0.1, "variance must be nonnegative"),
+        (math.nan, 0.5, 0.1, "variance must be nonnegative"),
         (0.01, 1.0, 0.5, "energy and entropy must lie in [0, 1)"),
         (0.01, math.nan, 0.1, "energy and entropy must lie in [0, 1)"),
         (0.01, 0.5, -1e-300, "energy and entropy must lie in [0, 1)"),
