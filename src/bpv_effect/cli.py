@@ -17,10 +17,10 @@ report echoes the settings block, read into ``EngineSettings``.
 
 A failure is raised where it is found, as a ``_Failure`` carrying its exit
 code, and ``main`` alone prints it and picks the code: 0 ok, 1 a usage
-error, an unreadable or invalid portfolio, ``--out`` and ``--grids-out``
-naming one file or an unwritable output, 2 a security whose profile cannot
-be computed or a screen that exhausts memory.  A failed write removes the
-file it opened.
+error, an unreadable or invalid portfolio, two of the portfolio, ``--out``
+and ``--grids-out`` naming one file or an unwritable output, 2 a security
+whose profile cannot be computed or a screen that exhausts memory.  A
+failed write removes the file it opened.
 """
 
 import argparse
@@ -271,8 +271,12 @@ def cmd_validate(args) -> None:
 
 
 def cmd_analyze(args) -> None:
-    if args.out and args.grids_out and os.path.realpath(args.out) == os.path.realpath(args.grids_out):
-        raise _Failure(1, f"--out {args.out} and --grids-out {args.grids_out} name one file")
+    # outputs and a regular-file portfolio must be distinct files; /dev/stdin may share a tty with /dev/stdout
+    named = {}
+    for name, path in (("portfolio", args.portfolio if os.path.isfile(args.portfolio) else None),
+                       ("--out", args.out), ("--grids-out", args.grids_out)):
+        if path and (first := named.setdefault(os.path.realpath(path), f"{name} {path}")) != f"{name} {path}":
+            raise _Failure(1, f"{first} and {name} {path} name one file")
     securities, settings = _load(args.portfolio)
     profiles = _profiles(securities, settings.grid_points)
     try:  # the n x n matrices and alpha-cut tables grow with the square of the universe

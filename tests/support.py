@@ -27,7 +27,8 @@ from scipy import stats
 
 from bpv_effect import returns
 from bpv_effect.distribution import DiscreteLaw, TruncatedLaw
-from bpv_effect.membership import MembershipFn, dominance_matrix, energy_measure, entropy_measure, trapezoid
+from bpv_effect.effectiveness import dominance_matrix
+from bpv_effect.membership import MembershipFn, energy_measure, entropy_measure, trapezoid
 
 ORACLE_GRID = 2000  # dominance brute-force resolution per axis
 
@@ -153,7 +154,7 @@ def _right_cuts(grid: np.ndarray, values: np.ndarray):
 
 
 def loop_cuts(memberships, sign: float):
-    """The (key, at, dx, dv) arrays of ``membership._Cuts``, built membership
+    """The (key, at, dx, dv) arrays of ``effectiveness._Cuts``, built membership
     by membership."""
     shift = max(0, 1000 - max(np.frexp(np.abs(m.grid).max())[1] for m in memberships))
     keys, ends = [], []

@@ -596,6 +596,20 @@ class TestAnalyze:
         assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "an earlier report"
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])
+    @pytest.mark.parametrize("flag", ["--out", "--grids-out"])
+    def test_output_naming_the_portfolio_exits_one_leaving_it_unchanged(self, tmp_path, capsys, flag, link):
+        portfolio = Path(write_portfolio(tmp_path, [simple_security()]))
+        before = portfolio.read_bytes()
+        target = tmp_path / "link" if link else portfolio
+        if link:
+            target.symlink_to(portfolio)
+        assert main(["analyze", str(portfolio), flag, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: portfolio {portfolio} and {flag} {target} name one file\n"
+        assert captured.out == ""
+        assert portfolio.read_bytes() == before
+
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, where every write fails")
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     @pytest.mark.parametrize("closed", [False, True])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import CONVENTIONS, DiscreteLaw, membership, views
+from bpv_effect import CONVENTIONS, DiscreteLaw, effectiveness, views
 from bpv_effect.membership import MembershipFn, trapezoid
 from bpv_effect.returns import ReturnGrid, SecurityProfile, expected_return_distribution
 from bpv_effect.effectiveness import _pareto_scores, build_report
@@ -221,15 +221,15 @@ class TestBatchedDominance:
                 if variances[i] <= variances[j]:
                     assert abs(report.outranking[i, j] - expected) <= 1e-12
 
-    @given(rough_universes(), st.sampled_from([membership.CUT_BLOCK, 1, 12, 20]), st.integers(1, 8))
+    @given(rough_universes(), st.sampled_from([effectiveness.CUT_BLOCK, 1, 12, 20]), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
     def test_cut_tables_equal_the_per_membership_loop(self, universe, block, rows):
         rhos, _ = universe
         shift = max(0, 1000 - max(int(np.frexp(np.abs(m.grid).max())[1]) for m in rhos))
-        with mock.patch.object(membership, "CUT_BLOCK", block):  # small blocks hold one or a few rows
-            left = membership._cut_table(rhos, -1.0, 0, shift)
+        with mock.patch.object(effectiveness, "CUT_BLOCK", block):  # small blocks hold one or a few rows
+            left = effectiveness._cut_table(rhos, -1.0, 0, shift)
             # one right table per block of ``rows`` memberships, keyed by their index in rhos
-            rights = [membership._cut_table(rhos[i:i + rows], 1.0, i, shift) for i in range(0, len(rhos), rows)]
+            rights = [effectiveness._cut_table(rhos[i:i + rows], 1.0, i, shift) for i in range(0, len(rhos), rows)]
         tables = [[getattr(left, name) for name in ("key", "at", "dx", "dv")],
                   [np.concatenate([getattr(cuts, name) for cuts in rights]) for name in ("key", "at", "dx", "dv")]]
         for arrays, sign in zip(tables, (-1.0, 1.0)):
@@ -250,7 +250,7 @@ class TestBatchedDominance:
         for sign in (1.0, -1.0):  # the right table, then the left
             tracemalloc.start()
             try:
-                table = membership._cut_table(rhos, sign, 0, 0)
+                table = effectiveness._cut_table(rhos, sign, 0, 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -259,14 +259,14 @@ class TestBatchedDominance:
             # block's temporaries, its padded grid and value rows and its entries' arrays
             # (about 4 x CUT_BLOCK doubles measured here)
             marks = len(rhos) * (max(rho.grid.size for rho in rhos) + 1)
-            assert peak <= held + marks + 6 * membership.CUT_BLOCK * 8, (peak, held)
+            assert peak <= held + marks + 6 * effectiveness.CUT_BLOCK * 8, (peak, held)
 
     def test_diagonal_is_peak_and_gated_entries_are_zero(self):
         rng = np.random.default_rng(31)
         profiles = tuple(make_profile(synthetic_rho(rng, 101), float(v))
                          for v in rng.choice([0.01, 0.02, 0.03], 12))
         report = build_report(profiles)
-        assert np.array_equal(np.diag(report.outranking), [p.rho.peak for p in profiles])
+        assert np.array_equal(np.diag(report.outranking), [p.rho.values.max() for p in profiles])
         variance = np.array([p.variance for p in profiles])
         failing = variance[:, None] > variance[None, :]
         assert np.any(failing)
@@ -284,11 +284,12 @@ class TestBatchedDominance:
 
     def test_report_stage_holds_one_block_of_rows(self):
         # only the left alpha-cut table and the two outranking matrices span the
-        # universe; a right table and the pairs' temporaries span one block of rows
+        # universe; a right table, the pairs' temporaries and the Pareto minima's
+        # temporaries span one block of rows
         rng = np.random.default_rng(256)
         profiles = tuple(make_profile(synthetic_rho(rng), float(rng.uniform(0.001, 0.05))) for _ in range(256))
         rhos, n = [p.rho for p in profiles], len(profiles)
-        rows = min(membership.PAIR_BLOCK // n, 2 * membership.CUT_BLOCK // (max(r.grid.size for r in rhos) + 1))
+        rows = min(effectiveness.PAIR_BLOCK // n, 2 * effectiveness.CUT_BLOCK // (max(r.grid.size for r in rhos) + 1))
         left, right = loop_cuts(rhos, -1.0), loop_cuts(rhos, 1.0)
         entry = sum(a.itemsize for a in left)
         # the right table of any block is at most the entries of its ``rows`` largest memberships
@@ -303,6 +304,25 @@ class TestBatchedDominance:
         # gates (a byte per pair) and one block's marks and padded rows
         bound = left[0].size * entry + 2 * n * n * 8 + block_table + rows * n * 8 * 8 + 2**19
         assert peak <= bound, (peak, bound)
+
+        def steps_and_report():
+            """The dominance pass's row step (its largest right table's memberships),
+            the row steps of the Pareto minima, and the report."""
+            with mock.patch.object(effectiveness, "_cut_table", wraps=effectiveness._cut_table) as cuts, \
+                    mock.patch.object(effectiveness, "_pareto_scores", wraps=effectiveness._pareto_scores) as scores:
+                report = build_report(profiles)
+            step = max(len(call.args[0]) for call in cuts.call_args_list if call.args[1] > 0)
+            return step, {call.args[1] for call in scores.call_args_list}, report
+
+        # the Pareto minima walk the dominance pass's blocks of rows, and a smaller
+        # PAIR_BLOCK shrinks both without moving a bit of either score vector
+        step, pareto_steps, report = steps_and_report()
+        assert step <= rows and pareto_steps == {step}
+        with mock.patch.object(effectiveness, "PAIR_BLOCK", 8 * n):
+            small_step, small_pareto_steps, small = steps_and_report()
+        assert small_step == 8 < step and small_pareto_steps == {small_step}
+        for name in ("effectiveness", "strict_effectiveness"):
+            assert np.array_equal(getattr(small, name).view(np.uint64), getattr(report, name).view(np.uint64))
 
 
 class TestUniverse:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpv_effect import membership
+from bpv_effect import effectiveness
+from bpv_effect.effectiveness import dominance_matrix
 from bpv_effect.membership import (
     MembershipFn,
-    dominance_matrix,
     energy_measure,
     entropy_measure,
     trapezoid,
@@ -142,7 +142,7 @@ class TestDominance:
 
     @given(memberships())
     def test_self_dominance_equals_peak(self, m):
-        assert dominance(m, m) == pytest.approx(m.peak, abs=1e-12)
+        assert dominance(m, m) == pytest.approx(m.values.max(), abs=1e-12)
 
     @given(memberships(), memberships(), st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=60)
@@ -158,7 +158,7 @@ class TestDominance:
             # slide l until its plateau starts at or left of k's plateau end
             slide = l_corners[1] - k_corners[2] + float(rng.uniform(0.0, 3.0))
             l = trapezoid(*(l_corners - max(slide, 0.0)))
-            assert k.peak == 1.0 and l.peak == 1.0
+            assert k.values.max() == 1.0 and l.values.max() == 1.0
             assert dominance(k, l) == 1.0
 
     def test_refinement_stability(self):
@@ -231,15 +231,15 @@ class TestBlockedDominance:
         memberships, gate = self.universe(11)
         whole = dominance_matrix(memberships, gate)  # one block under both budgets
         width = max(m.grid.size for m in memberships) + 1
-        assert gate.size <= membership.PAIR_BLOCK and len(memberships) * width <= 2 * membership.CUT_BLOCK
+        assert gate.size <= effectiveness.PAIR_BLOCK and len(memberships) * width <= 2 * effectiveness.CUT_BLOCK
         assert not gate.all() and 0.0 < whole[gate].mean() < 1.0
         assert not whole[~gate].any()
         for block in (1, 7, 48, 100, 1000):  # 1, 1, 2 and 4 rows of 24, then all of them
-            monkeypatch.setattr(membership, "PAIR_BLOCK", block)
+            monkeypatch.setattr(effectiveness, "PAIR_BLOCK", block)
             assert dominance_matrix(memberships, gate).tobytes() == whole.tobytes()
-        monkeypatch.setattr(membership, "PAIR_BLOCK", 1000)
+        monkeypatch.setattr(effectiveness, "PAIR_BLOCK", 1000)
         for knots in (1, width, 3 * width, 5 * width):  # 1, 2, 6 and 8 rows by the knot budget, 2 x CUT_BLOCK
-            monkeypatch.setattr(membership, "CUT_BLOCK", knots)
+            monkeypatch.setattr(effectiveness, "CUT_BLOCK", knots)
             assert np.array_equal(dominance_matrix(memberships, gate).view(np.uint64), whole.view(np.uint64))
 
     def test_gated_entries_match_the_candidate_oracle(self, monkeypatch):
@@ -248,8 +248,8 @@ class TestBlockedDominance:
         for k, l in zip(*np.nonzero(gate)):
             expected[k, l] = candidate_dominance(memberships[k], memberships[l])
         assert 0.0 < expected[gate].mean() < 1.0 and not gate.all()
-        for block in (1, 48, 100, membership.PAIR_BLOCK):  # 1, 2 and 4 rows of 24, then all of them
-            monkeypatch.setattr(membership, "PAIR_BLOCK", block)
+        for block in (1, 48, 100, effectiveness.PAIR_BLOCK):  # 1, 2 and 4 rows of 24, then all of them
+            monkeypatch.setattr(effectiveness, "PAIR_BLOCK", block)
             matrix = dominance_matrix(memberships, gate)
             assert not matrix[~gate].any()
             assert np.abs(matrix - expected).max() <= 1e-12
@@ -260,9 +260,9 @@ class TestBlockedDominance:
         # grow with the number of blocks
         count, rows = 128, 32
         memberships, _ = self.universe(12, count=count, gated=0)
-        left = membership._cut_table(memberships, -1.0, 0, 0)
+        left = effectiveness._cut_table(memberships, -1.0, 0, 0)
         held = sum(a.nbytes for a in (left.key, left.at, left.dx, left.dv))
-        monkeypatch.setattr(membership, "PAIR_BLOCK", rows * count)
+        monkeypatch.setattr(effectiveness, "PAIR_BLOCK", rows * count)
 
         def peak_beyond_matrix_and_left_table(gated_rows):
             gate = np.zeros((count, count), dtype=bool)

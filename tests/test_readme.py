@@ -21,5 +21,5 @@ def test_library_example_runs_on_the_exports():
     exec(compile(code, str(README), "exec"), namespace)
     report = namespace["report"]
     assert report.outranking.shape == report.strict_outranking.shape == (1, 1)
-    assert report.outranking[0, 0] == namespace["prof"].rho.peak
+    assert report.outranking[0, 0] == namespace["prof"].rho.values.max()
     assert report.effectiveness.shape == report.strict_effectiveness.shape == (1,)

@@ -82,3 +82,33 @@ def test_views_import_no_consumer_and_returns_names_no_view():
         if isinstance(name, str) and name.startswith(VIEW_NAMES):
             found.append(f"returns.py:{node.lineno}: names {name}")
     assert not found, "\n".join(found)
+
+
+# effectiveness.py holds the whole report stage: the alpha-cut dominance pass, its
+# block budgets and the Pareto minima; membership.py holds the fuzzy-number type
+# and its measures
+REPORT_STAGE_NAMES = ("_Cuts", "_cut_table", "_rows", "_cut_marks", "_gap", "_last_feasible",
+                      "_row_step", "dominance_matrix", "_solve")
+BLOCK_BUDGETS = ("PAIR_BLOCK", "CUT_BLOCK")
+
+
+def test_membership_defines_no_dominance_and_only_effectiveness_names_the_block_budgets():
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "membership.py").read_text(encoding="utf-8"), "membership.py")):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        else:
+            continue
+        if name in REPORT_STAGE_NAMES + BLOCK_BUDGETS or "cut" in name.lower() or "dominance" in name.lower():
+            found.append(f"membership.py:{node.lineno}: defines {name}")
+    for path in MODULES:
+        if path.name == "effectiveness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), path.name)):
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno}: names {name}" for name in names if name in BLOCK_BUDGETS]
+    assert not found, "\n".join(found)
